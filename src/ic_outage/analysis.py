@@ -31,6 +31,7 @@ __all__ = [
     "outage_ub_finite_n",
     "outage_ub_numeric_oracle",
     "outage_ub_limit",
+    "user_outage_inputs",
     "outage_inputs",
     "epsilon_bound",
     "epsilon_gaussian_tin",
@@ -203,17 +204,24 @@ def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interva
     return out
 
 
+def _feasibility_case(a: float, b: float, lam: float) -> int:
+    """Branch of rate_feasibility_interval: 1 when lam < min(b, a/2), 2 when
+    a/2 <= lam < b, 3 when b <= lam < a/2, 0 (no solution) otherwise."""
+    if lam < b:
+        return 1 if lam < a / 2.0 else 2
+    return 3 if lam < a / 2.0 else 0
+
+
 def rate_feasibility_interval(a: float, b: float, lam: float) -> Interval:
     """Solution in r > 1 of (lam*r - b)/(a - b) < min(1, r - 1) for a > b > 0."""
     if not a > b > 0:
         raise AnalysisError(f"need a > b > 0, got a={a}, b={b}")
-    below_b = lam < b
-    below_half_a = lam < a / 2.0
-    if below_b and below_half_a:
+    case = _feasibility_case(a, b, lam)
+    if case == 1:
         return Interval(1.0, a / lam)
-    if below_b and not below_half_a:
+    if case == 2:
         return Interval(1.0, (a - 2.0 * b) / (a - b - lam))
-    if not below_b and below_half_a:
+    if case == 3:
         return Interval((a - 2.0 * b) / (a - b - lam), a / lam)
     return Interval.empty()
 
@@ -236,11 +244,9 @@ def _modes(mode) -> tuple[str, str]:
 
 
 def r0(info: InfoQuantities, lam: float, d_max: float, mode) -> float:
-    """Smallest feasible normalized code rate r > 1 for both users.
-
-    Computed by intersecting the per-user feasible intervals; cross-checked
-    by bisection on the raw predicate.  Raises InfeasibleRate when the
-    intersection is empty.
+    """Smallest feasible normalized code rate r > 1 for both users: the lower
+    end of the intersection of the per-user feasible intervals.  Raises
+    InfeasibleRate when the intersection is empty.
     """
     m1, m2 = _modes(mode)
     window = feasible_rate_interval(info, 1, lam, m1).intersect(
@@ -250,32 +256,7 @@ def r0(info: InfoQuantities, lam: float, d_max: float, mode) -> float:
         raise InfeasibleRate(
             f"no r > 1 satisfies both users' constraints at lambda={lam}"
         )
-    analytic = window.lo
-
-    def predicate(r: float) -> bool:
-        for user, m in ((1, m1), (2, m2)):
-            value, cap = rho(info, user, r, lam, m)
-            if value >= min(1.0, r - 1.0):
-                return False
-            if cap is not None and r >= cap:
-                return False
-        return True
-
-    hi = window.hi if not window.unbounded else window.lo + 10.0
-    probe = min(analytic + 1e-6, (analytic + hi) / 2.0) if hi > analytic else analytic
-    if analytic > 1.0 and predicate(probe):
-        lo_b, hi_b = 1.0, probe
-        while hi_b - lo_b > 1e-12:
-            mid = (lo_b + hi_b) / 2.0
-            if predicate(mid):
-                hi_b = mid
-            else:
-                lo_b = mid
-        if abs(hi_b - analytic) > 1e-6:
-            raise AnalysisError(
-                f"r0 cross-check failed: analytic {analytic} vs bisected {hi_b}"
-            )
-    return analytic
+    return window.lo
 
 
 class BoundValue(NamedTuple):
@@ -400,24 +381,45 @@ class OutageInputs:
                 )
 
 
+class UserOutageInputs(NamedTuple):
+    rho: float
+    beta: float
+    chi1: bool
+    chi2: bool
+
+
+def user_outage_inputs(
+    info: InfoQuantities, user: int, r: float, lam: float, mode: str
+) -> UserOutageInputs:
+    """rho_i(r), beta_i = rho_i/r and the chi indicators of one user.
+
+    chi1 is rho_i < min(1, r - 1) and chi2 is rho_i < 1; both also need r
+    below the additive DI cap.  Unlike SchemeParams, lam is not limited to
+    (0, 1], so parameter sweeps can use it too.
+    """
+    value, cap = rho(info, user, r, lam, mode)
+    cap_ok = cap is None or r < cap
+    return UserOutageInputs(
+        rho=value,
+        beta=value / r,
+        chi1=value < min(1.0, r - 1.0) and cap_ok,
+        chi2=value < 1.0 and cap_ok,
+    )
+
+
 def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> OutageInputs:
     """Evaluate rho, beta, kappa and the chi indicators for a parameter point."""
-    rhos = []
-    chi1 = []
-    chi2 = []
-    for user in (1, 2):
-        value, cap = rho(info, user, scheme.r, scheme.lam, scheme.decoder[user - 1])
-        cap_ok = cap is None or scheme.r < cap
-        rhos.append(value)
-        chi1.append(value < min(1.0, scheme.r - 1.0) and cap_ok)
-        chi2.append(value < 1.0 and cap_ok)
+    users = [
+        user_outage_inputs(info, user, scheme.r, scheme.lam, scheme.decoder[user - 1])
+        for user in (1, 2)
+    ]
     return OutageInputs(
         alpha=scheme.alpha,
-        rho=tuple(rhos),
-        beta=tuple(v / scheme.r for v in rhos),
+        rho=tuple(u.rho for u in users),
+        beta=tuple(u.beta for u in users),
         kappa=kappa(scheme.alpha),
-        chi1=tuple(chi1),
-        chi2=tuple(chi2),
+        chi1=tuple(u.chi1 for u in users),
+        chi2=tuple(u.chi2 for u in users),
     )
 
 
@@ -469,83 +471,35 @@ def epsilon_bound(
         value, _ = rho(info, user, r_inf, lam, m)
         betas.append(value / r_inf)
     user = 1 + int(betas[1] > betas[0])
-    value = k * max(betas)
-    # The rho/r0 and beta forms of the bound are algebraically identical.
-    alt = (k / r_inf) * max(
-        rho(info, 1, r_inf, lam, m1).value, rho(info, 2, r_inf, lam, m2).value
-    )
-    if abs(alt - value) > 1e-9:
-        raise AnalysisError("beta-form and rho-form of the bound disagree")
-    return EpsilonResult(kind="value", value=value, r0=r_inf, kappa=k, user=user)
+    return EpsilonResult(kind="value", value=k * max(betas), r0=r_inf, kappa=k, user=user)
 
 
-def _gaussian_ladder(
-    a: tuple[float, float],
-    b: tuple[float, float],
-    lam: float,
-    d_max: float,
-    caps: tuple[float, float] | None,
-) -> EpsilonResult:
-    """Shared case ladder for the Gaussian closed forms.
+def _ladder_label(res: EpsilonResult, a, b, lam: float) -> EpsilonResult:
+    """Attach the Gaussian case label to a result of epsilon_bound.
 
-    ``a``/``b`` are the per-user (C*, C) or (C~*, C~) pairs; ``caps`` carries
-    the additive-case r < C_i*/lam bounds for the DI variant.
+    ``a``/``b`` are the per-user (C*, C) or (C~*, C~) pairs.  A value is
+    labelled case{k}-user{j}: j is the binding user and k the branch of
+    rate_feasibility_interval that the other user is on.  Zero and
+    not-applicable results lie outside the ladder.
     """
-    def lower(j):   # b_j <= lam < a_j / 2
-        return b[j] <= lam < a[j] / 2.0
-
-    def free(j):    # lam below both break points
-        return lam < min(b[j], a[j] / 2.0)
-
-    def upper(j):   # a_j / 2 <= lam < b_j
-        return a[j] / 2.0 <= lam < b[j]
-
-    def ratio(j):
-        return (a[j] - 2.0 * b[j]) / (a[j] - b[j] - lam)
-
-    def cap_value():
-        return math.inf if caps is None else min(caps)
-
-    k = kappa(lam * d_max)
-
-    def result(j, label):
-        return EpsilonResult(
-            kind="value",
-            value=k * (lam - b[j]) / (a[j] - 2.0 * b[j]),
-            r0=ratio(j),
-            kappa=k,
-            user=j + 1,
-            case_label=label,
-        )
-
-    for j in (0, 1):
-        other = 1 - j
-        if lower(j) and free(other):
-            if ratio(j) < cap_value():
-                return result(j, f"case1-user{j+1}")
-            return EpsilonResult(kind="not-applicable", case_label="cap-exceeded")
-        if lower(j) and upper(other):
-            if ratio(j) < min(ratio(other), cap_value()):
-                return result(j, f"case2-user{j+1}")
-            return EpsilonResult(kind="not-applicable", case_label="empty-intersection")
-    if lower(0) and lower(1):
-        j = 0 if ratio(0) >= ratio(1) else 1
-        if ratio(j) <= cap_value():
-            return result(j, f"case3-user{j+1}")
-        return EpsilonResult(kind="not-applicable", case_label="cap-exceeded")
-    return EpsilonResult(kind="not-applicable", case_label="outside-ladder")
+    if res.kind != "value":
+        return replace(res, case_label="outside-ladder")
+    other = 2 - res.user    # 0-based index of the other user
+    k = _feasibility_case(a[other], b[other], lam)
+    return replace(res, case_label=f"case{k}-user{res.user}")
 
 
 def epsilon_gaussian_tin(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
-    """TIN case ladder: kappa (lam - C_i)/(C_i* - 2 C_i) for the binding user."""
-    return _gaussian_ladder(info.c_star, info.c, lam, d_max, caps=None)
+    """TIN bound with its case label: kappa (lam - C_i)/(C_i* - 2 C_i) for
+    the binding user."""
+    res = epsilon_bound(info, lam, d_max, TIN)
+    return _ladder_label(res, info.c_star, info.c, lam)
 
 
 def epsilon_gaussian_di(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
-    """DI case ladder on the interferer-signal constants, with the additive
-    r < C_i*/lam caps."""
-    caps = (info.c_star[0] / lam, info.c_star[1] / lam)
-    return _gaussian_ladder(info.c_tilde_star, info.c_tilde, lam, d_max, caps=caps)
+    """DI bound with its case label, on the interferer-signal constants."""
+    res = epsilon_bound(info, lam, d_max, DI)
+    return _ladder_label(res, info.c_tilde_star, info.c_tilde, lam)
 
 
 class SubunitRateBound(NamedTuple):

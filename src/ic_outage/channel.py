@@ -7,12 +7,10 @@ information quantities are in bits per channel use (log base 2).
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "DiscreteIC",
@@ -31,6 +29,10 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+# Blahut-Arimoto stops once its capacity certificate (an upper minus a lower
+# bound on the capacity, in bits) is at most _CAPACITY_TOL.
+_CAPACITY_TOL = 1e-12
+_CAPACITY_MAX_ITER = 10**6
 
 
 class ChannelValidationError(ValueError):
@@ -264,72 +266,61 @@ def gaussian_info_quantities(channel: GaussianIC) -> InfoQuantities:
     )
 
 
-def _simplex_grid(dim: int, resolution: int):
-    """All probability vectors with entries that are multiples of 1/resolution."""
-    for comp in itertools.combinations_with_replacement(range(dim), resolution):
-        v = np.bincount(comp, minlength=dim) / resolution
-        yield v
+def _capacity(cond: np.ndarray) -> tuple[float, np.ndarray]:
+    """Capacity in bits of the point-to-point channel cond[x, y] and an input
+    distribution that attains it, by Blahut-Arimoto.
 
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _cross_mi(k3: np.ndarray, pi_own: np.ndarray, pi_int: np.ndarray) -> float:
-    """C_{i,i'} = sum over interferer symbols of the conditional MI."""
-    return float(
-        sum(
-            pi_int[x] * _mutual_information(pi_own, k3[:, x, :])
-            for x in range(len(pi_int))
-            if pi_int[x] > 0
-        )
+    Each step evaluates D_x = D(cond[x] || q) for the current input p and its
+    output law q.  max_x D_x and log2 sum_x p(x) 2^{D_x} bound the capacity
+    from above and below; the loop stops when they are within _CAPACITY_TOL
+    and returns I(p).  Nearly useless channels, and channels with nearly
+    equal input rows, converge slowly, so the loop gives up with an error
+    after _CAPACITY_MAX_ITER steps.
+    """
+    neg_entropy = np.sum(cond * np.log2(np.where(cond > 0, cond, 1.0)), axis=1)
+    p = np.full(cond.shape[0], 1.0 / cond.shape[0])
+    for _ in range(_CAPACITY_MAX_ITER):
+        q = p @ cond
+        d = neg_entropy - cond @ np.log2(np.where(q > 0, q, 1.0))
+        w = p * np.exp2(d)
+        gap = d.max() - np.log2(w.sum())
+        if gap <= _CAPACITY_TOL:
+            return float(p @ d), p
+        p = w / w.sum()
+    raise ChannelValidationError(
+        f"Blahut-Arimoto left a capacity gap of {gap:.1e} bits after "
+        f"{_CAPACITY_MAX_ITER} steps; the channel is too close to useless "
+        "to certify lambda_bar"
     )
 
 
-def lambda_bar(
-    channel: DiscreteIC | GaussianIC, resolution: int = 64, refine: bool = True
-):
+def lambda_bar(channel: DiscreteIC | GaussianIC):
     """Converse threshold min_i max_{pi1,pi2} C_{i,i'}.
 
-    Gaussian channels have the closed form min{C(P1), C(P2)}.  Discrete
-    channels are handled by grid search over both input simplexes followed by
-    a Nelder-Mead polish in softmax coordinates.  Returns
+    Gaussian channels have the closed form min{C(P1), C(P2)}.  For discrete
+    channels C_{i,i'} is linear in the interferer's distribution, so the
+    inner maximum is the largest capacity among the single-symbol
+    sub-channels W_{i,x'} = kernel_i[:, x', :].  Each capacity is computed
+    by Blahut-Arimoto (Blahut 1972; Arimoto 1972), stopped once the
+    certificate max_x D(W_x||q) - log2 sum_x p(x) 2^{D(W_x||q)} (q the
+    output law of the current input p) is at most 1e-12 bits.  Returns
     ``(value, (pi1, pi2))`` with the achieving product distribution of the
-    minimizing user (None for Gaussian channels).
+    minimizing user, whose interferer puts all its mass on the maximizing
+    symbol (None for Gaussian channels).
     """
     if isinstance(channel, GaussianIC):
         return min(awgn_capacity(channel.p1), awgn_capacity(channel.p2)), None
     validate(channel)
-    kernels = {1: channel.kernel(1), 2: channel.kernel(2).transpose(1, 0, 2)}
-    sizes = {1: (channel.x1_size, channel.x2_size), 2: (channel.x2_size, channel.x1_size)}
-    per_user = {}
-    for i in (1, 2):
-        n_own, n_int = sizes[i]
-        best = (-1.0, None, None)
-        for pi_own in _simplex_grid(n_own, resolution):
-            for pi_int in _simplex_grid(n_int, resolution):
-                v = _cross_mi(kernels[i], pi_own, pi_int)
-                if v > best[0]:
-                    best = (v, pi_own, pi_int)
-        if refine:
-            def neg(z, i=i, n_own=n_own):
-                return -_cross_mi(kernels[i], _softmax(z[:n_own]), _softmax(z[n_own:]))
-
-            z0 = np.concatenate(
-                [np.log(np.maximum(best[1], 1e-6)), np.log(np.maximum(best[2], 1e-6))]
-            )
-            res = minimize(neg, z0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-12})
-            if -res.fun > best[0]:
-                best = (-res.fun, _softmax(res.x[:n_own]), _softmax(res.x[n_own:]))
-        per_user[i] = best
-    i_min = min((1, 2), key=lambda i: per_user[i][0])
+    per_user = []
+    for k3 in (channel.kernel(1), channel.kernel(2).transpose(1, 0, 2)):
+        caps = [_capacity(k3[:, x, :]) for x in range(k3.shape[1])]
+        x_best = max(range(len(caps)), key=lambda x: caps[x][0])
+        per_user.append((*caps[x_best], np.eye(len(caps))[x_best]))
+    i_min = 0 if per_user[0][0] <= per_user[1][0] else 1
     v, pi_own, pi_int = per_user[i_min]
-    if i_min == 1:
-        dists = (InputDistribution(pi_own), InputDistribution(pi_int))
-    else:
-        dists = (InputDistribution(pi_int), InputDistribution(pi_own))
-    return v, dists
+    if i_min == 0:
+        return v, (InputDistribution(pi_own), InputDistribution(pi_int))
+    return v, (InputDistribution(pi_int), InputDistribution(pi_own))
 
 
 def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:

@@ -44,12 +44,15 @@ def _fail(code: int, message: str):
 def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
     if text is None:
         return chan.InputDistribution(np.full(size, 1.0 / size))
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        _fail(EXIT_CONFIG, f"cannot parse input distribution {text!r}")
     if "," in text:
-        return chan.InputDistribution(np.array([float(v) for v in text.split(",")]))
-    p = float(text)
+        return chan.InputDistribution(np.array(values))
     if size != 2:
         _fail(EXIT_CONFIG, "scalar --pi values need a binary input alphabet")
-    return chan.InputDistribution.bernoulli(p)
+    return chan.InputDistribution.bernoulli(values[0])
 
 
 def _load(channel_path: str):
@@ -65,6 +68,14 @@ def _resolve_info(ch, pi1: str | None, pi2: str | None) -> chan.InfoQuantities:
     d1 = _parse_dist(pi1, ch.x1_size)
     d2 = _parse_dist(pi2, ch.x2_size)
     return chan.info_quantities(ch, d1, d2)
+
+
+def _epsilon(ch, info, lam: float, d_max: float, mode: str) -> an.EpsilonResult:
+    """The outage-level bound; on Gaussian channels with its case label."""
+    if isinstance(ch, chan.GaussianIC):
+        ladder = an.epsilon_gaussian_tin if mode == an.TIN else an.epsilon_gaussian_di
+        return ladder(info, lam, d_max)
+    return an.epsilon_bound(info, lam, d_max, mode)
 
 
 @click.group()
@@ -109,13 +120,9 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
                 value, cap = an.rho(info, user, r_value, lam, mode)
                 rhos[f"user{user}"] = {"rho": value, "r_cap": cap}
             report["rho"] = rhos
-        eps = an.epsilon_bound(info, lam, d_max, mode)
-        if isinstance(ch, chan.GaussianIC):
-            ladder = (an.epsilon_gaussian_tin if mode == an.TIN else an.epsilon_gaussian_di)(
-                info, lam, d_max
-            )
-            if ladder.kind == "value":
-                report["case_label"] = ladder.case_label
+        eps = _epsilon(ch, info, lam, d_max, mode)
+        if isinstance(ch, chan.GaussianIC) and eps.kind == "value":
+            report["case_label"] = eps.case_label
         report["epsilon"] = {
             "kind": eps.kind,
             "value": eps.epsilon if eps.kind != "not-applicable" else None,
@@ -123,7 +130,7 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
             "kappa": eps.kappa,
             "user": eps.user,
         }
-    except an.AnalysisError as exc:
+    except (chan.ChannelValidationError, an.AnalysisError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     if as_json:
         click.echo(json.dumps(report))
@@ -165,26 +172,18 @@ def _sweep_row(info, ch, variable, value, lam, r_value, d_max, n_packets, mode):
     eps_value = ""
     case_label = ""
     try:
-        eps = an.epsilon_bound(info, lam, d_max, mode)
+        eps = _epsilon(ch, info, lam, d_max, mode)
         if eps.kind == "zero":
             eps_value = 0.0
         elif eps.kind == "value":
             eps_value = repr(float(eps.value))
-        if isinstance(ch, chan.GaussianIC):
-            ladder = (an.epsilon_gaussian_tin if mode == an.TIN else an.epsilon_gaussian_di)(
-                info, lam, d_max
-            )
-            case_label = ladder.case_label
+        case_label = eps.case_label if isinstance(ch, chan.GaussianIC) else ""
     except an.AnalysisError:
         pass
     for user in (1, 2):
         urow = dict(row, user=user, epsilon=eps_value, case_label=case_label)
         if r_value is not None:
-            rho_v, cap = an.rho(info, user, r_value, lam, mode)
-            cap_ok = cap is None or r_value < cap
-            chi1 = rho_v < min(1.0, r_value - 1.0) and cap_ok
-            chi2 = rho_v < 1.0 and cap_ok
-            beta = rho_v / r_value
+            rho_v, beta, chi1, chi2 = an.user_outage_inputs(info, user, r_value, lam, mode)
             urow.update(
                 rho=repr(float(rho_v)),
                 beta=repr(float(beta)),
@@ -330,14 +329,17 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
         _fail(EXIT_CONFIG, str(exc))
     click.echo(result.to_json())
     if csv_path:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["user", "outage", "halfwidth", "rate"])
-            for user in (1, 2):
-                writer.writerow(
-                    [user, result.outage[user - 1], result.halfwidth[user - 1],
-                     result.rates[user - 1]]
-                )
+        try:
+            with open(csv_path, "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(["user", "outage", "halfwidth", "rate"])
+                for user in (1, 2):
+                    writer.writerow(
+                        [user, result.outage[user - 1], result.halfwidth[user - 1],
+                         result.rates[user - 1]]
+                    )
+        except OSError as exc:
+            _fail(EXIT_CONFIG, f"cannot write {csv_path}: {exc}")
     if check:
         inputs = an.outage_inputs(info, scheme)
         for user in (1, 2):

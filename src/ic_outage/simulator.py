@@ -239,7 +239,12 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
 
 
 def _run_fluid(d1, d2, scheme, info):
-    n_workers = int(os.environ.get("IC_OUTAGE_THREADS", "1") or "1")
+    text = os.environ.get("IC_OUTAGE_THREADS", "1") or "1"
+    try:
+        n_workers = int(text)
+    except ValueError:
+        raise AnalysisError(f"IC_OUTAGE_THREADS must be an integer, got {text!r}") from None
+    n_workers = min(n_workers, -(-len(d1) // _CHUNK))   # at most one per chunk
     if n_workers <= 1 or len(d1) < 4 * _CHUNK:
         return fluid_outage_flags(d1, d2, scheme, info)
     from concurrent.futures import ThreadPoolExecutor

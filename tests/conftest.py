@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from ic_outage import DiscreteIC, GaussianIC, InfoQuantities, InputDistribution
+from ic_outage.analysis import (
+    TIN,
+    EpsilonResult,
+    feasible_rate_interval,
+    kappa,
+    r0,
+    rho,
+)
 
 # 2x2-input, 5-output transition matrix used as the discrete regression channel.
 # Rows are the input pairs (0,0), (0,1), (1,0), (1,1).
@@ -128,3 +136,111 @@ def reference_point(rho1: float = 0.016, rho2: float = 0.0501) -> InfoQuantities
 def dist(rng: np.random.Generator, size: int) -> InputDistribution:
     p = rng.random(size) + 1e-3
     return InputDistribution(p / p.sum())
+
+
+# ---------------------------------------------------------------------------
+# oracle: the hand-written Gaussian case ladder
+# ---------------------------------------------------------------------------
+
+def _gaussian_ladder(
+    a: tuple[float, float],
+    b: tuple[float, float],
+    lam: float,
+    d_max: float,
+    caps: tuple[float, float] | None,
+) -> EpsilonResult:
+    """Shared case ladder for the Gaussian closed forms.
+
+    ``a``/``b`` are the per-user (C*, C) or (C~*, C~) pairs; ``caps`` carries
+    the additive-case r < C_i*/lam bounds for the DI variant.
+    """
+    def lower(j):   # b_j <= lam < a_j / 2
+        return b[j] <= lam < a[j] / 2.0
+
+    def free(j):    # lam below both break points
+        return lam < min(b[j], a[j] / 2.0)
+
+    def upper(j):   # a_j / 2 <= lam < b_j
+        return a[j] / 2.0 <= lam < b[j]
+
+    def ratio(j):
+        return (a[j] - 2.0 * b[j]) / (a[j] - b[j] - lam)
+
+    def cap_value():
+        return math.inf if caps is None else min(caps)
+
+    k = kappa(lam * d_max)
+
+    def result(j, label):
+        return EpsilonResult(
+            kind="value",
+            value=k * (lam - b[j]) / (a[j] - 2.0 * b[j]),
+            r0=ratio(j),
+            kappa=k,
+            user=j + 1,
+            case_label=label,
+        )
+
+    for j in (0, 1):
+        other = 1 - j
+        if lower(j) and free(other):
+            if ratio(j) < cap_value():
+                return result(j, f"case1-user{j+1}")
+            return EpsilonResult(kind="not-applicable", case_label="cap-exceeded")
+        if lower(j) and upper(other):
+            if ratio(j) < min(ratio(other), cap_value()):
+                return result(j, f"case2-user{j+1}")
+            return EpsilonResult(kind="not-applicable", case_label="empty-intersection")
+    if lower(0) and lower(1):
+        j = 0 if ratio(0) >= ratio(1) else 1
+        if ratio(j) <= cap_value():
+            return result(j, f"case3-user{j+1}")
+        return EpsilonResult(kind="not-applicable", case_label="cap-exceeded")
+    return EpsilonResult(kind="not-applicable", case_label="outside-ladder")
+
+
+def ladder_oracle(info: InfoQuantities, lam: float, d_max: float, mode: str) -> EpsilonResult:
+    """The ladder on (C*, C) for TIN, or on (C~*, C~) with the additive
+    r < C_i*/lam caps for DI."""
+    if mode == TIN:
+        return _gaussian_ladder(info.c_star, info.c, lam, d_max, caps=None)
+    caps = (info.c_star[0] / lam, info.c_star[1] / lam)
+    return _gaussian_ladder(info.c_tilde_star, info.c_tilde, lam, d_max, caps=caps)
+
+
+# ---------------------------------------------------------------------------
+# oracle: r0 by bisection on the raw feasibility predicate
+# ---------------------------------------------------------------------------
+
+def r0_bisection_residual(
+    info: InfoQuantities, lam: float, d_max: float, mode: tuple[str, str]
+) -> float | None:
+    """|r0 - bisected r0|, or None where the bisection does not apply (r0 at
+    the r > 1 edge, or no feasible point just above r0)."""
+    m1, m2 = mode
+    window = feasible_rate_interval(info, 1, lam, m1).intersect(
+        feasible_rate_interval(info, 2, lam, m2)
+    )
+    analytic = r0(info, lam, d_max, mode)
+
+    def predicate(r: float) -> bool:
+        for user, m in ((1, m1), (2, m2)):
+            value, cap = rho(info, user, r, lam, m)
+            if value >= min(1.0, r - 1.0):
+                return False
+            if cap is not None and r >= cap:
+                return False
+        return True
+
+    hi = window.hi if not window.unbounded else window.lo + 10.0
+    probe = min(analytic + 1e-6, (analytic + hi) / 2.0) if hi > analytic else analytic
+    if analytic > 1.0 and predicate(probe):
+        lo_b, hi_b = 1.0, probe
+        while hi_b - lo_b > 1e-12:
+            mid = (lo_b + hi_b) / 2.0
+            if predicate(mid):
+                hi_b = mid
+            else:
+                lo_b = mid
+        return abs(hi_b - analytic)
+    return None

@@ -2,10 +2,12 @@
 
 The finite-N outage bound is validated against the interval-sum oracle
 (sum of asynchrony-CDF differences over the explicit admissible intervals),
-and the Gaussian case ladders against the generic bound evaluator.
+r0 against bisection on the raw feasibility predicate, and the Gaussian case
+labels against the hand-written case ladder in conftest.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,13 @@ from ic_outage.analysis import (
     outage_ub_finite_n,
     outage_ub_numeric_oracle,
 )
-from conftest import reference_point
+from conftest import (
+    dist,
+    ladder_oracle,
+    r0_bisection_residual,
+    random_discrete,
+    reference_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +369,47 @@ def test_epsilon_regression_value(gaussian_channel):
     assert res.epsilon == pytest.approx(res.kappa * rho2 / res.r0, abs=1e-12)
 
 
+MODE_PAIRS = [(ic.TIN, ic.TIN), (ic.TIN, ic.DI), (ic.DI, ic.TIN), (ic.DI, ic.DI)]
+
+
+def test_r0_and_bound_forms_match_oracles_on_random_channels():
+    """r0 equals the bisected edge of the feasible set, and the beta form of
+    the bound equals its rho form kappa/r0 * max_i rho_i(r0), on random
+    Gaussian (additive DI) and discrete channels for all four mode pairs."""
+    rng = np.random.default_rng(7)
+    checked = Counter()
+    for trial in range(400):
+        if trial % 2:
+            kind = "gaussian"
+            info = ic.gaussian_info_quantities(ic.GaussianIC(
+                p1=float(rng.uniform(1, 2000)), p2=float(rng.uniform(1, 2000)),
+                c1=float(rng.uniform(0.05, 2.0)), c2=float(rng.uniform(0.05, 2.0)),
+            ))
+        else:
+            kind = "discrete"
+            ch = random_discrete(rng)
+            info = ic.info_quantities(ch, dist(rng, 2), dist(rng, 2))
+        lo = min(ic.lambda_thresholds(info))
+        for modes in MODE_PAIRS:
+            lam = float(rng.uniform(0.9, 2.0) * lo)
+            try:
+                res = ic.epsilon_bound(info, lam, 5.0, modes)
+            except ic.AnalysisError:
+                continue    # degenerate denominator for this channel and mode
+            if res.kind != "value":
+                continue
+            rho_form = (res.kappa / res.r0) * max(
+                ic.analysis.rho(info, user, res.r0, lam, m).value
+                for user, m in ((1, modes[0]), (2, modes[1]))
+            )
+            assert abs(rho_form - res.value) <= 1e-9
+            residual = r0_bisection_residual(info, lam, 5.0, modes)
+            if residual is not None:
+                assert residual <= 1e-6
+                checked[kind, modes] += 1
+    assert all(checked[k, m] >= 10 for k in ("gaussian", "discrete") for m in MODE_PAIRS), checked
+
+
 def test_epsilon_rejects_rates_beyond_converse(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
     lbar, _ = ic.lambda_bar(gaussian_channel)
@@ -388,9 +437,17 @@ def test_beta_is_increasing_in_r(gaussian_channel):
 # Gaussian case ladders
 # ---------------------------------------------------------------------------
 
-def test_ladders_match_generic_bound_on_random_channels():
+def _assert_same_value(res, oracle):
+    assert res.kind == oracle.kind == "value"
+    assert res.value == pytest.approx(oracle.value, abs=1e-12)
+    assert res.r0 == pytest.approx(oracle.r0, abs=1e-12)
+    assert res.user == oracle.user
+    assert res.case_label == oracle.case_label
+
+
+def test_ladders_match_oracle_on_random_channels():
     rng = np.random.default_rng(2024)
-    checked_tin = checked_di = 0
+    checked_tin = checked_di = checked_zero = 0
     while checked_tin < 100 or checked_di < 100:
         ch = ic.GaussianIC(
             p1=float(rng.uniform(1, 2000)),
@@ -402,18 +459,21 @@ def test_ladders_match_generic_bound_on_random_channels():
         for mode, ladder_fn in ((ic.TIN, ic.epsilon_gaussian_tin), (ic.DI, ic.epsilon_gaussian_di)):
             l_tin, l_di = ic.lambda_thresholds(info)
             lo = l_tin if mode == ic.TIN else l_di
-            lam = float(rng.uniform(lo, 2.0 * lo + 0.5))
+            lam = float(rng.uniform(0.5 * lo, 2.0 * lo + 0.5))
             ladder = ladder_fn(info, lam, 5.0)
-            if ladder.kind != "value":
+            oracle = ladder_oracle(info, lam, 5.0, mode)
+            if oracle.kind != "value":
+                # The oracle has no below-threshold branch; the bound is zero there.
+                assert ladder.kind == ("zero" if lam < lo else "not-applicable")
+                assert ladder.case_label == "outside-ladder"
+                checked_zero += ladder.kind == "zero"
                 continue
-            generic = ic.epsilon_bound(info, lam, 5.0, mode)
-            assert generic.kind == "value"
-            assert ladder.value == pytest.approx(generic.value, abs=1e-12)
-            assert ladder.user == generic.user
+            _assert_same_value(ladder, oracle)
             if mode == ic.TIN:
                 checked_tin += 1
             else:
                 checked_di += 1
+    assert checked_zero > 0
 
 
 def test_tin_ladder_case_labels(gaussian_channel):
@@ -434,13 +494,24 @@ def test_tin_ladder_case_labels(gaussian_channel):
     assert res.kind == "value" and res.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_di_ladder_matches_generic_on_regression_channel(gaussian_channel):
+def test_di_ladder_matches_oracle_on_regression_channel(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
     for lam in np.linspace(0.45, 2.4, 14):
         ladder = ic.epsilon_gaussian_di(info, float(lam), 5.0)
-        generic = ic.epsilon_bound(info, float(lam), 5.0, ic.DI)
-        assert ladder.kind == generic.kind == "value"
-        assert ladder.value == pytest.approx(generic.value, abs=1e-12)
+        _assert_same_value(ladder, ladder_oracle(info, float(lam), 5.0, ic.DI))
+
+
+def test_di_ladder_is_zero_between_tin_and_di_thresholds(gaussian_channel):
+    # The hand-written ladder had no below-threshold branch and reported
+    # "not-applicable" here, where the DI bound proves outage vanishes.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    l_tin, l_di = ic.lambda_thresholds(info)
+    for lam in np.linspace(l_tin, l_di, 7)[1:-1]:
+        res = ic.epsilon_gaussian_di(info, float(lam), 5.0)
+        assert res.kind == ic.epsilon_bound(info, float(lam), 5.0, ic.DI).kind == "zero"
+        assert res.epsilon == 0.0
+        assert res.case_label == "outside-ladder"
+        assert ladder_oracle(info, float(lam), 5.0, ic.DI).kind == "not-applicable"
 
 
 def test_di_ladder_domain_edge(gaussian_channel):
@@ -496,6 +567,18 @@ def test_outage_inputs_regression():
     assert inputs.rho[1] == pytest.approx(0.0501, abs=1e-12)
     assert inputs.chi1 == (True, True) and inputs.chi2 == (True, True)
     assert inputs.beta[0] == pytest.approx(0.016 / 1.1, abs=1e-12)
+
+
+def test_additive_di_cap_clears_both_chi_indicators(gaussian_channel):
+    # Gaussian DI is additive: feasibility also needs r < C_i*/lam.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    lam = 2.0
+    r_cap = info.c_star[1] / lam
+    below = ic.analysis.user_outage_inputs(info, 2, r_cap - 1e-3, lam, ic.DI)
+    above = ic.analysis.user_outage_inputs(info, 2, r_cap + 1e-3, lam, ic.DI)
+    assert below.chi1 and below.chi2
+    assert above.rho < 1.0 and not above.chi1 and not above.chi2
+    assert above.beta == pytest.approx(above.rho / (r_cap + 1e-3), abs=1e-15)
 
 
 def test_outage_inputs_invariants_enforced():

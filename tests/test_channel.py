@@ -8,6 +8,10 @@ independently verified.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +186,7 @@ def test_lambda_bar_gaussian_closed_form(gaussian_channel):
 
 
 def test_lambda_bar_discrete_matches_fine_grid_oracle(discrete_channel):
-    value, dists = ic.lambda_bar(discrete_channel, resolution=64)
+    value, dists = ic.lambda_bar(discrete_channel)
 
     # Independent oracle: exhaustive 1/256 product grid over both simplexes.
     k = {1: discrete_channel.kernel(1), 2: discrete_channel.kernel(2).transpose(1, 0, 2)}
@@ -219,6 +223,52 @@ def test_lambda_bar_discrete_matches_fine_grid_oracle(discrete_channel):
         cross_mi(k[2], dists[1].probs, dists[0].probs),
     )
     assert attained == pytest.approx(value, abs=1e-6)
+
+
+def _divergences(p, w):
+    """D(w[x] || p @ w) in bits for every input symbol x, by explicit loops."""
+    q = p @ w
+    return [
+        sum(w[x, y] * math.log2(w[x, y] / q[y]) for y in range(w.shape[1]) if w[x, y] > 0)
+        for x in range(w.shape[0])
+    ]
+
+
+def test_lambda_bar_certifies_capacity_on_three_symbol_inputs():
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        ch = random_discrete(rng, x1=3, x2=3, y=4)
+        value, (pi1, pi2) = ic.lambda_bar(ch)
+        k = {1: ch.kernel(1), 2: ch.kernel(2).transpose(1, 0, 2)}
+        # the minimizing user's interferer is a point mass on its best symbol
+        user = 1 if np.count_nonzero(pi2.probs) == 1 else 2
+        own, other = (pi1.probs, pi2.probs) if user == 1 else (pi2.probs, pi1.probs)
+        div = _divergences(own, k[user][:, int(np.argmax(other)), :])
+        # the input attains the value, and no input symbol's divergence from
+        # the output law exceeds it, so the value is the sub-channel capacity
+        assert value == pytest.approx(float(own @ div), abs=1e-12)
+        assert max(div) <= value + 1e-9
+        # no sampled input does better on any of that user's sub-channels
+        for p in rng.dirichlet(np.ones(3), size=100):
+            for x in range(3):
+                assert float(p @ _divergences(p, k[user][:, x, :])) <= value + 1e-12
+
+
+def test_lambda_bar_fails_loudly_when_capacity_is_not_certified(monkeypatch, discrete_channel):
+    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 5)
+    with pytest.raises(ic.ChannelValidationError, match="Blahut-Arimoto"):
+        ic.lambda_bar(discrete_channel)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import ic_outage, ic_outage.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lambda_thresholds_recomputed_from_constants(gaussian_channel):

@@ -113,6 +113,28 @@ def test_analyze_malformed_channel_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def _assert_config_error(result, message):
+    """Exit 2 through the CLI's error path: an ``error:`` line, no traceback."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+def test_analyze_wrong_alphabet_size_exits_2(runner, discrete_file):
+    result = runner.invoke(
+        main, ["analyze", "--channel", discrete_file, "--lambda", "0.1", "--pi1", "0.2,0.3,0.5"]
+    )
+    _assert_config_error(result, "input distribution size does not match alphabet")
+
+
+def test_analyze_unparsable_distribution_exits_2(runner, discrete_file):
+    result = runner.invoke(
+        main, ["analyze", "--channel", discrete_file, "--lambda", "0.1", "--pi1", "abc"]
+    )
+    _assert_config_error(result, "cannot parse input distribution 'abc'")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -176,6 +198,26 @@ def test_sweep_finite_n_columns(runner, discrete_file, tmp_path):
         assert float(row["p_outage_finiteN"]) == expect
 
 
+def test_sweep_labels_zero_di_bound_outside_ladder(runner, gaussian_file, tmp_path):
+    # Between lambda_tin and lambda_di the DI bound is zero; the case ladder
+    # has no branch there.
+    info = ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5))
+    l_tin, l_di = ic.lambda_thresholds(info)
+    grid = np.linspace(l_tin, l_di, 7)[1:-1]
+    out = tmp_path / "zero.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+         "--values", ",".join(repr(float(v)) for v in grid), "--d", "5",
+         "--mode", "di", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    with open(out) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 10
+    assert {(r["epsilon"], r["case_label"]) for r in rows} == {("0.0", "outside-ladder")}
+
+
 def test_sweep_rejects_bad_grid(runner, gaussian_file, tmp_path):
     result = runner.invoke(
         main,
@@ -235,6 +277,26 @@ def test_simulate_stochastic_requires_n(runner, gaussian_file):
     )
     assert result.exit_code == 2
     assert "bits-per-source" in result.output
+
+
+def test_simulate_unwritable_csv_exits_2(runner, gaussian_file, tmp_path):
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
+         "--n-packets", "4", "--d", "5", "--trials", "50",
+         "--csv", str(tmp_path / "missing" / "x.csv")],
+    )
+    _assert_config_error(result, "cannot write")
+
+
+def test_simulate_non_integer_thread_count_exits_2(runner, gaussian_file, monkeypatch):
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "x")
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
+         "--n-packets", "4", "--d", "5", "--trials", "50"],
+    )
+    _assert_config_error(result, "IC_OUTAGE_THREADS must be an integer, got 'x'")
 
 
 def test_simulate_csv_output(runner, gaussian_file, tmp_path):

@@ -12,7 +12,9 @@ import pytest
 
 import ic_outage as ic
 from ic_outage.simulator import (
+    _CHUNK,
     _offset_draws,
+    _run_fluid,
     fluid_outage_flags,
     overlap_fractions,
     simulate_tau,
@@ -252,6 +254,37 @@ def test_fluid_partitioning_is_order_independent():
     assert np.array_equal(whole[0], np.concatenate([first[0], second[0]]))
     assert np.array_equal(whole[1], np.concatenate([first[1], second[1]]))
     assert np.array_equal(whole[2], first[2] + second[2])
+
+
+def test_fluid_workers_capped_at_chunk_count(monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        """Records the requested worker count and runs the slices in order."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "64")
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=2, d_max=15.0, decoder=ic.TIN)
+    d1, d2 = _offset_draws(seed=5, trials=4 * _CHUNK + 1, d_max=scheme.d_max)
+    parallel = _run_fluid(d1, d2, scheme, info)
+    assert requested == [5]
+    serial = fluid_outage_flags(d1, d2, scheme, info)
+    assert all(np.array_equal(a, b) for a, b in zip(parallel, serial))
 
 
 def test_stochastic_mode_rates_and_determinism():
