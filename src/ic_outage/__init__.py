@@ -29,12 +29,12 @@ from .analysis import (
     epsilon_bound,
     epsilon_gaussian_di,
     epsilon_gaussian_tin,
+    gaussian_case_label,
     kappa,
     rate_feasibility_interval,
     outage_inputs,
     outage_ub_finite_n,
     outage_ub_limit,
-    outage_ub_numeric_oracle,
     outage_ub_subunit_rate,
     r0,
     rho,

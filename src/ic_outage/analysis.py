@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .channel import InfoQuantities
+from .channel import AnalysisError, InfoQuantities
 
 __all__ = [
     "TIN",
@@ -29,13 +29,13 @@ __all__ = [
     "feasible_rate_interval",
     "r0",
     "outage_ub_finite_n",
-    "outage_ub_numeric_oracle",
     "outage_ub_limit",
     "user_outage_inputs",
     "outage_inputs",
     "epsilon_bound",
     "epsilon_gaussian_tin",
     "epsilon_gaussian_di",
+    "gaussian_case_label",
     "outage_ub_subunit_rate",
     "avg_rate",
     "outage_ub_one_packet",
@@ -47,10 +47,6 @@ DI = "di"
 
 # Numerical equality threshold for the additive-channel special case C* == C_cross.
 _ADDITIVE_TOL = 1e-9
-
-
-class AnalysisError(ValueError):
-    pass
 
 
 class InfeasibleRate(Exception):
@@ -313,34 +309,6 @@ def outage_ub_finite_n(
     return _clamp(p)
 
 
-def outage_ub_numeric_oracle(
-    r: float,
-    rho_i: float,
-    n_packets: int,
-    lam: float,
-    d_max: float,
-    chi1: bool,
-    chi2: bool,
-) -> float:
-    """Interval-sum evaluation of the same bound, used to cross-check the
-    closed form: one CDF difference per admissible interval."""
-    theta = 1.0 / (n_packets * r * lam)
-    intervals = admissible_intervals(r, rho_i, n_packets)
-    mass_union = 0.0
-    for iv in intervals[:-1]:
-        if not iv.is_empty:
-            mass_union += delta_cdf(theta * iv.hi, d_max) - delta_cdf(
-                theta * iv.lo, d_max
-            )
-    tail = 1.0 - delta_cdf(theta * intervals[-1].lo, d_max)
-    p = 1.0
-    if chi1:
-        p -= mass_union
-    if chi2:
-        p -= tail
-    return p
-
-
 def outage_ub_limit(alpha: float, beta: float, chi1: bool, chi2: bool) -> float:
     """N -> infinity limit of the finite-N bound; equals kappa*beta when chi1 holds."""
     if alpha <= 0:
@@ -474,16 +442,19 @@ def epsilon_bound(
     return EpsilonResult(kind="value", value=k * max(betas), r0=r_inf, kappa=k, user=user)
 
 
-def _ladder_label(res: EpsilonResult, a, b, lam: float) -> EpsilonResult:
+def gaussian_case_label(
+    res: EpsilonResult, info: InfoQuantities, lam: float, mode: str
+) -> EpsilonResult:
     """Attach the Gaussian case label to a result of epsilon_bound.
 
-    ``a``/``b`` are the per-user (C*, C) or (C~*, C~) pairs.  A value is
-    labelled case{k}-user{j}: j is the binding user and k the branch of
-    rate_feasibility_interval that the other user is on.  Zero and
-    not-applicable results lie outside the ladder.
+    A value is labelled case{k}-user{j}: j is the binding user and k the
+    branch of rate_feasibility_interval that the other user is on, over the
+    pairs (C*, C) for TIN and (C~*, C~) for DI.  Zero and not-applicable
+    results lie outside the ladder.
     """
     if res.kind != "value":
         return replace(res, case_label="outside-ladder")
+    a, b = (info.c_star, info.c) if mode == TIN else (info.c_tilde_star, info.c_tilde)
     other = 2 - res.user    # 0-based index of the other user
     k = _feasibility_case(a[other], b[other], lam)
     return replace(res, case_label=f"case{k}-user{res.user}")
@@ -492,14 +463,12 @@ def _ladder_label(res: EpsilonResult, a, b, lam: float) -> EpsilonResult:
 def epsilon_gaussian_tin(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
     """TIN bound with its case label: kappa (lam - C_i)/(C_i* - 2 C_i) for
     the binding user."""
-    res = epsilon_bound(info, lam, d_max, TIN)
-    return _ladder_label(res, info.c_star, info.c, lam)
+    return gaussian_case_label(epsilon_bound(info, lam, d_max, TIN), info, lam, TIN)
 
 
 def epsilon_gaussian_di(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
     """DI bound with its case label, on the interferer-signal constants."""
-    res = epsilon_bound(info, lam, d_max, DI)
-    return _ladder_label(res, info.c_tilde_star, info.c_tilde, lam)
+    return gaussian_case_label(epsilon_bound(info, lam, d_max, DI), info, lam, DI)
 
 
 class SubunitRateBound(NamedTuple):

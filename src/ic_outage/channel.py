@@ -32,11 +32,16 @@ _ROW_SUM_TOL = 1e-12
 # Blahut-Arimoto stops once its capacity certificate (an upper minus a lower
 # bound on the capacity, in bits) is at most _CAPACITY_TOL.
 _CAPACITY_TOL = 1e-12
-_CAPACITY_MAX_ITER = 10**6
+_CAPACITY_MAX_ITER = 2**17
+_NEWTON_STEPS = 30
 
 
 class ChannelValidationError(ValueError):
     """A channel or distribution violates one of its structural invariants."""
+
+
+class AnalysisError(ValueError):
+    """An analytic quantity cannot be evaluated at the given parameters."""
 
 
 @dataclass(frozen=True)
@@ -266,31 +271,82 @@ def gaussian_info_quantities(channel: GaussianIC) -> InfoQuantities:
     )
 
 
-def _capacity(cond: np.ndarray) -> tuple[float, np.ndarray]:
+def _divergences(cond: np.ndarray, neg_entropy: np.ndarray, p: np.ndarray):
+    """D(cond[x] || q) in bits for every input x, and the output law q = p @ cond."""
+    q = p @ cond
+    return neg_entropy - cond @ np.log2(np.where(q > 0, q, 1.0)), q
+
+
+def _newton_polish(cond: np.ndarray, neg_entropy: np.ndarray, p: np.ndarray):
+    """Solve the capacity conditions D_x = C on a guessed support by Newton.
+
+    The support starts as p's and a symbol leaves it when its mass turns
+    negative.  When a solve fails the certificate of _capacity, the
+    off-support symbol with the largest divergence joins, if it exceeds every
+    divergence on the support, and otherwise the on-support symbol with the
+    smallest leaves.  Singular systems (more inputs than outputs, equal rows)
+    take the least-squares step.  Returns (certified value, input) or None.
+    """
+    support = p > 0
+    for _ in range(2 * len(p)):
+        if not support.any():
+            return None
+        x = np.where(support, p, 0.0) / p[support].sum()
+        c = float(x @ _divergences(cond, neg_entropy, x)[0])
+        for _ in range(_NEWTON_STEPS):
+            d, q = _divergences(cond, neg_entropy, x)
+            rows = cond[support]
+            ones = np.ones((len(rows), 1))
+            a = (rows / np.where(q > 0, q, 1.0)) @ rows.T / np.log(2.0)
+            jac = np.block([[-a, -ones], [ones.T, np.zeros((1, 1))]])
+            step = np.linalg.lstsq(jac, np.append(c - d[support], 1.0 - x.sum()), rcond=None)[0]
+            x[support] += step[:-1]
+            c += step[-1]
+            support &= x > 0
+            x = np.where(support, x, 0.0) / x[support].sum()
+            if np.abs(step).max() < 1e-15:
+                break
+        d, _ = _divergences(cond, neg_entropy, x)
+        if d.max() - np.log2(x @ np.exp2(d)) <= _CAPACITY_TOL:
+            return float(x @ d), x
+        if (~support).any() and d[~support].max() > d[support].max():
+            support[np.flatnonzero(~support)[np.argmax(d[~support])]] = True
+        else:
+            support[np.flatnonzero(support)[np.argmin(d[support])]] = False
+    return None
+
+
+def _capacity(cond: np.ndarray, floor: float = -np.inf):
     """Capacity in bits of the point-to-point channel cond[x, y] and an input
     distribution that attains it, by Blahut-Arimoto.
 
     Each step evaluates D_x = D(cond[x] || q) for the current input p and its
     output law q.  max_x D_x and log2 sum_x p(x) 2^{D_x} bound the capacity
     from above and below; the loop stops when they are within _CAPACITY_TOL
-    and returns I(p).  Nearly useless channels, and channels with nearly
-    equal input rows, converge slowly, so the loop gives up with an error
-    after _CAPACITY_MAX_ITER steps.
+    and returns I(p).  Returns None as soon as the upper bound is at most
+    ``floor``.  Nearly useless channels and channels with nearly equal rows
+    converge slowly, so at steps 128, 256, 512, ... a Newton solve of the
+    capacity conditions is tried and kept if it passes the same certificate.
     """
     neg_entropy = np.sum(cond * np.log2(np.where(cond > 0, cond, 1.0)), axis=1)
     p = np.full(cond.shape[0], 1.0 / cond.shape[0])
-    for _ in range(_CAPACITY_MAX_ITER):
-        q = p @ cond
-        d = neg_entropy - cond @ np.log2(np.where(q > 0, q, 1.0))
+    for step in range(1, _CAPACITY_MAX_ITER + 1):
+        d, _ = _divergences(cond, neg_entropy, p)
+        if d.max() <= floor:
+            return None
         w = p * np.exp2(d)
         gap = d.max() - np.log2(w.sum())
         if gap <= _CAPACITY_TOL:
             return float(p @ d), p
+        if step >= 128 and step & (step - 1) == 0:
+            polished = _newton_polish(cond, neg_entropy, p)
+            if polished is not None:
+                return polished
         p = w / w.sum()
-    raise ChannelValidationError(
-        f"Blahut-Arimoto left a capacity gap of {gap:.1e} bits after "
-        f"{_CAPACITY_MAX_ITER} steps; the channel is too close to useless "
-        "to certify lambda_bar"
+    raise AnalysisError(
+        f"Blahut-Arimoto could not certify a sub-channel capacity to "
+        f"{_CAPACITY_TOL:.0e} bits in {_CAPACITY_MAX_ITER} steps (gap "
+        f"{gap:.1e} bits), so lambda_bar is not available for this channel"
     )
 
 
@@ -303,19 +359,29 @@ def lambda_bar(channel: DiscreteIC | GaussianIC):
     sub-channels W_{i,x'} = kernel_i[:, x', :].  Each capacity is computed
     by Blahut-Arimoto (Blahut 1972; Arimoto 1972), stopped once the
     certificate max_x D(W_x||q) - log2 sum_x p(x) 2^{D(W_x||q)} (q the
-    output law of the current input p) is at most 1e-12 bits.  Returns
-    ``(value, (pi1, pi2))`` with the achieving product distribution of the
-    minimizing user, whose interferer puts all its mass on the maximizing
-    symbol (None for Gaussian channels).
+    output law of the current input p) is at most 1e-12 bits.  Sub-channels
+    run in decreasing order of their uniform-input rate, and one is dropped
+    once its upper bound falls to the largest certified capacity so far.
+    Returns ``(value, (pi1, pi2))`` with the achieving product distribution
+    of the minimizing user, whose interferer puts all its mass on the
+    maximizing symbol (None for Gaussian channels).  Raises AnalysisError
+    if a capacity that could be the maximum cannot be certified.
     """
     if isinstance(channel, GaussianIC):
         return min(awgn_capacity(channel.p1), awgn_capacity(channel.p2)), None
     validate(channel)
     per_user = []
     for k3 in (channel.kernel(1), channel.kernel(2).transpose(1, 0, 2)):
-        caps = [_capacity(k3[:, x, :]) for x in range(k3.shape[1])]
-        x_best = max(range(len(caps)), key=lambda x: caps[x][0])
-        per_user.append((*caps[x_best], np.eye(len(caps))[x_best]))
+        subs = k3.transpose(1, 0, 2)
+        uniform = np.full(k3.shape[0], 1.0 / k3.shape[0])
+        order = sorted(range(len(subs)), key=lambda x: -_mutual_information(uniform, subs[x]))
+        best = None
+        for x in order:
+            found = _capacity(subs[x], -np.inf if best is None else best[0])
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (*found, x)
+        value, pi_own, x_best = best
+        per_user.append((value, pi_own, np.eye(len(subs))[x_best]))
     i_min = 0 if per_user[0][0] <= per_user[1][0] else 1
     v, pi_own, pi_int = per_user[i_min]
     if i_min == 0:

@@ -72,10 +72,10 @@ def _resolve_info(ch, pi1: str | None, pi2: str | None) -> chan.InfoQuantities:
 
 def _epsilon(ch, info, lam: float, d_max: float, mode: str) -> an.EpsilonResult:
     """The outage-level bound; on Gaussian channels with its case label."""
+    eps = an.epsilon_bound(info, lam, d_max, mode)
     if isinstance(ch, chan.GaussianIC):
-        ladder = an.epsilon_gaussian_tin if mode == an.TIN else an.epsilon_gaussian_di
-        return ladder(info, lam, d_max)
-    return an.epsilon_bound(info, lam, d_max, mode)
+        return an.gaussian_case_label(eps, info, lam, mode)
+    return eps
 
 
 @click.group()

@@ -7,6 +7,8 @@ from ic_outage import DiscreteIC, GaussianIC, InfoQuantities, InputDistribution
 from ic_outage.analysis import (
     TIN,
     EpsilonResult,
+    admissible_intervals,
+    delta_cdf,
     feasible_rate_interval,
     kappa,
     r0,
@@ -244,3 +246,35 @@ def r0_bisection_residual(
                 lo_b = mid
         return abs(hi_b - analytic)
     return None
+
+
+# ---------------------------------------------------------------------------
+# oracle: the finite-N outage bound as a sum over the admissible intervals
+# ---------------------------------------------------------------------------
+
+def outage_ub_numeric_oracle(
+    r: float,
+    rho_i: float,
+    n_packets: int,
+    lam: float,
+    d_max: float,
+    chi1: bool,
+    chi2: bool,
+) -> float:
+    """Interval-sum evaluation of the outage_ub_finite_n bound, used to
+    cross-check the closed form: one CDF difference per admissible interval."""
+    theta = 1.0 / (n_packets * r * lam)
+    intervals = admissible_intervals(r, rho_i, n_packets)
+    mass_union = 0.0
+    for iv in intervals[:-1]:
+        if not iv.is_empty:
+            mass_union += delta_cdf(theta * iv.hi, d_max) - delta_cdf(
+                theta * iv.lo, d_max
+            )
+    tail = 1.0 - delta_cdf(theta * intervals[-1].lo, d_max)
+    p = 1.0
+    if chi1:
+        p -= mass_union
+    if chi2:
+        p -= tail
+    return p

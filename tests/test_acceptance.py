@@ -19,10 +19,15 @@ from ic_outage.analysis import (
     outage_ub_one_packet,
     outage_ub_two_packets,
     outage_ub_finite_n,
-    outage_ub_numeric_oracle,
 )
 from ic_outage.simulator import _offset_draws, fluid_outage_flags
-from conftest import KERNEL, normalize_rows, oracle_quantities, reference_point
+from conftest import (
+    KERNEL,
+    normalize_rows,
+    oracle_quantities,
+    outage_ub_numeric_oracle,
+    reference_point,
+)
 
 GAUSSIAN = ic.GaussianIC(p1=1000.0, p2=1000.0, c1=0.8, c2=1.5)   # 30 dBW, D=5
 

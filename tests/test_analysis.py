@@ -22,11 +22,11 @@ from ic_outage.analysis import (
     outage_ub_two_packets,
     feasible_rate_interval,
     outage_ub_finite_n,
-    outage_ub_numeric_oracle,
 )
 from conftest import (
     dist,
     ladder_oracle,
+    outage_ub_numeric_oracle,
     r0_bisection_residual,
     random_discrete,
     reference_point,

@@ -256,8 +256,65 @@ def test_lambda_bar_certifies_capacity_on_three_symbol_inputs():
 
 def test_lambda_bar_fails_loudly_when_capacity_is_not_certified(monkeypatch, discrete_channel):
     monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 5)
-    with pytest.raises(ic.ChannelValidationError, match="Blahut-Arimoto"):
+    with pytest.raises(ic.AnalysisError, match="Blahut-Arimoto") as err:
         ic.lambda_bar(discrete_channel)
+    assert not isinstance(err.value, ic.ChannelValidationError)
+
+
+def _binary_input_capacity(w):
+    """Capacity of a two-input channel by golden-section search over P(x=1);
+    the mutual information is concave in it."""
+    def mi(t):
+        p = np.array([1.0 - t, t])
+        return float(p @ _divergences(p, w))
+
+    lo, hi = 0.0, 1.0
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        lo, hi = (a, hi) if mi(a) < mi(b) else (lo, b)
+    return mi((lo + hi) / 2.0)
+
+
+def _user1_kernel(*sub_channels):
+    """A binary-input IC whose receiver 1 sees sub_channels[x2] (rows x1) and
+    whose receiver 2 sees user 2 through a BSC(0.01), whatever user 1 sends."""
+    n2 = len(sub_channels)
+    k1 = [sub_channels[b][a] for a in range(2) for b in range(n2)]
+    k2 = [[0.99, 0.01] if b == 0 else [0.01, 0.99] for a in range(2) for b in range(n2)]
+    return ic.DiscreteIC(x1_size=2, x2_size=n2, y1_size=2, y2_size=2,
+                         kernel1=k1, kernel2=k2)
+
+
+_NEARLY_USELESS = [[0.9, 0.1], [0.899, 0.101]]
+
+
+def test_lambda_bar_drops_nearly_useless_sub_channel_beside_useful_one(monkeypatch):
+    # On its own the nearly useless sub-channel takes plain Blahut-Arimoto
+    # about 10**6 steps to certify; beside a BSC(0.1) its upper bound falls
+    # below the BSC's capacity at the first step, so it is dropped.
+    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 2**10)
+    ch = _user1_kernel(_NEARLY_USELESS, [[0.9, 0.1], [0.1, 0.9]])
+    value, (pi1, pi2) = ic.lambda_bar(ch)
+    assert value == pytest.approx(1.0 + 0.9 * math.log2(0.9) + 0.1 * math.log2(0.1), abs=1e-12)
+    assert pi2.probs.tolist() == [0.0, 1.0]
+    assert pi1.probs == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def test_lambda_bar_certifies_nearly_useless_channels(monkeypatch):
+    # Only the Newton solve can certify these within 2**10 steps.
+    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 2**10)
+    ch = _user1_kernel(_NEARLY_USELESS, _NEARLY_USELESS)
+    value, (pi1, _) = ic.lambda_bar(ch)
+    w = np.array(_NEARLY_USELESS)
+    assert value == pytest.approx(_binary_input_capacity(w), abs=2e-12)
+    assert value == pytest.approx(float(pi1.probs @ _divergences(pi1.probs, w)), abs=1e-15)
+
+    # three inputs, two outputs: the middle row is off the optimal support
+    w3 = np.array([[0.9, 0.1], [0.8995, 0.1005], [0.899, 0.101]])
+    value, p = ic.channel._capacity(w3)
+    assert p[1] == 0.0
+    assert value == pytest.approx(_binary_input_capacity(w3[[0, 2]]), abs=2e-12)
 
 
 def test_import_loads_no_scipy():

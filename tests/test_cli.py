@@ -135,6 +135,13 @@ def test_analyze_unparsable_distribution_exits_2(runner, discrete_file):
     _assert_config_error(result, "cannot parse input distribution 'abc'")
 
 
+def test_analyze_uncertified_lambda_bar_exits_2(runner, discrete_file, monkeypatch):
+    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 5)
+    result = runner.invoke(main, ["analyze", "--channel", discrete_file, "--lambda", "0.1"])
+    _assert_config_error(result, "lambda_bar is not available for this channel")
+    assert "invalid" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
