@@ -292,8 +292,9 @@ _NEARLY_USELESS = [[0.9, 0.1], [0.899, 0.101]]
 def test_lambda_bar_drops_nearly_useless_sub_channel_beside_useful_one(monkeypatch):
     # On its own the nearly useless sub-channel takes plain Blahut-Arimoto
     # about 10**6 steps to certify; beside a BSC(0.1) its upper bound falls
-    # below the BSC's capacity at the first step, so it is dropped.
-    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 2**10)
+    # below the BSC's capacity at the first step, so it is dropped before
+    # the first Newton solve at step 128.
+    monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 64)
     ch = _user1_kernel(_NEARLY_USELESS, [[0.9, 0.1], [0.1, 0.9]])
     value, (pi1, pi2) = ic.lambda_bar(ch)
     assert value == pytest.approx(1.0 + 0.9 * math.log2(0.9) + 0.1 * math.log2(0.1), abs=1e-12)
