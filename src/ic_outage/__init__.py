@@ -27,8 +27,6 @@ from .analysis import (
     avg_rate,
     delta_cdf,
     epsilon_bound,
-    epsilon_gaussian_di,
-    epsilon_gaussian_tin,
     gaussian_case_label,
     kappa,
     rate_feasibility_interval,
@@ -40,7 +38,6 @@ from .analysis import (
     rho,
 )
 from .simulator import (
-    Schedule,
     SimConfig,
     SimResult,
     decode_success,

@@ -33,8 +33,6 @@ __all__ = [
     "user_outage_inputs",
     "outage_inputs",
     "epsilon_bound",
-    "epsilon_gaussian_tin",
-    "epsilon_gaussian_di",
     "gaussian_case_label",
     "outage_ub_subunit_rate",
     "avg_rate",
@@ -88,36 +86,29 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval on the real line; ``unbounded`` means (lo, inf)."""
+    """Open interval (lo, hi) on the real line; hi = inf means (lo, inf)."""
 
     lo: float
     hi: float = math.inf
-    unbounded: bool = False
 
     @classmethod
     def empty(cls) -> "Interval":
         return cls(lo=0.0, hi=0.0)
 
     @property
+    def unbounded(self) -> bool:
+        return self.hi == math.inf
+
+    @property
     def is_empty(self) -> bool:
-        return not self.unbounded and self.lo >= self.hi
+        return self.lo >= self.hi
 
     def contains(self, x: float) -> bool:
-        if self.is_empty:
-            return False
-        return x > self.lo and (self.unbounded or x < self.hi)
+        return self.lo < x < self.hi
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return Interval.empty()
-        lo = max(self.lo, other.lo)
-        if self.unbounded and other.unbounded:
-            return Interval(lo, unbounded=True)
-        hi = min(math.inf if self.unbounded else self.hi,
-                 math.inf if other.unbounded else other.hi)
-        if lo >= hi:
-            return Interval.empty()
-        return Interval(lo, hi)
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Interval(lo, hi) if lo < hi else Interval.empty()
 
 
 class RhoValue(NamedTuple):
@@ -196,7 +187,7 @@ def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interva
         lo = (j - 1) * r + rho_i
         hi = j * r - rho_i
         out.append(Interval(lo, hi) if lo < hi else Interval.empty())
-    out.append(Interval((n_packets - 1) * r + rho_i, unbounded=True))
+    out.append(Interval((n_packets - 1) * r + rho_i))
     return out
 
 
@@ -427,7 +418,7 @@ def epsilon_bound(
     for user, m in ((1, m1), (2, m2)):
         c_star, c, c_cross, ct_star, ct = info.for_user(user)
         thresholds.append(c if m == TIN else min(c_cross, ct))
-    if lam < min(thresholds):
+    if lam <= min(thresholds):
         return EpsilonResult(kind="zero", case_label="below-threshold")
     try:
         r_inf = r0(info, lam, d_max, (m1, m2))
@@ -458,17 +449,6 @@ def gaussian_case_label(
     other = 2 - res.user    # 0-based index of the other user
     k = _feasibility_case(a[other], b[other], lam)
     return replace(res, case_label=f"case{k}-user{res.user}")
-
-
-def epsilon_gaussian_tin(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
-    """TIN bound with its case label: kappa (lam - C_i)/(C_i* - 2 C_i) for
-    the binding user."""
-    return gaussian_case_label(epsilon_bound(info, lam, d_max, TIN), info, lam, TIN)
-
-
-def epsilon_gaussian_di(info: InfoQuantities, lam: float, d_max: float) -> EpsilonResult:
-    """DI bound with its case label, on the interferer-signal constants."""
-    return gaussian_case_label(epsilon_bound(info, lam, d_max, DI), info, lam, DI)
 
 
 class SubunitRateBound(NamedTuple):

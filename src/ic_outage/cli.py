@@ -41,13 +41,17 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _parse_list(text: str, convert, what: str) -> list:
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        _fail(EXIT_CONFIG, f"cannot parse {what} {text!r}")
+
+
 def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
     if text is None:
         return chan.InputDistribution(np.full(size, 1.0 / size))
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        _fail(EXIT_CONFIG, f"cannot parse input distribution {text!r}")
+    values = _parse_list(text, float, "input distribution")
     if "," in text:
         return chan.InputDistribution(np.array(values))
     if size != 2:
@@ -238,7 +242,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     except (chan.ChannelValidationError, an.AnalysisError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     if values is not None:
-        grid = [float(v) for v in values.split(",")]
+        grid = _parse_list(values, float, "--values")
     else:
         if lo is None or hi is None or steps is None:
             _fail(EXIT_CONFIG, "give either --values or --lo/--hi/--steps")
@@ -246,7 +250,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
             _fail(EXIT_CONFIG, "need lo < hi and steps >= 2")
         grid = [float(v) for v in np.linspace(lo, hi, steps)]
     modes = list(modes) or [an.TIN]
-    ns = [int(v) for v in n_list.split(",")] if n_list else [None]
+    ns = _parse_list(n_list, int, "--n") if n_list else [None]
     rows = []
     try:
         for value in grid:

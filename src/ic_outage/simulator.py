@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .analysis import TIN, DI, AnalysisError, SchemeParams, avg_rate
 __all__ = [
     "SimConfig",
     "SimResult",
-    "Schedule",
     "tau_bar",
     "simulate_tau",
     "overlap_fractions",
@@ -67,27 +66,18 @@ def simulate_tau(
     return tau
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Unit-length codeword intervals (start, start+1) on the scaled axis."""
-
-    starts: np.ndarray
-
-    def intervals(self) -> list[tuple[float, float]]:
-        return [(float(s), float(s) + 1.0) for s in self.starts]
-
-
-def overlap_fractions(schedule1: Schedule, schedule2: Schedule) -> tuple[np.ndarray, np.ndarray]:
+def overlap_fractions(starts1, starts2) -> tuple[np.ndarray, np.ndarray]:
     """Per-codeword interfered fraction for each user.
 
-    Entry j of the first array is the total length of user 1's j-th interval
+    Takes codeword start positions of shape (N,) or (trials, N).  Entry j of
+    the first array is the total length of user 1's j-th unit interval
     covered by user 2's intervals, and vice versa.  Unit intervals overlap by
     max(0, 1 - |start difference|).
     """
-    a = np.asarray(schedule1.starts, dtype=float)
-    b = np.asarray(schedule2.starts, dtype=float)
-    ov = np.clip(1.0 - np.abs(a[:, None] - b[None, :]), 0.0, None)
-    return ov.sum(axis=1), ov.sum(axis=0)
+    a = np.asarray(starts1, dtype=float)
+    b = np.asarray(starts2, dtype=float)
+    ov = np.clip(1.0 - np.abs(a[..., :, None] - b[..., None, :]), 0.0, None)
+    return ov.sum(axis=-1), ov.sum(axis=-2)
 
 
 def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str):
@@ -110,42 +100,61 @@ def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _fluid_positions(offsets: np.ndarray, n_packets: int, r: float) -> np.ndarray:
-    """Codeword start positions, shape (trials, N)."""
-    taus = np.array([tau_bar(j, r) for j in range(1, n_packets + 1)])
-    return offsets[:, None] + taus[None, :]
-
-
-def fluid_outage_flags(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    scheme: SchemeParams,
-    info: InfoQuantities,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized fluid-mode trials.
+def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuantities):
+    """Overlap-and-decode kernel for codeword starts of shape (trials, N).
 
     Returns (outage1, outage2, fail_counts) where fail_counts[i, j] counts
     trials in which codeword j of user i+1 failed its threshold test.
     """
-    n = scheme.n_packets
-    r_code = scheme.code_rate
-    theta = 1.0 / (n * r_code)
-    fail_counts = np.zeros((2, n), dtype=np.int64)
-    o1_parts, o2_parts = [], []
-    for lo in range(0, len(d1), _CHUNK):
-        hi = min(lo + _CHUNK, len(d1))
-        p1 = _fluid_positions(d1[lo:hi] / theta, n, scheme.r)
-        p2 = _fluid_positions(d2[lo:hi] / theta, n, scheme.r)
-        ov = np.clip(1.0 - np.abs(p1[:, :, None] - p2[:, None, :]), 0.0, None)
-        mu1 = ov.sum(axis=2)
-        mu2 = ov.sum(axis=1)
-        ok1 = decode_success(mu1, info, 1, r_code, scheme.decoder[0])
-        ok2 = decode_success(mu2, info, 2, r_code, scheme.decoder[1])
-        fail_counts[0] += (~ok1).sum(axis=0)
-        fail_counts[1] += (~ok2).sum(axis=0)
-        o1_parts.append(~ok1.all(axis=1))
-        o2_parts.append(~ok2.all(axis=1))
-    return np.concatenate(o1_parts), np.concatenate(o2_parts), fail_counts
+    mu1, mu2 = overlap_fractions(p1, p2)
+    ok1 = decode_success(mu1, info, 1, scheme.code_rate, scheme.decoder[0])
+    ok2 = decode_success(mu2, info, 2, scheme.code_rate, scheme.decoder[1])
+    fails = np.stack([(~ok1).sum(axis=0), (~ok2).sum(axis=0)])
+    return ~ok1.all(axis=1), ~ok2.all(axis=1), fails
+
+
+def _chunked_outage(d1, d2, profiles, scheme: SchemeParams, info: InfoQuantities):
+    """Run ``_decode`` over _CHUNK-trial slices of the offsets (d1, d2).
+
+    ``profiles(lo, hi)`` gives each user's codeword starts relative to its
+    activation offset for trials lo..hi-1, in codeword lengths.  Slices run
+    on up to IC_OUTAGE_THREADS threads, at most one per chunk and serially
+    below four chunks; each slice depends only on its trial indices, so the
+    result does not depend on the thread count.
+    """
+    text = os.environ.get("IC_OUTAGE_THREADS", "1") or "1"
+    try:
+        n_workers = int(text)
+    except ValueError:
+        raise AnalysisError(f"IC_OUTAGE_THREADS must be an integer, got {text!r}") from None
+    trials = len(d1)
+    n_workers = min(n_workers, -(-trials // _CHUNK))   # at most one per chunk
+    theta = 1.0 / (scheme.n_packets * scheme.code_rate)
+
+    def decode_slice(lo):
+        hi = min(lo + _CHUNK, trials)
+        prof1, prof2 = profiles(lo, hi)
+        return _decode(d1[lo:hi, None] / theta + prof1, d2[lo:hi, None] / theta + prof2,
+                       scheme, info)
+
+    chunks = range(0, trials, _CHUNK)
+    if n_workers <= 1 or trials < 4 * _CHUNK:
+        parts = [decode_slice(lo) for lo in chunks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(decode_slice, chunks))
+    out1, out2, fails = zip(*parts)
+    return np.concatenate(out1), np.concatenate(out2), sum(fails)
+
+
+def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
+                       info: InfoQuantities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fluid-mode trials: codewords start at the limit profile tau_bar_j.
+    Returns (outage1, outage2, fail_counts) as ``_decode`` does."""
+    taus = np.array([tau_bar(j, scheme.r) for j in range(1, scheme.n_packets + 1)])
+    return _chunked_outage(d1, d2, lambda lo, hi: (taus, taus), scheme, info)
 
 
 @dataclass(frozen=True)
@@ -176,18 +185,7 @@ class SimResult:
     per_codeword_failures: list[list[int]] = field(default_factory=list)
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {
-                "outage": list(self.outage),
-                "halfwidth": list(self.halfwidth),
-                "rates": list(self.rates),
-                "trials": self.trials,
-                "seed": self.seed,
-                "mode": self.mode,
-                "per_codeword_failures": self.per_codeword_failures,
-            },
-            indent=indent,
-        )
+        return json.dumps(asdict(self), indent=indent)
 
 
 def _halfwidth(p_hat: float, trials: int) -> float:
@@ -218,15 +216,11 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
     scheme = config.scheme
     d1, d2 = _offset_draws(config.seed, config.trials, scheme.d_max)
     if config.mode == "fluid":
-        out1, out2, fails = _run_fluid(d1, d2, scheme, info)
-        rates = (
-            avg_rate(scheme.n_packets, scheme.r, scheme.lam),
-            avg_rate(scheme.n_packets, scheme.r, scheme.lam),
-        )
+        out1, out2, fails = fluid_outage_flags(d1, d2, scheme, info)
+        rates = (avg_rate(scheme.n_packets, scheme.r, scheme.lam),) * 2
     else:
         out1, out2, fails, rates = _run_stochastic(config, d1, d2, info)
-    p1 = float(out1.mean())
-    p2 = float(out2.mean())
+    p1, p2 = float(out1.mean()), float(out2.mean())
     return SimResult(
         outage=(p1, p2),
         halfwidth=(_halfwidth(p1, config.trials), _halfwidth(p2, config.trials)),
@@ -238,55 +232,24 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
     )
 
 
-def _run_fluid(d1, d2, scheme, info):
-    text = os.environ.get("IC_OUTAGE_THREADS", "1") or "1"
-    try:
-        n_workers = int(text)
-    except ValueError:
-        raise AnalysisError(f"IC_OUTAGE_THREADS must be an integer, got {text!r}") from None
-    n_workers = min(n_workers, -(-len(d1) // _CHUNK))   # at most one per chunk
-    if n_workers <= 1 or len(d1) < 4 * _CHUNK:
-        return fluid_outage_flags(d1, d2, scheme, info)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, len(d1), n_workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        parts = list(
-            pool.map(
-                lambda se: fluid_outage_flags(d1[se[0]:se[1]], d2[se[0]:se[1]], scheme, info),
-                zip(bounds[:-1], bounds[1:]),
-            )
-        )
-    out1 = np.concatenate([p[0] for p in parts])
-    out2 = np.concatenate([p[1] for p in parts])
-    fails = sum(p[2] for p in parts)
-    return out1, out2, fails
-
-
 def _run_stochastic(config: SimConfig, d1, d2, info):
-    scheme = config.scheme
-    n = config.n
+    """Stochastic-mode trials: codewords start at release times drawn per
+    trial from ``_trial_rng(seed, t)``, one chunk of draws at a time."""
+    scheme, n = config.scheme, config.n
     n_pk = scheme.n_packets
-    r_code = scheme.code_rate
-    n_theta = n / (n_pk * r_code)
-    out = np.zeros((2, config.trials), dtype=bool)
-    fails = np.zeros((2, n_pk), dtype=np.int64)
-    rate_sum = np.zeros(2)
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        taus = [simulate_tau(scheme.lam, n, n_pk, scheme.r, rng) for _ in range(2)]
-        starts = []
-        for i, (d, tau) in enumerate(zip((d1[t], d2[t]), taus)):
-            theta_n = 1.0 / (n_pk * r_code)
-            starts.append(d / theta_n + tau / n_theta)
-            rate_sum[i] += n / (tau[-1] + n_theta)
-        s1, s2 = Schedule(np.asarray(starts[0])), Schedule(np.asarray(starts[1]))
-        mu1, mu2 = overlap_fractions(s1, s2)
-        ok1 = decode_success(mu1, info, 1, r_code, scheme.decoder[0])
-        ok2 = decode_success(mu2, info, 2, r_code, scheme.decoder[1])
-        fails[0] += ~ok1
-        fails[1] += ~ok2
-        out[0, t] = not ok1.all()
-        out[1, t] = not ok2.all()
-    rates = tuple(rate_sum / config.trials)
-    return out[0], out[1], fails, rates
+    n_theta = n / (n_pk * scheme.code_rate)   # codeword length in slots
+    rates = np.empty((2, config.trials))
+
+    def profiles(lo, hi):
+        tau = np.empty((2, hi - lo, n_pk))
+        for t in range(lo, hi):
+            rng = _trial_rng(config.seed, t)
+            for i in range(2):
+                tau[i, t - lo] = simulate_tau(scheme.lam, n, n_pk, scheme.r, rng)
+        rates[:, lo:hi] = n / (tau[:, :, -1] + n_theta)
+        return tau[0] / n_theta, tau[1] / n_theta
+
+    out1, out2, fails = _chunked_outage(d1, d2, profiles, scheme, info)
+    # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
+    rate_sum = np.cumsum(rates, axis=1)[:, -1]
+    return out1, out2, fails, tuple(rate_sum / config.trials)

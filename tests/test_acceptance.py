@@ -311,8 +311,8 @@ def test_criterion_10_tin_di_crossover():
     d_max = 5.0
 
     def curves(lam):
-        tin = ic.epsilon_gaussian_tin(info, lam, d_max)
-        di = ic.epsilon_gaussian_di(info, lam, d_max)
+        tin = ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, ic.TIN), info, lam, ic.TIN)
+        di = ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, ic.DI), info, lam, ic.DI)
         assert tin.kind == "value" and di.kind == "value", (
             f"ladder undefined at lambda={lam}: {tin}, {di}"
         )

@@ -437,6 +437,11 @@ def test_beta_is_increasing_in_r(gaussian_channel):
 # Gaussian case ladders
 # ---------------------------------------------------------------------------
 
+def labelled_bound(info, lam, d_max, mode):
+    """epsilon_bound with its Gaussian case label."""
+    return ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, mode), info, lam, mode)
+
+
 def _assert_same_value(res, oracle):
     assert res.kind == oracle.kind == "value"
     assert res.value == pytest.approx(oracle.value, abs=1e-12)
@@ -456,11 +461,11 @@ def test_ladders_match_oracle_on_random_channels():
             c2=float(rng.uniform(0.05, 2.0)),
         )
         info = ic.gaussian_info_quantities(ch)
-        for mode, ladder_fn in ((ic.TIN, ic.epsilon_gaussian_tin), (ic.DI, ic.epsilon_gaussian_di)):
+        for mode in (ic.TIN, ic.DI):
             l_tin, l_di = ic.lambda_thresholds(info)
             lo = l_tin if mode == ic.TIN else l_di
             lam = float(rng.uniform(0.5 * lo, 2.0 * lo + 0.5))
-            ladder = ladder_fn(info, lam, 5.0)
+            ladder = labelled_bound(info, lam, 5.0, mode)
             oracle = ladder_oracle(info, lam, 5.0, mode)
             if oracle.kind != "value":
                 # The oracle has no below-threshold branch; the bound is zero there.
@@ -478,7 +483,7 @@ def test_ladders_match_oracle_on_random_channels():
 
 def test_tin_ladder_case_labels(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
-    res = ic.epsilon_gaussian_tin(info, 1.0, 5.0)
+    res = labelled_bound(info, 1.0, 5.0, ic.TIN)
     assert res.case_label == "case3-user2"
     # both users' break ratios, binding comparison at lam=1
     r2 = (info.c_star[1] - 2 * info.c[1]) / (info.c_star[1] - info.c[1] - 1.0)
@@ -487,17 +492,17 @@ def test_tin_ladder_case_labels(gaussian_channel):
     assert r1 == pytest.approx(1.1222, abs=5e-4)
     assert r2 >= r1
     # just above the TIN threshold, case 1 fires for the weaker user
-    res = ic.epsilon_gaussian_tin(info, 0.40, 5.0)
+    res = labelled_bound(info, 0.40, 5.0, ic.TIN)
     assert res.case_label == "case1-user2"
-    # zero numerator exactly at lam = C_2
-    res = ic.epsilon_gaussian_tin(info, info.c[1], 5.0)
-    assert res.kind == "value" and res.value == pytest.approx(0.0, abs=1e-12)
+    # lam = C_2 is the TIN threshold itself, where outage vanishes
+    res = labelled_bound(info, info.c[1], 5.0, ic.TIN)
+    assert res.kind == "zero" and res.epsilon == 0.0
 
 
 def test_di_ladder_matches_oracle_on_regression_channel(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
     for lam in np.linspace(0.45, 2.4, 14):
-        ladder = ic.epsilon_gaussian_di(info, float(lam), 5.0)
+        ladder = labelled_bound(info, float(lam), 5.0, ic.DI)
         _assert_same_value(ladder, ladder_oracle(info, float(lam), 5.0, ic.DI))
 
 
@@ -507,19 +512,21 @@ def test_di_ladder_is_zero_between_tin_and_di_thresholds(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
     l_tin, l_di = ic.lambda_thresholds(info)
     for lam in np.linspace(l_tin, l_di, 7)[1:-1]:
-        res = ic.epsilon_gaussian_di(info, float(lam), 5.0)
+        res = labelled_bound(info, float(lam), 5.0, ic.DI)
         assert res.kind == ic.epsilon_bound(info, float(lam), 5.0, ic.DI).kind == "zero"
         assert res.epsilon == 0.0
         assert res.case_label == "outside-ladder"
         assert ladder_oracle(info, float(lam), 5.0, ic.DI).kind == "not-applicable"
+    # the DI threshold itself is zero as well, not a zero-valued "value"
+    assert labelled_bound(info, l_di, 5.0, ic.DI).kind == "zero"
 
 
 def test_di_ladder_domain_edge(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
     edge = min(info.c_tilde_star) / 2.0
     assert edge == pytest.approx(2.4114, abs=5e-4)
-    assert ic.epsilon_gaussian_di(info, edge - 1e-6, 5.0).kind == "value"
-    assert ic.epsilon_gaussian_di(info, edge + 1e-3, 5.0).kind == "not-applicable"
+    assert labelled_bound(info, edge - 1e-6, 5.0, ic.DI).kind == "value"
+    assert labelled_bound(info, edge + 1e-3, 5.0, ic.DI).kind == "not-applicable"
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,24 @@ def test_sweep_rejects_bad_grid(runner, gaussian_file, tmp_path):
     assert result.exit_code == 2
 
 
+def test_sweep_unparsable_values_exits_2(runner, gaussian_file, tmp_path):
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+         "--values", "0.5,abc", "--d", "5", "--out", str(tmp_path / "x.csv")],
+    )
+    _assert_config_error(result, "cannot parse --values '0.5,abc'")
+
+
+def test_sweep_unparsable_packet_counts_exits_2(runner, gaussian_file, tmp_path):
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+         "--values", "0.5", "--d", "5", "--n", "x", "--out", str(tmp_path / "x.csv")],
+    )
+    _assert_config_error(result, "cannot parse --n 'x'")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -298,12 +316,13 @@ def test_simulate_unwritable_csv_exits_2(runner, gaussian_file, tmp_path):
 
 def test_simulate_non_integer_thread_count_exits_2(runner, gaussian_file, monkeypatch):
     monkeypatch.setenv("IC_OUTAGE_THREADS", "x")
-    result = runner.invoke(
-        main,
-        ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
-         "--n-packets", "4", "--d", "5", "--trials", "50"],
-    )
-    _assert_config_error(result, "IC_OUTAGE_THREADS must be an integer, got 'x'")
+    for mode_args in ([], ["--mode", "stochastic", "--n", "1000"]):
+        result = runner.invoke(
+            main,
+            ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
+             "--n-packets", "4", "--d", "5", "--trials", "50", *mode_args],
+        )
+        _assert_config_error(result, "IC_OUTAGE_THREADS must be an integer, got 'x'")
 
 
 def test_simulate_csv_output(runner, gaussian_file, tmp_path):

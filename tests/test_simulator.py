@@ -6,15 +6,16 @@ with the admissible-interval membership test from the closed-form analysis.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ic_outage as ic
+import ic_outage.simulator as simulator
 from ic_outage.simulator import (
     _CHUNK,
     _offset_draws,
-    _run_fluid,
     fluid_outage_flags,
     overlap_fractions,
     simulate_tau,
@@ -99,14 +100,14 @@ def test_simulate_tau_rejects_zero_bit_packets():
 # ---------------------------------------------------------------------------
 
 def test_overlap_disjoint_schedules():
-    s1 = ic.Schedule(np.array([1.5, 3.0, 4.5]))
-    s2 = ic.Schedule(np.array([101.5, 103.0, 104.5]))
+    s1 = np.array([1.5, 3.0, 4.5])
+    s2 = np.array([101.5, 103.0, 104.5])
     mu1, mu2 = overlap_fractions(s1, s2)
     assert np.all(mu1 == 0) and np.all(mu2 == 0)
 
 
 def test_overlap_identical_schedules():
-    s = ic.Schedule(np.array([1.5, 3.0, 4.5]))
+    s = np.array([1.5, 3.0, 4.5])
     mu1, mu2 = overlap_fractions(s, s)
     assert mu1 == pytest.approx([1.0, 1.0, 1.0])
     assert mu2 == pytest.approx([1.0, 1.0, 1.0])
@@ -116,24 +117,29 @@ def test_overlap_both_neighbors_case():
     # 1 < r < 2 with a shift that clips both neighboring codewords: the
     # interior codewords see a total overlapped fraction of exactly 2 - r.
     r = 1.5
-    s1 = ic.Schedule(np.array([ic.tau_bar(j, r) for j in range(1, 6)]))
-    s2 = ic.Schedule(s1.starts + 0.75)
+    s1 = np.array([ic.tau_bar(j, r) for j in range(1, 6)])
+    s2 = s1 + 0.75
     mu1, mu2 = overlap_fractions(s1, s2)
     assert mu1[1:] == pytest.approx([2.0 - r] * 4)
     assert mu2[:-1] == pytest.approx([2.0 - r] * 4)
 
 
 def test_overlap_partial_single_neighbor():
-    s1 = ic.Schedule(np.array([0.0]))
-    s2 = ic.Schedule(np.array([0.6]))
+    s1 = np.array([0.0])
+    s2 = np.array([0.6])
     mu1, mu2 = overlap_fractions(s1, s2)
     assert mu1[0] == pytest.approx(0.4)
     assert mu2[0] == pytest.approx(0.4)
 
 
-def test_schedule_intervals_are_unit_length():
-    s = ic.Schedule(np.array([0.3, 1.9]))
-    assert s.intervals() == [(0.3, 1.3), (1.9, 2.9)]
+def test_overlap_batched_rows_match_single_schedules():
+    rng = np.random.default_rng(3)
+    s1 = rng.uniform(0.0, 12.0, (7, 9))
+    s2 = rng.uniform(0.0, 12.0, (7, 9))
+    mu1, mu2 = overlap_fractions(s1, s2)
+    for t in range(7):
+        row1, row2 = overlap_fractions(s1[t], s2[t])
+        assert np.array_equal(mu1[t], row1) and np.array_equal(mu2[t], row2)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +268,7 @@ def test_fluid_workers_capped_at_chunk_count(monkeypatch):
     requested = []
 
     class SerialPool:
-        """Records the requested worker count and runs the slices in order."""
+        """Records the requested worker count and runs the chunks in order."""
 
         def __init__(self, max_workers):
             requested.append(max_workers)
@@ -277,14 +283,51 @@ def test_fluid_workers_capped_at_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "64")
     info = reference_point()
     scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=2, d_max=15.0, decoder=ic.TIN)
     d1, d2 = _offset_draws(seed=5, trials=4 * _CHUNK + 1, d_max=scheme.d_max)
-    parallel = _run_fluid(d1, d2, scheme, info)
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "64")
+    parallel = fluid_outage_flags(d1, d2, scheme, info)
     assert requested == [5]
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
     serial = fluid_outage_flags(d1, d2, scheme, info)
+    assert requested == [5]
     assert all(np.array_equal(a, b) for a, b in zip(parallel, serial))
+
+
+def test_fluid_kernel_holds_one_overlap_tensor_at_a_time(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
+    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=32, d_max=15.0, decoder=ic.TIN)
+    d1, d2 = _offset_draws(seed=8, trials=4 * 1024, d_max=scheme.d_max)
+    tracemalloc.start()
+    try:
+        fluid_outage_flags(d1, d2, scheme, info)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = 1024 * 32 * 32 * 8
+    assert peak < 2.75 * tensor_bytes, f"peak {peak / tensor_bytes:.2f} overlap tensors"
+
+
+def test_stochastic_results_do_not_depend_on_thread_count(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 4)
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=5, d_max=10.0, decoder=ic.TIN)
+    config = ic.SimConfig(scheme=scheme, trials=20, seed=4, mode="stochastic", n=2000)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the two workers as often as possible
+    try:
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IC_OUTAGE_THREADS", threads)
+            results.append(ic.run_trials(config, info).to_json())
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1]
 
 
 def test_stochastic_mode_rates_and_determinism():
@@ -297,6 +340,32 @@ def test_stochastic_mode_rates_and_determinism():
     expect = ic.avg_rate(scheme.n_packets, scheme.r, scheme.lam)
     for j in range(2):
         assert a.rates[j] == pytest.approx(expect, rel=0.02)
+
+
+def test_stochastic_matches_per_trial_reference():
+    # Reference: one trial at a time, rates summed in trial order.
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.3, r=1.5, n_packets=6, d_max=2.0, decoder=ic.TIN)
+    config = ic.SimConfig(scheme=scheme, trials=30, seed=2, mode="stochastic", n=3000)
+    d1, d2 = _offset_draws(config.seed, config.trials, scheme.d_max)
+    n_theta = config.n / (scheme.n_packets * scheme.code_rate)
+    theta = 1.0 / (scheme.n_packets * scheme.code_rate)
+    outages, fails, rate_sum = np.zeros((2, config.trials), dtype=bool), 0, np.zeros(2)
+    for t in range(config.trials):
+        rng = simulator._trial_rng(config.seed, t)
+        taus = [simulate_tau(scheme.lam, config.n, scheme.n_packets, scheme.r, rng)
+                for _ in range(2)]
+        mu = overlap_fractions(d1[t] / theta + taus[0] / n_theta, d2[t] / theta + taus[1] / n_theta)
+        ok = [ic.decode_success(mu[i], info, i + 1, scheme.code_rate, ic.TIN) for i in range(2)]
+        fails = fails + ~np.array(ok)
+        for i in range(2):
+            outages[i, t] = not ok[i].all()
+            rate_sum[i] += config.n / (taus[i][-1] + n_theta)
+    res = ic.run_trials(config, info)
+    assert 0.0 < res.outage[0] < 1.0
+    assert res.outage == tuple(float(o.mean()) for o in outages)
+    assert res.per_codeword_failures == fails.tolist()
+    assert res.rates == tuple(rate_sum / config.trials)
 
 
 def test_sim_config_validation():
