@@ -400,19 +400,9 @@ class EpsilonResult:
         raise AnalysisError("epsilon bound is not applicable at this point")
 
 
-def epsilon_bound(
-    info: InfoQuantities,
-    lam: float,
-    d_max: float,
-    mode,
-    lambda_bar_value: float | None = None,
-) -> EpsilonResult:
+def epsilon_bound(info: InfoQuantities, lam: float, d_max: float, mode) -> EpsilonResult:
     """Outage-level bound: zero below the decoder threshold, else
     kappa * max_i beta_i(r0)."""
-    if lambda_bar_value is not None and lam > lambda_bar_value:
-        raise AnalysisError(
-            f"lambda={lam} exceeds converse threshold {lambda_bar_value:.4f}"
-        )
     m1, m2 = _modes(mode)
     thresholds = []
     for user, m in ((1, m1), (2, m2)):
@@ -473,10 +463,10 @@ def outage_ub_subunit_rate(
     theta = 1.0 / (n_packets * r * lam)
     n = n_packets
     p = 1.0
-    if value < 1.0:
-        p -= 1.0 - delta_cdf((n - 1 + value) * theta, d_max)
     if value < 0.0:
-        p -= delta_cdf((n - 1) * theta, d_max)
+        p = 0.0     # rho_i < 0: decodable under any overlap, so no outage
+    elif value < 1.0:
+        p -= 1.0 - delta_cdf((n - 1 + value) * theta, d_max)
     if lam <= c:
         limit = 0.0
     elif lam <= c_star:

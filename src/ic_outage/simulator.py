@@ -168,6 +168,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise AnalysisError("need at least one trial")
+        if not 0 <= self.seed < 2**128:
+            raise AnalysisError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.mode not in ("fluid", "stochastic"):
             raise AnalysisError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "stochastic" and not self.n:

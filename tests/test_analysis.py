@@ -6,6 +6,7 @@ r0 against bisection on the raw feasibility predicate, and the Gaussian case
 labels against the hand-written case ladder in conftest.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -410,13 +411,6 @@ def test_r0_and_bound_forms_match_oracles_on_random_channels():
     assert all(checked[k, m] >= 10 for k in ("gaussian", "discrete") for m in MODE_PAIRS), checked
 
 
-def test_epsilon_rejects_rates_beyond_converse(gaussian_channel):
-    info = ic.gaussian_info_quantities(gaussian_channel)
-    lbar, _ = ic.lambda_bar(gaussian_channel)
-    with pytest.raises(ic.AnalysisError, match="converse"):
-        ic.epsilon_bound(info, 5.5, 5.0, ic.TIN, lambda_bar_value=lbar)
-
-
 def test_epsilon_not_applicable_when_no_feasible_rate():
     info = ic.InfoQuantities((1.0, 1.0), (0.6, 0.6), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
     res = ic.epsilon_bound(info, 0.9, 1.0, ic.TIN)
@@ -549,6 +543,22 @@ def test_subunit_rate_limit_branches():
     assert limit == 1.0
     with pytest.raises(ic.AnalysisError):
         ic.outage_ub_subunit_rate(info, 1, 0.1, 1.2, 50, 3.0)
+
+
+def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
+    # A grid that has rho_i < 0 for both users.  There every codeword
+    # decodes under any overlap (the fluid simulator gives exactly 0), so
+    # the bound is 0, not a difference of two CDF terms.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    below = 0
+    grid = itertools.product((0.4, 0.45, 0.6, 1.0), (0.3, 0.6, 0.9), (1, 4, 16), (1.0, 5.0))
+    for (lam, r, n_packets, d_max), user in itertools.product(grid, (1, 2)):
+        finite_n, _ = ic.outage_ub_subunit_rate(info, user, lam, r, n_packets, d_max)
+        assert 0.0 <= finite_n <= 1.0
+        if lam * r < info.c[user - 1]:    # rho_i < 0
+            assert finite_n == 0.0
+            below += 1
+    assert 0 < below < 144
 
 
 def test_bursty_scheme_beats_gapless_limit():

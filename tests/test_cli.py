@@ -339,3 +339,74 @@ def test_simulate_csv_output(runner, gaussian_file, tmp_path):
     assert [r["user"] for r in rows] == ["1", "2"]
     payload = json.loads(result.output.splitlines()[0])
     assert float(rows[0]["outage"]) == payload["outage"][0]
+
+
+def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, tmp_path,
+                                                         monkeypatch):
+    # epsilon depends on (value, mode) and the user cells on (value, mode,
+    # user); neither is re-evaluated for each N.
+    calls = {"epsilon_bound": [], "user_outage_inputs": []}
+
+    def counted(name):
+        fn = getattr(ic.analysis, name)
+
+        def wrapper(*args):
+            calls[name].append(args[1:])      # the arguments after info
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ic.analysis, name, counted(name))
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+         "--values", "0.5,1.0,2.0", "--d", "5", "--r", "1.5", "--n", "1,4,16",
+         "--mode", "tin", "--mode", "di", "--out", str(tmp_path / "x.csv")],
+    )
+    assert result.exit_code == 0
+    assert "wrote 36 rows" in result.output           # values x modes x N x users
+    points = [(lam, 5.0, mode) for lam in (0.5, 1.0, 2.0) for mode in (ic.TIN, ic.DI)]
+    assert calls["epsilon_bound"] == points
+    assert calls["user_outage_inputs"] == [
+        (user, 1.5, lam, mode) for lam, _, mode in points for user in (1, 2)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# error contract: every failure is a one-line message and exit 2
+# ---------------------------------------------------------------------------
+
+_SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "--channel", "DISCRETE", "--lambda", "0.1", *_SIM,
+          "--decoder", "di", "--check"],
+         "error: user 2: nonpositive denominator"),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM, "--seed", "-1"],
+         "error: seed must be in [0, 2**128), got -1"),
+        (["analyze", "--channel", "GAUSSIAN", "--lambda", "nan"],
+         "Error: Invalid value for '--lambda': nan is not a finite number."),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM, "--r", "nan"],
+         "Error: Invalid value for '--r': nan is not a finite number."),
+        (["analyze", "--channel", "GAUSSIAN", "--lambda", "0.6", "--d", "nan"],
+         "Error: Invalid value for '--d': nan is not a finite number."),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM, "--d", "inf"],
+         "Error: Invalid value for '--d': inf is not a finite number."),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0,nan",
+          "--d", "5", "--out", "OUT"],
+         "error: cannot parse --values '1.0,nan'"),
+    ],
+    ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
+         "nan-in-values"],
+)
+def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
+    paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,
+             "OUT": str(tmp_path / "x.csv")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)   # no traceback
+    assert message in result.stderr
+    assert not (tmp_path / "x.csv").exists()
