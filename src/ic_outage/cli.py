@@ -62,6 +62,11 @@ def _parse_list(text: str, convert, what: str) -> list:
         _fail(EXIT_CONFIG, f"cannot parse {what} {text!r}")
 
 
+def _check_lambda(lam: float) -> None:
+    if lam <= 0:
+        _fail(EXIT_CONFIG, f"arrival rate must be positive, got {lam!r}")
+
+
 def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
     if text is None:
         return chan.InputDistribution(np.full(size, 1.0 / size))
@@ -132,6 +137,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
     """Report information constants, thresholds and the outage bound."""
+    _check_lambda(lam)
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
     lbar, _ = chan.lambda_bar(ch)
@@ -284,6 +290,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         _fail(EXIT_CONFIG, "alpha sweeps need a fixed --lambda")
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
         _fail(EXIT_CONFIG, "sweep needs --lambda and --d (or alpha variable)")
+    _check_lambda(min(grid) if variable == "lambda" else lam)
     rows = []
     for value in grid:
         at_lam, at_r, at_d, at_ns = lam, r_value, d_max, ns

@@ -30,7 +30,8 @@ __all__ = [
     "run_trials",
 ]
 
-_CHUNK = 16384
+_CHUNK = 16384           # trials per chunk, at most
+_CHUNK_ELEMS = 2**20     # codeword starts per user per chunk, at most
 
 
 def tau_bar(j: int, r: float) -> float:
@@ -73,11 +74,32 @@ def overlap_fractions(starts1, starts2) -> tuple[np.ndarray, np.ndarray]:
     the first array is the total length of user 1's j-th unit interval
     covered by user 2's intervals, and vice versa.  Unit intervals overlap by
     max(0, 1 - |start difference|).
+
+    Precondition: rows sorted, consecutive starts at least 1 apart up to
+    rounding (both simulation modes comply; clear violations raise
+    ``AnalysisError``).  So a codeword meets at most two of the other user's,
+    the nearest start at or before its own and the next.  Every other
+    overlap is 0, or a sliver of the rounding, so the two-term sum equals
+    the full pairwise sum (bit for bit when the gaps are at least 1).
     """
-    a = np.asarray(starts1, dtype=float)
-    b = np.asarray(starts2, dtype=float)
-    ov = np.clip(1.0 - np.abs(a[..., :, None] - b[..., None, :]), 0.0, None)
-    return ov.sum(axis=-1), ov.sum(axis=-2)
+    a, b = np.broadcast_arrays(np.asarray(starts1, dtype=float),
+                               np.asarray(starts2, dtype=float))
+    for x in (a, b):
+        if not (np.diff(x, axis=-1) >= 1.0 - 1e-12 * max(1.0, np.abs(x).max())).all():
+            raise AnalysisError("codeword starts must be sorted and at least 1 apart")
+    # Stable merge, b first on ties: k1 = b's at or before each a_j, k2 = a's before each b_j.
+    from_a = np.argsort(np.concatenate([b, a], axis=-1), axis=-1, kind="stable") >= a.shape[-1]
+    k1 = np.cumsum(~from_a, axis=-1)[from_a].reshape(a.shape)
+    k2 = np.cumsum(from_a, axis=-1)[~from_a].reshape(b.shape)
+    return _partner_overlap(a, b, k1), _partner_overlap(b, a, k2)
+
+
+def _partner_overlap(a, b, k):
+    """Overlap of a[..., j] with b[..., k-1] plus b[..., k]; ±inf pads give absent ones 0."""
+    end = np.full_like(b[..., :1], np.inf)
+    padded = np.concatenate([-end, b, end], axis=-1)
+    mu = np.clip(1.0 - np.abs(a - np.take_along_axis(padded, k, axis=-1)), 0.0, None)
+    return mu + np.clip(1.0 - np.abs(a - np.take_along_axis(padded, k + 1, axis=-1)), 0.0, None)
 
 
 def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str):
@@ -113,14 +135,14 @@ def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuan
     return ~ok1.all(axis=1), ~ok2.all(axis=1), fails
 
 
-def _chunked_outage(d1, d2, profiles, scheme: SchemeParams, info: InfoQuantities):
-    """Run ``_decode`` over _CHUNK-trial slices of the offsets (d1, d2).
+def _chunked_outage(d1, d2, profiles, scheme: SchemeParams, info: InfoQuantities, threaded):
+    """Run ``_decode`` over slices of min(_CHUNK, _CHUNK_ELEMS // N) trials.
 
     ``profiles(lo, hi)`` gives each user's codeword starts relative to its
-    activation offset for trials lo..hi-1, in codeword lengths.  Slices run
-    on up to IC_OUTAGE_THREADS threads, at most one per chunk and serially
-    below four chunks; each slice depends only on its trial indices, so the
-    result does not depend on the thread count.
+    activation offset for trials lo..hi-1, in codeword lengths.  If
+    ``threaded``, slices run on up to IC_OUTAGE_THREADS threads, at most one
+    per chunk and serially below four chunks; each slice depends only on its
+    trial indices, so the result does not depend on the thread count.
     """
     text = os.environ.get("IC_OUTAGE_THREADS", "1") or "1"
     try:
@@ -128,22 +150,22 @@ def _chunked_outage(d1, d2, profiles, scheme: SchemeParams, info: InfoQuantities
     except ValueError:
         raise AnalysisError(f"IC_OUTAGE_THREADS must be an integer, got {text!r}") from None
     trials = len(d1)
-    n_workers = min(n_workers, -(-trials // _CHUNK))   # at most one per chunk
+    chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // scheme.n_packets))
+    chunks = range(0, trials, chunk)
     theta = 1.0 / (scheme.n_packets * scheme.code_rate)
 
     def decode_slice(lo):
-        hi = min(lo + _CHUNK, trials)
+        hi = min(lo + chunk, trials)
         prof1, prof2 = profiles(lo, hi)
         return _decode(d1[lo:hi, None] / theta + prof1, d2[lo:hi, None] / theta + prof2,
                        scheme, info)
 
-    chunks = range(0, trials, _CHUNK)
-    if n_workers <= 1 or trials < 4 * _CHUNK:
+    if not threaded or n_workers <= 1 or trials < 4 * chunk:
         parts = [decode_slice(lo) for lo in chunks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
             parts = list(pool.map(decode_slice, chunks))
     out1, out2, fails = zip(*parts)
     return np.concatenate(out1), np.concatenate(out2), sum(fails)
@@ -154,7 +176,7 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     """Fluid-mode trials: codewords start at the limit profile tau_bar_j.
     Returns (outage1, outage2, fail_counts) as ``_decode`` does."""
     taus = np.array([tau_bar(j, scheme.r) for j in range(1, scheme.n_packets + 1)])
-    return _chunked_outage(d1, d2, lambda lo, hi: (taus, taus), scheme, info)
+    return _chunked_outage(d1, d2, lambda lo, hi: (taus, taus), scheme, info, threaded=True)
 
 
 @dataclass(frozen=True)
@@ -251,7 +273,8 @@ def _run_stochastic(config: SimConfig, d1, d2, info):
         rates[:, lo:hi] = n / (tau[:, :, -1] + n_theta)
         return tau[0] / n_theta, tau[1] / n_theta
 
-    out1, out2, fails = _chunked_outage(d1, d2, profiles, scheme, info)
+    # simulate_tau holds the GIL, so a thread pool would only add overhead
+    out1, out2, fails = _chunked_outage(d1, d2, profiles, scheme, info, threaded=False)
     # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
     rate_sum = np.cumsum(rates, axis=1)[:, -1]
     return out1, out2, fails, tuple(rate_sum / config.trials)

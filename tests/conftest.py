@@ -278,3 +278,16 @@ def outage_ub_numeric_oracle(
     if chi2:
         p -= tail
     return p
+
+
+# ---------------------------------------------------------------------------
+# oracle: every codeword's overlap with every codeword of the other user
+# ---------------------------------------------------------------------------
+
+def overlap_fractions_dense_oracle(starts1, starts2) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., N, N) overlap tensor summed along each axis: the reference the
+    two-partner search in ``simulator.overlap_fractions`` must equal bit for bit."""
+    a = np.asarray(starts1, dtype=float)
+    b = np.asarray(starts2, dtype=float)
+    ov = np.clip(1.0 - np.abs(a[..., :, None] - b[..., None, :]), 0.0, None)
+    return ov.sum(axis=-1), ov.sum(axis=-2)

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +327,17 @@ def test_simulate_non_integer_thread_count_exits_2(runner, gaussian_file, monkey
         _assert_config_error(result, "IC_OUTAGE_THREADS must be an integer, got 'x'")
 
 
+def test_simulate_fluid_at_n_500(runner, gaussian_file):
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
+         "--n-packets", "500", "--d", "5", "--trials", "3000", "--seed", "2", "--check"],
+    )
+    assert result.exit_code == 0, result.stderr
+    assert len(json.loads(result.stdout)["per_codeword_failures"][0]) == 500
+    assert "check passed" in result.stderr
+
+
 def test_simulate_csv_output(runner, gaussian_file, tmp_path):
     out = tmp_path / "sim.csv"
     result = runner.invoke(
@@ -398,9 +411,20 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0,nan",
           "--d", "5", "--out", "OUT"],
          "error: cannot parse --values '1.0,nan'"),
+        (["analyze", "--channel", "GAUSSIAN", "--lambda", "0", "--r", "1.5", "--mode", "di"],
+         "error: arrival rate must be positive, got 0.0"),
+        (["analyze", "--channel", "DISCRETE", "--lambda", "-1"],
+         "error: arrival rate must be positive, got -1.0"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "alpha", "--values", "1.5",
+          "--lambda", "0", "--out", "OUT"],
+         "error: arrival rate must be positive, got 0.0"),
+        (["sweep", "--channel", "DISCRETE", "--variable", "lambda", "--values", "0.1,-0.5",
+          "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: arrival rate must be positive, got -0.5"),
     ],
     ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
-         "nan-in-values"],
+         "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
+         "zero-lambda-alpha-sweep", "negative-lambda-in-values"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,
@@ -410,3 +434,22 @@ def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, me
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert message in result.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# benchmark references: the fluid kernel's output, byte for byte
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fluid_benchmark_operations_reproduce_references(runner, monkeypatch, threads):
+    # perfbench/workloads.py holds the operation list and reads the references
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    wl = importlib.import_module("workloads")
+    monkeypatch.chdir(wl.HERE.parent)
+    monkeypatch.setenv("IC_OUTAGE_THREADS", threads)
+    ops = wl.fluid(wl.DEFAULT_SEED)
+    assert len(ops) == 9
+    for op in ops:
+        result = runner.invoke(main, list(op.args))
+        assert result.exit_code == 0, f"{op.name}: {result.stderr}"
+        assert result.stdout == wl.reference_text(op), op.name

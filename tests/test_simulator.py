@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ic_outage as ic
 import ic_outage.simulator as simulator
@@ -20,7 +22,7 @@ from ic_outage.simulator import (
     overlap_fractions,
     simulate_tau,
 )
-from conftest import reference_point
+from conftest import overlap_fractions_dense_oracle, reference_point
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +136,73 @@ def test_overlap_partial_single_neighbor():
 
 def test_overlap_batched_rows_match_single_schedules():
     rng = np.random.default_rng(3)
-    s1 = rng.uniform(0.0, 12.0, (7, 9))
-    s2 = rng.uniform(0.0, 12.0, (7, 9))
+    s1 = rng.uniform(0.0, 3.0, (7, 1)) + np.cumsum(1.0 + rng.exponential(0.5, (7, 9)), axis=1)
+    s2 = rng.uniform(0.0, 3.0, (7, 1)) + np.cumsum(1.0 + rng.exponential(0.5, (7, 9)), axis=1)
     mu1, mu2 = overlap_fractions(s1, s2)
     for t in range(7):
         row1, row2 = overlap_fractions(s1[t], s2[t])
         assert np.array_equal(mu1[t], row1) and np.array_equal(mu2[t], row2)
+
+
+def _assert_matches_dense(s1, s2):
+    mu1, mu2 = overlap_fractions(s1, s2)
+    dense1, dense2 = overlap_fractions_dense_oracle(s1, s2)
+    assert np.array_equal(mu1, dense1) and np.array_equal(mu2, dense2)
+
+
+@pytest.mark.parametrize("r", [0.7, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("n_packets", [1, 2, 16, 64])
+def test_overlap_matches_dense_oracle_on_fluid_profiles(r, n_packets):
+    scheme = ic.SchemeParams(lam=0.5, r=r, n_packets=n_packets, d_max=5.0)
+    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    theta = 1.0 / (n_packets * scheme.code_rate)
+    d1, d2 = _offset_draws(seed=n_packets, trials=500, d_max=scheme.d_max)
+    _assert_matches_dense(d1[:, None] / theta + taus, d2[:, None] / theta + taus)
+    _assert_matches_dense(d1[0] / theta + taus, d2[0] / theta + taus)
+
+
+@pytest.mark.parametrize("lam, r", [(0.3, 0.7), (0.3, 1.5), (1.0, 0.7), (1.0, 3.0)])
+def test_overlap_matches_dense_oracle_on_release_recursion_rows(lam, r):
+    n, n_packets, trials = 2000, 12, 40
+    scheme = ic.SchemeParams(lam=lam, r=r, n_packets=n_packets, d_max=2.0)
+    n_theta = n / (n_packets * scheme.code_rate)
+    theta = 1.0 / (n_packets * scheme.code_rate)
+    d1, d2 = _offset_draws(seed=9, trials=trials, d_max=scheme.d_max)
+    rng = np.random.default_rng(17)
+    taus = np.array([[simulate_tau(lam, n, n_packets, r, rng) for _ in range(trials)]
+                     for _ in range(2)])
+    _assert_matches_dense(d1[:, None] / theta + taus[0] / n_theta,
+                          d2[:, None] / theta + taus[1] / n_theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.75, 1.0, 1.5, 3.0]), st.sampled_from([1, 2, 3, 16]),
+       st.integers(0, 160), st.integers(0, 160))
+def test_overlap_matches_dense_oracle_on_exact_grid(r, n_packets, x1, x2):
+    # Starts on a grid of 1/8: all arithmetic is exact, so the search covers
+    # equal starts and start differences of exactly 1 on either side.
+    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    _assert_matches_dense(x1 / 8 + taus, x2 / 8 + taus)
+
+
+def test_overlap_edge_cases_match_dense_oracle():
+    s = np.array([0.0, 1.0, 2.5, 4.0])
+    for shift in (0.0, 1.0, -1.0, 2.5, 1.5):
+        _assert_matches_dense(s, s + shift)
+    # equal starts overlap fully, starts exactly 1 apart by 0
+    mu1, mu2 = overlap_fractions(s, s + 1.0)
+    assert mu1.tolist() == [0.0, 1.0, 0.5, 0.5] and mu2.tolist() == [1.0, 0.5, 0.5, 0.0]
+    _assert_matches_dense(np.array([[0.25], [3.0]]), np.array([[0.25], [2.0]]))
+
+
+def test_overlap_rejects_rows_that_are_not_schedules():
+    with pytest.raises(ic.AnalysisError, match="sorted"):
+        overlap_fractions([2.0, 0.0], [0.0, 3.0])
+    with pytest.raises(ic.AnalysisError, match="sorted"):
+        overlap_fractions(np.array([[0.0, 5.0], [0.0, 0.5]]), np.zeros((2, 2)) + [0.0, 2.0])
+    # a gap short of 1 by rounding, as tau / n_theta can produce, is accepted
+    short = np.array([3.0, np.nextafter(4.0, 0.0)])
+    _assert_matches_dense(short, short + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +325,14 @@ def test_fluid_partitioning_is_order_independent():
     assert np.array_equal(whole[2], first[2] + second[2])
 
 
-def test_fluid_workers_capped_at_chunk_count(monkeypatch):
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """Worker counts of every thread pool requested; the pool runs chunks in order."""
     import concurrent.futures
 
     requested = []
 
     class SerialPool:
-        """Records the requested worker count and runs the chunks in order."""
-
         def __init__(self, max_workers):
             requested.append(max_workers)
 
@@ -283,6 +346,11 @@ def test_fluid_workers_capped_at_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    return requested
+
+
+def test_fluid_workers_capped_at_chunk_count(monkeypatch, pool_requests):
+    requested = pool_requests
     info = reference_point()
     scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=2, d_max=15.0, decoder=ic.TIN)
     d1, d2 = _offset_draws(seed=5, trials=4 * _CHUNK + 1, d_max=scheme.d_max)
@@ -295,22 +363,46 @@ def test_fluid_workers_capped_at_chunk_count(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(parallel, serial))
 
 
-def test_fluid_kernel_holds_one_overlap_tensor_at_a_time(monkeypatch):
+def test_stochastic_runs_request_no_thread_pool(monkeypatch, pool_requests):
+    monkeypatch.setattr(simulator, "_CHUNK", 4)
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "2")
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=5, d_max=10.0, decoder=ic.TIN)
+    ic.run_trials(ic.SimConfig(scheme=scheme, trials=16, seed=4, mode="stochastic", n=2000),
+                  info)
+    assert pool_requests == []
+    ic.run_trials(ic.SimConfig(scheme=scheme, trials=16, seed=4), info)   # same 4 chunks
+    assert pool_requests == [2]
+
+
+def _fluid_peak_bytes(n_packets, trials):
     import tracemalloc
 
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
-    monkeypatch.setattr(simulator, "_CHUNK", 1024)
     info = reference_point()
-    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=32, d_max=15.0, decoder=ic.TIN)
-    d1, d2 = _offset_draws(seed=8, trials=4 * 1024, d_max=scheme.d_max)
+    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=n_packets, d_max=15.0, decoder=ic.TIN)
+    d1, d2 = _offset_draws(seed=8, trials=trials, d_max=scheme.d_max)
     tracemalloc.start()
     try:
         fluid_outage_flags(d1, d2, scheme, info)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_fluid_kernel_holds_one_overlap_tensor_at_a_time(monkeypatch):
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
+    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    peak = _fluid_peak_bytes(32, 4 * 1024)
     tensor_bytes = 1024 * 32 * 32 * 8
-    assert peak < 2.75 * tensor_bytes, f"peak {peak / tensor_bytes:.2f} overlap tensors"
+    assert peak < 1.0 * tensor_bytes, f"peak {peak / tensor_bytes:.2f} overlap tensors"
+
+
+def test_fluid_kernel_memory_is_flat_in_n(monkeypatch):
+    # A budget small enough to bind at N=32 too: 2048 trials per chunk there, 131 at N=500.
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 2**16)
+    small, large = _fluid_peak_bytes(32, 4096), _fluid_peak_bytes(500, 4096)
+    assert large < 1.5 * small, f"peak {large} B at N=500 against {small} B at N=32"
 
 
 def test_stochastic_results_do_not_depend_on_thread_count(monkeypatch):
