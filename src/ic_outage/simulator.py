@@ -42,28 +42,41 @@ def tau_bar(j: int, r: float) -> float:
     return j * r if r > 1.0 else r + j - 1.0
 
 
-def simulate_tau(
-    lam: float, n: int, n_packets: int, r: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Codeword release times (slots) for one transmitter and one arrival
-    realization.
+def _arrival_slots(lam: float, n: int, n_packets: int, rng: np.random.Generator,
+                   size: tuple = ()) -> np.ndarray:
+    """Slots (1-based) at which bits ceil(j n / N), j = 1..N, of a Bernoulli(lam)
+    arrival stream arrive; shape ``size + (N,)``, drawn in C order.
 
-    Draws the Bernoulli arrival stream as geometric interarrival gaps and
-    applies the release recursion: packet j goes out when j packets' worth of
-    bits have arrived and the previous transmission has finished.
+    The slot of the k-th bit is k plus a NegBinomial(k, lam) count of empty
+    slots.  Packet j's m_j = ceil(j n/N) - ceil((j-1) n/N) bits thus arrive
+    m_j + NegBinomial(m_j, lam) slots after packet j-1's last bit, so N draws
+    give the slots exactly in distribution, whatever n is.
     """
     if n < n_packets:
         raise AnalysisError("packet size rounds to zero bits")
-    code_rate = r * lam
-    n_theta = n / (n_packets * code_rate)   # codeword length in slots
-    bits_per_packet = n / n_packets
-    arrivals = np.cumsum(rng.geometric(lam, size=n))
-    idx = np.ceil(bits_per_packet * np.arange(1, n_packets + 1)).astype(int) - 1
-    xi = arrivals[idx].astype(float)
-    tau = np.empty(n_packets)
-    tau[0] = xi[0]
+    if n / lam > 2.0**53:
+        raise AnalysisError(f"n / lambda = {n / lam:.3g} slots exceeds 2**53, "
+                            "beyond which slot times are not exact floats")
+    last_bit = np.array([-(-j * n // n_packets) for j in range(n_packets + 1)])
+    m = np.diff(last_bit)
+    gaps = m + rng.negative_binomial(m, lam, size=size + (n_packets,))
+    return np.cumsum(gaps, axis=-1).astype(float)
+
+
+def simulate_tau(lam: float, n: int, n_packets: int, r: float, rng: np.random.Generator,
+                 size: tuple = ()) -> np.ndarray:
+    """Codeword release times (slots) for transmitters with independent
+    arrival realizations; shape ``size + (N,)``, one transmitter by default.
+
+    Packet j goes out when j packets' worth of bits have arrived and the
+    previous transmission has finished.  The recursion runs over j on whole
+    columns, so a batch equals consecutive one-transmitter calls on the same
+    generator bit for bit.
+    """
+    n_theta = n / (n_packets * (r * lam))   # codeword length in slots
+    tau = _arrival_slots(lam, n, n_packets, rng, size)
     for j in range(1, n_packets):
-        tau[j] = max(tau[j - 1] + n_theta, xi[j])
+        np.maximum(tau[..., j - 1] + n_theta, tau[..., j], out=tau[..., j])
     return tau
 
 
@@ -227,15 +240,13 @@ def _offset_draws(seed: int, trials: int, d_max: float) -> tuple[np.ndarray, np.
     return d[:, 0], d[:, 1]
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-
-
 def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
     """Estimate per-user outage frequencies (and rates) over random asynchrony.
 
-    Deterministic for a fixed (seed, trials) pair; trials use independent
-    substreams so results do not depend on evaluation order.
+    Deterministic for a fixed seed: trial t's offsets and release times are
+    functions of (seed, t) alone, so the first t trials of a run do not depend
+    on the trial count, the chunk size or the thread count.  Each trial costs
+    O(N), in stochastic mode whatever n is.
     """
     scheme = config.scheme
     d1, d2 = _offset_draws(config.seed, config.trials, scheme.d_max)
@@ -257,23 +268,25 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
 
 
 def _run_stochastic(config: SimConfig, d1, d2, info):
-    """Stochastic-mode trials: codewords start at release times drawn per
-    trial from ``_trial_rng(seed, t)``, one chunk of draws at a time."""
+    """Stochastic-mode trials: codewords start at the release times of
+    ``simulate_tau``, drawn for both users of a whole chunk at once.
+
+    The draws come in trial order from one Philox stream keyed by the seed
+    and jumped 2**128 steps past the offset stream, so trial t depends only
+    on (seed, t), not on the trial count or the chunk size.  Chunks share the
+    stream and so run serially.  Cost is O(N) per trial whatever n is.
+    """
     scheme, n = config.scheme, config.n
     n_pk = scheme.n_packets
     n_theta = n / (n_pk * scheme.code_rate)   # codeword length in slots
+    gen = np.random.Generator(np.random.Philox(key=config.seed).jumped())
     rates = np.empty((2, config.trials))
 
     def profiles(lo, hi):
-        tau = np.empty((2, hi - lo, n_pk))
-        for t in range(lo, hi):
-            rng = _trial_rng(config.seed, t)
-            for i in range(2):
-                tau[i, t - lo] = simulate_tau(scheme.lam, n, n_pk, scheme.r, rng)
-        rates[:, lo:hi] = n / (tau[:, :, -1] + n_theta)
-        return tau[0] / n_theta, tau[1] / n_theta
+        tau = simulate_tau(scheme.lam, n, n_pk, scheme.r, gen, size=(hi - lo, 2))
+        rates[:, lo:hi] = (n / (tau[:, :, -1] + n_theta)).T
+        return tau[:, 0] / n_theta, tau[:, 1] / n_theta
 
-    # simulate_tau holds the GIL, so a thread pool would only add overhead
     out1, out2, fails = _chunked_outage(d1, d2, profiles, scheme, info, threaded=False)
     # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
     rate_sum = np.cumsum(rates, axis=1)[:, -1]

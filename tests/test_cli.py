@@ -421,10 +421,13 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["sweep", "--channel", "DISCRETE", "--variable", "lambda", "--values", "0.1,-0.5",
           "--d", "5", "--r", "1.5", "--out", "OUT"],
          "error: arrival rate must be positive, got -0.5"),
+        (["simulate", "--channel", "DISCRETE", "--lambda", "1e-12", *_SIM,
+          "--n-packets", "10", "--mode", "stochastic", "--n", "1000000000"],
+         "error: n / lambda = 1e+21 slots exceeds 2**53"),
     ],
     ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
-         "zero-lambda-alpha-sweep", "negative-lambda-in-values"],
+         "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,

@@ -97,6 +97,40 @@ def test_simulate_tau_rejects_zero_bit_packets():
         simulate_tau(0.5, 3, 10, 1.5, np.random.default_rng(0))
 
 
+def test_simulate_tau_rejects_slot_counts_beyond_float_precision():
+    with pytest.raises(ic.AnalysisError, match=r"2\*\*53"):
+        simulate_tau(1e-12, 10**9, 10, 1.5, np.random.default_rng(0))
+    tau = simulate_tau(2.0**-23, 2**30, 10, 1.5, np.random.default_rng(0))   # n/lam = 2**53
+    assert np.isfinite(tau).all()
+
+
+def _bits_read(n, n_packets):
+    """k_j = ceil(j n / N), the bit whose arrival releases packet j, in exact integers."""
+    return np.array([-(-j * n // n_packets) for j in range(1, n_packets + 1)])
+
+
+@pytest.mark.parametrize("n, n_packets", [(1000, 4), (997, 7), (29, 7), (10**9, 10)])
+def test_arrival_slots_at_full_rate_are_the_bits_read(n, n_packets):
+    # At lam = 1 bit k arrives in slot k.  (29, 7): ceil(29/7 * 7) is 30 in floats.
+    xi = simulator._arrival_slots(1.0, n, n_packets, np.random.default_rng(0), size=(3,))
+    assert (xi == _bits_read(n, n_packets).astype(float)).all()
+
+
+@pytest.mark.parametrize("lam, n, n_packets", [(0.3, 997, 7), (0.3, 1000, 8), (0.05, 10**6, 5)])
+def test_arrival_slots_match_negative_binomial_moments(lam, n, n_packets):
+    # xi_j = k_j + NegBinomial(k_j, lam): mean k_j/lam, variance k_j(1-lam)/lam^2 and
+    # excess kurtosis 6/k_j + lam^2/(k_j(1-lam)).  Tolerances: 5 standard errors.
+    trials = 20000
+    xi = simulator._arrival_slots(lam, n, n_packets, np.random.default_rng(17), size=(trials,))
+    for j, k in enumerate(_bits_read(n, n_packets)):
+        mean, var = k / lam, k * (1.0 - lam) / lam**2
+        kurtosis = 6.0 / k + lam**2 / (k * (1.0 - lam))
+        se_mean = math.sqrt(var / trials)
+        se_var = var * math.sqrt(2.0 / (trials - 1) + kurtosis / trials)
+        assert abs(xi[:, j].mean() - mean) < 5.0 * se_mean, j
+        assert abs(xi[:, j].var(ddof=1) - var) < 5.0 * se_var, j
+
+
 # ---------------------------------------------------------------------------
 # overlap geometry
 # ---------------------------------------------------------------------------
@@ -435,7 +469,8 @@ def test_stochastic_mode_rates_and_determinism():
 
 
 def test_stochastic_matches_per_trial_reference():
-    # Reference: one trial at a time, rates summed in trial order.
+    # Reference: one trial at a time, user 1 then user 2 from the seed's jumped
+    # Philox stream, rates summed in trial order.
     info = reference_point()
     scheme = ic.SchemeParams(lam=0.3, r=1.5, n_packets=6, d_max=2.0, decoder=ic.TIN)
     config = ic.SimConfig(scheme=scheme, trials=30, seed=2, mode="stochastic", n=3000)
@@ -443,8 +478,8 @@ def test_stochastic_matches_per_trial_reference():
     n_theta = config.n / (scheme.n_packets * scheme.code_rate)
     theta = 1.0 / (scheme.n_packets * scheme.code_rate)
     outages, fails, rate_sum = np.zeros((2, config.trials), dtype=bool), 0, np.zeros(2)
+    rng = np.random.Generator(np.random.Philox(key=config.seed).jumped())
     for t in range(config.trials):
-        rng = simulator._trial_rng(config.seed, t)
         taus = [simulate_tau(scheme.lam, config.n, scheme.n_packets, scheme.r, rng)
                 for _ in range(2)]
         mu = overlap_fractions(d1[t] / theta + taus[0] / n_theta, d2[t] / theta + taus[1] / n_theta)
@@ -458,6 +493,74 @@ def test_stochastic_matches_per_trial_reference():
     assert res.outage == tuple(float(o.mean()) for o in outages)
     assert res.per_codeword_failures == fails.tolist()
     assert res.rates == tuple(rate_sum / config.trials)
+
+
+def test_stochastic_trials_do_not_depend_on_trial_count_or_chunk(monkeypatch):
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.3, r=1.5, n_packets=6, d_max=2.0, decoder=ic.TIN)
+    recorded = []
+    sample = simulator.simulate_tau
+
+    def record(*args, **kwargs):
+        recorded.append(sample(*args, **kwargs))
+        return recorded[-1]
+
+    def run(trials):
+        recorded.clear()
+        config = ic.SimConfig(scheme=scheme, trials=trials, seed=2, mode="stochastic", n=3000)
+        return ic.run_trials(config, info), np.concatenate(recorded)
+
+    monkeypatch.setattr(simulator, "simulate_tau", record)
+    res30, taus30 = run(30)
+    _, taus50 = run(50)
+    monkeypatch.setattr(simulator, "_CHUNK", 4)
+    res30_chunked, taus30_chunked = run(30)
+    assert taus30.shape == (30, 2, 6)
+    assert np.array_equal(taus50[:30], taus30)
+    assert np.array_equal(taus30_chunked, taus30)
+    assert res30_chunked == res30
+
+
+def _stochastic_peak_bytes(n):
+    import tracemalloc
+
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=10, d_max=10.0, decoder=ic.TIN)
+    config = ic.SimConfig(scheme=scheme, trials=4096, seed=6, mode="stochastic", n=n)
+    tracemalloc.start()
+    try:
+        ic.run_trials(config, info)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stochastic_memory_is_flat_in_n():
+    small, large = _stochastic_peak_bytes(10**5), _stochastic_peak_bytes(10**9)
+    assert large < 1.5 * small, f"peak {large} B at n=1e9 against {small} B at n=1e5"
+
+
+def test_stochastic_outage_gap_shrinks_as_inverse_sqrt_n():
+    # The finite-n outage exceeds the n -> oo closed form because release times
+    # spread by about r N sqrt((1 - lam)/n) codeword lengths.  Bounds: 4 standard
+    # errors of the binomial estimates, carried to the log-log slope by the delta method.
+    info = ic.gaussian_info_quantities(ic.GaussianIC(p1=1000.0, p2=1000.0, c1=0.8, c2=1.5))
+    scheme = ic.SchemeParams(lam=0.6, r=1.5, n_packets=10, d_max=1.0, decoder=ic.TIN)
+    inputs = ic.outage_inputs(info, scheme)
+    trials, ns = 100000, (10**4, 10**5, 10**6)
+    runs = [ic.run_trials(ic.SimConfig(scheme=scheme, trials=trials, seed=0,
+                                       mode="stochastic", n=n), info) for n in ns]
+    for j in (0, 1):
+        p_limit = ic.outage_ub_finite_n(inputs.alpha, inputs.beta[j], scheme.n_packets,
+                                        inputs.chi1[j], inputs.chi2[j]).value
+        gaps = [res.outage[j] - p_limit for res in runs]
+        ses = [math.sqrt(res.outage[j] * (1.0 - res.outage[j]) / trials) for res in runs]
+        assert gaps[-1] > 4.0 * ses[-1], gaps
+        for a in range(len(ns) - 1):
+            assert gaps[a] - gaps[a + 1] > 4.0 * math.hypot(ses[a], ses[a + 1]), gaps
+        slope = math.log(gaps[-1] / gaps[0]) / math.log(ns[-1] / ns[0])
+        se_slope = math.hypot(ses[0] / gaps[0], ses[-1] / gaps[-1]) / math.log(ns[-1] / ns[0])
+        assert abs(slope + 0.5) < 4.0 * se_slope, (slope, se_slope)
 
 
 def test_sim_config_validation():
