@@ -397,7 +397,7 @@ class EpsilonResult:
             return 0.0
         if self.kind == "value":
             return self.value
-        raise AnalysisError("epsilon bound is not applicable at this point")
+        raise AnalysisError("no r > 1 satisfies both users' constraints")
 
 
 def epsilon_bound(info: InfoQuantities, lam: float, d_max: float, mode) -> EpsilonResult:

@@ -206,23 +206,23 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
         click.echo("epsilon bound not applicable (no feasible rate)")
 
 
-def _sweep_point(info, ch, row, lam, r_value, d_max, ns, mode):
+def _sweep_point(info, ch, row, lam, r_value, d_max, ns, mode, skipped):
     """The CSV rows of one (value, mode) grid point: for each N, one per user.
 
     epsilon runs once per point, rho/beta/chi, kappa and the limit once per
     user, and only the finite-N bound once per N.  A user's cells are
     computed at the first N, so the closed forms run in the order of a
     per-N evaluation and an input with two faults raises the same first error.
+    A point left without epsilon appends why to ``skipped``.
     """
     row = dict(row, mode=mode)
     try:
         eps = _epsilon(ch, info, lam, d_max, mode)
-        if eps.kind != "not-applicable":
-            row["epsilon"] = repr(float(eps.epsilon))
         if isinstance(ch, chan.GaussianIC):
             row["case_label"] = eps.case_label
-    except an.AnalysisError:
-        pass
+        row["epsilon"] = repr(float(eps.epsilon))
+    except an.AnalysisError as exc:
+        skipped.append(f"no epsilon at {row['variable']}={row['value']}, mode {mode}: {exc}")
     alpha = lam * d_max
     users = {}
     rows = []
@@ -291,7 +291,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
         _fail(EXIT_CONFIG, "sweep needs --lambda and --d (or alpha variable)")
     _check_lambda(min(grid) if variable == "lambda" else lam)
-    rows = []
+    rows, skipped = [], []
     for value in grid:
         at_lam, at_r, at_d, at_ns = lam, r_value, d_max, ns
         if variable == "alpha":
@@ -305,7 +305,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         row = {c: "" for c in CSV_COLUMNS}
         row.update(variable=variable, value=repr(value))
         for mode in modes:
-            rows.extend(_sweep_point(info, ch, row, at_lam, at_r, at_d, at_ns, mode))
+            rows.extend(_sweep_point(info, ch, row, at_lam, at_r, at_d, at_ns, mode, skipped))
     rows.sort(
         key=lambda r: (
             r["variable"],
@@ -316,7 +316,30 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         )
     )
     _write_csv(out_path, CSV_COLUMNS, ([r[c] for c in CSV_COLUMNS] for r in rows))
+    if skipped:
+        click.echo("\n".join(skipped), err=True)
     click.echo(f"wrote {len(rows)} rows to {out_path}")
+
+
+def _closed_form(info, scheme, inputs, user: int, fluid: bool) -> float | None:
+    """The closed-form outage ``simulate --check`` compares user's with, if any.
+
+    Fluid: 0 at rho < 0 (1 if r breaks the additive DI cap), else the r >= 1
+    form, or at r < 1 the gapless form under TIN and none under DI.  Stochastic
+    outage has a finite-n bias, so it is compared only at rho >= 0 with chi1.
+    """
+    j = user - 1
+    if fluid and inputs.rho[j] < 0:
+        return 0.0 if inputs.chi2[j] else 1.0
+    if not fluid and (inputs.rho[j] < 0 or not inputs.chi1[j]):
+        return None
+    if scheme.r >= 1.0:
+        return an.outage_ub_finite_n(inputs.alpha, inputs.beta[j], scheme.n_packets,
+                                     inputs.chi1[j], inputs.chi2[j]).value
+    if scheme.decoder[j] == an.TIN:
+        return an.outage_ub_subunit_rate(info, user, scheme.lam, scheme.r,
+                                         scheme.n_packets, scheme.d_max).finite_n
+    return None
 
 
 @main.command()
@@ -350,20 +373,19 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
                    zip((1, 2), result.outage, result.halfwidth, result.rates))
     if check:
         inputs = an.outage_inputs(info, scheme)
-        for user in (1, 2):
-            j = user - 1
-            if inputs.rho[j] < 0 or not inputs.chi1[j]:
+        expected = [_closed_form(info, scheme, inputs, user, mode == "fluid") for user in (1, 2)]
+        for user, p, p_hat in zip((1, 2), expected, result.outage):
+            if p is None:
                 continue
-            p = an.outage_ub_finite_n(
-                inputs.alpha, inputs.beta[j], n_packets, inputs.chi1[j], inputs.chi2[j]
-            ).value
             sigma = np.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-            if abs(result.outage[j] - p) > 4.0 * sigma:
+            if abs(p_hat - p) > 4.0 * sigma:
                 _fail(
                     EXIT_CHECK,
-                    f"user {user}: empirical outage {result.outage[j]:.5f} deviates "
+                    f"user {user}: empirical outage {p_hat:.5f} deviates "
                     f"from closed form {p:.5f} by more than 4 sigma",
                 )
+        if mode == "fluid" and expected == [None, None]:
+            _fail(EXIT_CONFIG, "--check compared no user: no closed form for DI at r < 1")
         click.echo("check passed", err=True)
 
 

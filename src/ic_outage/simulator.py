@@ -4,14 +4,14 @@ Codewords are unit-length intervals on the normalized time axis; decoding
 succeeds when the code rate clears the overlap-weighted mutual-information
 threshold.  No codebooks are generated: this is the capacity-threshold
 abstraction, which is exact in the large-blocklength limit and makes the
-closed forms directly checkable.
+closed forms directly checkable.  Fluid trials cost O(1) each, as both users'
+codewords start on one lattice; stochastic trials cost O(N).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -148,48 +148,47 @@ def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuan
     return ~ok1.all(axis=1), ~ok2.all(axis=1), fails
 
 
-def _chunked_outage(d1, d2, profiles, scheme: SchemeParams, info: InfoQuantities, threaded):
-    """Run ``_decode`` over slices of min(_CHUNK, _CHUNK_ELEMS // N) trials.
-
-    ``profiles(lo, hi)`` gives each user's codeword starts relative to its
-    activation offset for trials lo..hi-1, in codeword lengths.  If
-    ``threaded``, slices run on up to IC_OUTAGE_THREADS threads, at most one
-    per chunk and serially below four chunks; each slice depends only on its
-    trial indices, so the result does not depend on the thread count.
-    """
-    text = os.environ.get("IC_OUTAGE_THREADS", "1") or "1"
-    try:
-        n_workers = int(text)
-    except ValueError:
-        raise AnalysisError(f"IC_OUTAGE_THREADS must be an integer, got {text!r}") from None
-    trials = len(d1)
-    chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // scheme.n_packets))
-    chunks = range(0, trials, chunk)
-    theta = 1.0 / (scheme.n_packets * scheme.code_rate)
-
-    def decode_slice(lo):
-        hi = min(lo + chunk, trials)
-        prof1, prof2 = profiles(lo, hi)
-        return _decode(d1[lo:hi, None] / theta + prof1, d2[lo:hi, None] / theta + prof2,
-                       scheme, info)
-
-    if not threaded or n_workers <= 1 or trials < 4 * chunk:
-        parts = [decode_slice(lo) for lo in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
-            parts = list(pool.map(decode_slice, chunks))
-    out1, out2, fails = zip(*parts)
-    return np.concatenate(out1), np.concatenate(out2), sum(fails)
-
-
 def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
                        info: InfoQuantities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fluid-mode trials: codewords start at the limit profile tau_bar_j.
-    Returns (outage1, outage2, fail_counts) as ``_decode`` does."""
-    taus = np.array([tau_bar(j, scheme.r) for j in range(1, scheme.n_packets + 1)])
-    return _chunked_outage(d1, d2, lambda lo, hi: (taus, taus), scheme, info, threaded=True)
+    """Fluid-mode trials: user i's codeword j starts at d_i/theta + tau_bar_j.
+    Returns (outage1, outage2, fail_counts) as ``_decode`` does.
+
+    The starts lie on one lattice of step s = max(r, 1) >= 1, so with
+    x = (d1 - d2)/theta and m = floor(-x/s) user 1's codeword j meets only
+    user 2's j-m and j-m-1, overlapping by A = max(0, 1 - |x + m s|) and
+    B = max(0, 1 - |x + (m+1) s|); user 2's k meets user 1's k+m and k+m+1.
+    So each mu is A + B, A, B or 0, by which partners exist in 1..N, and a
+    trial costs O(1).  Failures tallied per (pattern, m) spread over the
+    codewords in O(N); chunks of _CHUNK trials bound memory.
+    """
+    n = scheme.n_packets
+    s = max(scheme.r, 1.0)   # exact; tau_bar(2, r) - tau_bar(1, r) can round off 1
+    theta = 1.0 / (n * scheme.code_rate)
+    # Per m in [-N-2, N+2] (beyond, no codeword has a partner), user 1's codewords
+    # lo..hi with mu = A + B, A, B, 0 (j <= m) and 0 (j >= m+N+2); empty if lo > hi.
+    ms = np.arange(-n - 2, n + 3)
+    lo = np.maximum([ms + 2, ms + 1, ms + n + 1, np.ones_like(ms), ms + n + 2], 1).ravel()
+    hi = np.minimum([ms + n, ms + 1, ms + n + 1, ms, np.full_like(ms, n)], n).ravel()
+    exists = lo <= hi
+    tally = np.zeros((2, exists.size), dtype=np.int64)   # failures per (user, pattern, m)
+    out = np.empty((2, len(d1)), dtype=bool)
+    for start in range(0, len(d1), _CHUNK):
+        x = d1[start:start + _CHUNK] / theta - d2[start:start + _CHUNK] / theta
+        m = np.floor(-x / s)
+        y = x + m * s
+        a = np.clip(1.0 - np.abs(y), 0.0, None)
+        b = np.clip(1.0 - np.abs(y + s), 0.0, None)
+        mu = np.stack([a + b, a, b, 0.0 * a, 0.0 * a])
+        cell = np.arange(5)[:, None] * ms.size + np.clip(m, -n - 2, n + 2).astype(int) + n + 2
+        failed = [exists[cell] & ~decode_success(mu, info, i, scheme.code_rate, decoder)
+                  for i, decoder in zip((1, 2), scheme.decoder)]
+        out[:, start:start + _CHUNK] = [f.any(axis=0) for f in failed]
+        tally += [np.bincount(cell[f], minlength=exists.size) for f in failed]
+    diff = [np.bincount(lo[exists], t, n + 2) - np.bincount(hi[exists] + 1, t, n + 2)
+            for t in tally[:, exists]]   # float counts, exact below 2**53
+    fails = np.cumsum(diff, axis=1)[:, 1:n + 1].astype(np.int64)
+    fails[1] = fails[1, ::-1]   # user 2's codeword k has user 1's pattern at N+1-k
+    return out[0], out[1], fails
 
 
 @dataclass(frozen=True)
@@ -245,8 +244,8 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
 
     Deterministic for a fixed seed: trial t's offsets and release times are
     functions of (seed, t) alone, so the first t trials of a run do not depend
-    on the trial count, the chunk size or the thread count.  Each trial costs
-    O(N), in stochastic mode whatever n is.
+    on the trial count or the chunk size.  A fluid trial costs O(1) whatever
+    N is (see ``fluid_outage_flags``), a stochastic one O(N) whatever n is.
     """
     scheme = config.scheme
     d1, d2 = _offset_draws(config.seed, config.trials, scheme.d_max)
@@ -279,15 +278,19 @@ def _run_stochastic(config: SimConfig, d1, d2, info):
     scheme, n = config.scheme, config.n
     n_pk = scheme.n_packets
     n_theta = n / (n_pk * scheme.code_rate)   # codeword length in slots
+    theta = 1.0 / (n_pk * scheme.code_rate)
+    chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // n_pk))
     gen = np.random.Generator(np.random.Philox(key=config.seed).jumped())
     rates = np.empty((2, config.trials))
-
-    def profiles(lo, hi):
+    parts = []
+    for lo in range(0, config.trials, chunk):
+        hi = min(lo + chunk, config.trials)
         tau = simulate_tau(scheme.lam, n, n_pk, scheme.r, gen, size=(hi - lo, 2))
         rates[:, lo:hi] = (n / (tau[:, :, -1] + n_theta)).T
-        return tau[:, 0] / n_theta, tau[:, 1] / n_theta
-
-    out1, out2, fails = _chunked_outage(d1, d2, profiles, scheme, info, threaded=False)
+        parts.append(_decode(d1[lo:hi, None] / theta + tau[:, 0] / n_theta,
+                             d2[lo:hi, None] / theta + tau[:, 1] / n_theta, scheme, info))
+    out1, out2, fails = zip(*parts)
     # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
     rate_sum = np.cumsum(rates, axis=1)[:, -1]
-    return out1, out2, fails, tuple(rate_sum / config.trials)
+    return (np.concatenate(out1), np.concatenate(out2), sum(fails),
+            tuple(rate_sum / config.trials))

@@ -227,6 +227,33 @@ def test_sweep_labels_zero_di_bound_outside_ladder(runner, gaussian_file, tmp_pa
     assert {(r["epsilon"], r["case_label"]) for r in rows} == {("0.0", "outside-ladder")}
 
 
+def test_sweep_names_points_without_epsilon(runner, gaussian_file, discrete_file, tmp_path):
+    # Above lambda_bar = 4.98 no rate is feasible; on the discrete channel DI's
+    # feasibility interval raises.  Each blank epsilon gets one stderr line.
+    out = tmp_path / "x.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "1.0,5.5",
+         "--d", "5", "--r", "1.5", "--n", "4", "--mode", "tin", "--mode", "di",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == f"wrote 8 rows to {out}\n"
+    assert result.stderr.splitlines() == [
+        f"no epsilon at lambda=5.5, mode {m}: no r > 1 satisfies both users' constraints"
+        for m in ("tin", "di")
+    ]
+    with open(out) as f:
+        assert [r["epsilon"] == "" for r in csv.DictReader(f)] == [False] * 4 + [True] * 4
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", discrete_file, "--variable", "lambda", "--values", "0.1",
+         "--d", "5", "--mode", "di", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert result.stderr.startswith("no epsilon at lambda=0.1, mode di: need a > b > 0")
+
+
 def test_sweep_rejects_bad_grid(runner, gaussian_file, tmp_path):
     result = runner.invoke(
         main,
@@ -316,15 +343,53 @@ def test_simulate_unwritable_csv_exits_2(runner, gaussian_file, tmp_path):
     _assert_config_error(result, "cannot write")
 
 
-def test_simulate_non_integer_thread_count_exits_2(runner, gaussian_file, monkeypatch):
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "x")
+def test_simulate_ignores_thread_count_variable(runner, gaussian_file, monkeypatch):
     for mode_args in ([], ["--mode", "stochastic", "--n", "1000"]):
-        result = runner.invoke(
-            main,
-            ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
-             "--n-packets", "4", "--d", "5", "--trials", "50", *mode_args],
-        )
-        _assert_config_error(result, "IC_OUTAGE_THREADS must be an integer, got 'x'")
+        args = ["simulate", "--channel", gaussian_file, "--lambda", "1.0", "--r", "1.5",
+                "--n-packets", "4", "--d", "5", "--trials", "50", *mode_args]
+        monkeypatch.delenv("IC_OUTAGE_THREADS", raising=False)
+        unset = runner.invoke(main, args)
+        assert unset.exit_code == 0
+        for threads in ("1", "2", "64", "x"):
+            monkeypatch.setenv("IC_OUTAGE_THREADS", threads)
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stdout) == (0, unset.stdout), (mode_args, threads)
+
+
+@pytest.mark.parametrize("d_max", ["1", "5"])
+def test_simulate_fluid_check_compares_the_gapless_form(runner, gaussian_file, monkeypatch,
+                                                         d_max):
+    # At r < 1 chi1 is false for every rho >= 0; the check compares user 2
+    # with the gapless-regime form instead, 1 at D = 1 and 0.59 at D = 5, and
+    # user 1 (rho < 0) with 0.  Shifting the gapless form by 0.1 must fail it.
+    args = ["simulate", "--channel", gaussian_file, "--lambda", "0.6", "--r", "0.7",
+            "--n-packets", "4", "--d", d_max, "--trials", "20000", "--seed", "0", "--check"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == "check passed\n"
+    assert json.loads(result.stdout)["outage"][0] == 0.0
+    gapless = ic.analysis.outage_ub_subunit_rate
+
+    def shifted(info, user, *rest):
+        bound = gapless(info, user, *rest)
+        return bound._replace(finite_n=abs(bound.finite_n - 0.1))
+
+    monkeypatch.setattr(ic.analysis, "outage_ub_subunit_rate", shifted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert "user 2: empirical outage" in result.stderr
+
+
+def test_simulate_fluid_check_comparing_no_user_exits_2(runner, gaussian_file):
+    # DI at r < 1: rho < 0 is compared with 0 (lambda = 0.6, r = 0.7), but with
+    # rho >= 0 for both users (lambda = 0.9, r = 0.8) there is no closed form.
+    args = ["simulate", "--channel", gaussian_file, "--n-packets", "4", "--d", "1",
+            "--decoder", "di", "--trials", "200", "--check"]
+    result = runner.invoke(main, [*args, "--lambda", "0.6", "--r", "0.7"])
+    assert (result.exit_code, result.stderr) == (0, "check passed\n")
+    result = runner.invoke(main, [*args, "--lambda", "0.9", "--r", "0.8"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: --check compared no user: no closed form for DI at r < 1\n"
 
 
 def test_simulate_fluid_at_n_500(runner, gaussian_file):

@@ -7,10 +7,11 @@ with the admissible-interval membership test from the closed-form analysis.
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ic_outage as ic
@@ -359,6 +360,64 @@ def test_fluid_partitioning_is_order_independent():
     assert np.array_equal(whole[2], first[2] + second[2])
 
 
+def _config_info(name):
+    ch = ic.load_channel(str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
+    if isinstance(ch, ic.GaussianIC):
+        return ic.gaussian_info_quantities(ch)
+    uniform = ic.InputDistribution(np.full(2, 0.5))
+    return ic.info_quantities(ch, uniform, uniform)
+
+
+_LATTICE_INFOS = {"gaussian": _config_info("gaussian"), "discrete": _config_info("discrete"),
+                  "reference": reference_point()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_LATTICE_INFOS)), st.sampled_from([ic.TIN, ic.DI]),
+       st.one_of(st.just(1.0), st.floats(0.2, 4.0, exclude_min=True, exclude_max=True)),
+       st.integers(1, 64), st.sampled_from([0.3, 1.0, 5.0, 20.0]), st.floats(0.01, 1.0),
+       st.integers(0, 2**32))
+def test_fluid_kernel_matches_general_path(config, decoder, r, n_packets, d_max, lam, seed):
+    # The general path: overlap_fractions and decode_success on the explicit
+    # rows d/theta + tau_bar.  Trials where some codeword's rate sits within
+    # rounding of its threshold are left out; only there may the two differ.
+    info = _LATTICE_INFOS[config]
+    scheme = ic.SchemeParams(lam=lam, r=r, n_packets=n_packets, d_max=d_max, decoder=decoder)
+    r_code = scheme.code_rate
+    d1, d2 = _offset_draws(seed=seed, trials=200, d_max=d_max)
+    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    theta = 1.0 / (n_packets * r_code)
+    mus = overlap_fractions(d1[:, None] / theta + taus, d2[:, None] / theta + taus)
+    oks, tied = [], np.zeros(len(d1), dtype=bool)
+    for user, mu in zip((1, 2), mus):
+        oks.append(ic.decode_success(mu, info, user, r_code, decoder))
+        c_star, c, c_cross, ct_star, ct = info.for_user(user)
+        for full, mixed in [(c_star, c)] if decoder == ic.TIN else [(ct_star, ct),
+                                                                    (c_star, c_cross)]:
+            margin = np.abs((1.0 - mu) * full + mu * mixed - r_code)
+            tied |= (margin <= 1e-12 * max(1.0, r_code)).any(axis=1)
+    keep = ~tied
+    assume(keep.any())
+    out1, out2, fails = fluid_outage_flags(d1[keep], d2[keep], scheme, info)
+    assert np.array_equal(out1, ~oks[0][keep].all(axis=1))
+    assert np.array_equal(out2, ~oks[1][keep].all(axis=1))
+    assert np.array_equal(fails, [(~ok[keep]).sum(axis=0) for ok in oks])
+
+
+def test_fluid_gapless_lattice_step_is_exactly_one():
+    # At r <= 1 the lattice step is 1, so a codeword with two partners has
+    # overlaps summing to exactly 1.  Here r*lam = 0.020000000000000004 is an
+    # ulp above C~ = 0.02, so DI fails every such codeword, as in exact
+    # arithmetic; offsets within one codeword length leave codewords 2..7 two
+    # partners in every trial.
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=0.2, n_packets=8, d_max=1.0, decoder=ic.DI)
+    d1, d2 = _offset_draws(seed=0, trials=2000, d_max=scheme.d_max)
+    out1, out2, fails = fluid_outage_flags(d1, d2, scheme, info)
+    assert out1.all() and out2.all()
+    assert (fails[:, 1:7] == 2000).all()
+
+
 @pytest.fixture
 def pool_requests(monkeypatch):
     """Worker counts of every thread pool requested; the pool runs chunks in order."""
@@ -383,18 +442,12 @@ def pool_requests(monkeypatch):
     return requested
 
 
-def test_fluid_workers_capped_at_chunk_count(monkeypatch, pool_requests):
-    requested = pool_requests
+def test_fluid_runs_request_no_thread_pool(monkeypatch, pool_requests):
+    monkeypatch.setenv("IC_OUTAGE_THREADS", "64")
     info = reference_point()
     scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=2, d_max=15.0, decoder=ic.TIN)
-    d1, d2 = _offset_draws(seed=5, trials=4 * _CHUNK + 1, d_max=scheme.d_max)
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "64")
-    parallel = fluid_outage_flags(d1, d2, scheme, info)
-    assert requested == [5]
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
-    serial = fluid_outage_flags(d1, d2, scheme, info)
-    assert requested == [5]
-    assert all(np.array_equal(a, b) for a, b in zip(parallel, serial))
+    ic.run_trials(ic.SimConfig(scheme=scheme, trials=4 * _CHUNK + 1, seed=5), info)
+    assert pool_requests == []
 
 
 def test_stochastic_runs_request_no_thread_pool(monkeypatch, pool_requests):
@@ -405,8 +458,19 @@ def test_stochastic_runs_request_no_thread_pool(monkeypatch, pool_requests):
     ic.run_trials(ic.SimConfig(scheme=scheme, trials=16, seed=4, mode="stochastic", n=2000),
                   info)
     assert pool_requests == []
-    ic.run_trials(ic.SimConfig(scheme=scheme, trials=16, seed=4), info)   # same 4 chunks
-    assert pool_requests == [2]
+
+
+@pytest.mark.parametrize("mode, n", [("fluid", None), ("stochastic", 2000)])
+def test_run_trials_ignores_thread_count_variable(monkeypatch, mode, n):
+    monkeypatch.setattr(simulator, "_CHUNK", 4)
+    info = reference_point()
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=5, d_max=10.0, decoder=ic.TIN)
+    config = ic.SimConfig(scheme=scheme, trials=20, seed=4, mode=mode, n=n)
+    monkeypatch.delenv("IC_OUTAGE_THREADS", raising=False)
+    unset = ic.run_trials(config, info).to_json()
+    for threads in ("1", "2", "64", "x"):
+        monkeypatch.setenv("IC_OUTAGE_THREADS", threads)
+        assert ic.run_trials(config, info).to_json() == unset, threads
 
 
 def _fluid_peak_bytes(n_packets, trials):
@@ -424,19 +488,16 @@ def _fluid_peak_bytes(n_packets, trials):
 
 
 def test_fluid_kernel_holds_one_overlap_tensor_at_a_time(monkeypatch):
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
     monkeypatch.setattr(simulator, "_CHUNK", 1024)
     peak = _fluid_peak_bytes(32, 4 * 1024)
     tensor_bytes = 1024 * 32 * 32 * 8
     assert peak < 1.0 * tensor_bytes, f"peak {peak / tensor_bytes:.2f} overlap tensors"
 
 
-def test_fluid_kernel_memory_is_flat_in_n(monkeypatch):
-    # A budget small enough to bind at N=32 too: 2048 trials per chunk there, 131 at N=500.
-    monkeypatch.setenv("IC_OUTAGE_THREADS", "1")
-    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 2**16)
-    small, large = _fluid_peak_bytes(32, 4096), _fluid_peak_bytes(500, 4096)
-    assert large < 1.5 * small, f"peak {large} B at N=500 against {small} B at N=32"
+def test_fluid_kernel_memory_is_flat_in_n():
+    # Four chunks of trials; per-codeword state is O(N) and small beside a chunk.
+    small, large = _fluid_peak_bytes(4, 4 * _CHUNK), _fluid_peak_bytes(4096, 4 * _CHUNK)
+    assert large < 1.5 * small, f"peak {large} B at N=4096 against {small} B at N=4"
 
 
 def test_stochastic_results_do_not_depend_on_thread_count(monkeypatch):
