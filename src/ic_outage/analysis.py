@@ -2,7 +2,8 @@
 
 Everything here is a pure function of the information constants and the
 scheme parameters (arrival rate, normalized code rate, packet count,
-asynchrony window, decoder mode).
+asynchrony window, decoder mode).  The closed forms take numpy arrays and
+broadcast them; a call with scalars returns Python scalars, as before.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
+
+import numpy as np
 
 from .channel import AnalysisError, InfoQuantities
 
@@ -26,7 +29,6 @@ __all__ = [
     "delta_cdf",
     "admissible_intervals",
     "rate_feasibility_interval",
-    "feasible_rate_interval",
     "r0",
     "outage_ub_finite_n",
     "outage_ub_limit",
@@ -35,9 +37,8 @@ __all__ = [
     "epsilon_bound",
     "gaussian_case_label",
     "outage_ub_subunit_rate",
+    "closed_form_outage",
     "avg_rate",
-    "outage_ub_one_packet",
-    "outage_ub_two_packets",
 ]
 
 TIN = "tin"
@@ -45,6 +46,15 @@ DI = "di"
 
 # Numerical equality threshold for the additive-channel special case C* == C_cross.
 _ADDITIVE_TOL = 1e-9
+
+NO_FEASIBLE_RATE = "no r > 1 satisfies both users' constraints"
+
+
+def _out(x):
+    """A 0-d result as a Python scalar, so scalar calls stay JSON-serialisable;
+    arrays pass through."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 class InfeasibleRate(Exception):
@@ -86,29 +96,20 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval (lo, hi) on the real line; hi = inf means (lo, inf)."""
+    """Open interval (lo, hi) on the real line; hi = inf means (lo, inf).
+    lo and hi may be arrays, one interval per element."""
 
     lo: float
     hi: float = math.inf
 
-    @classmethod
-    def empty(cls) -> "Interval":
-        return cls(lo=0.0, hi=0.0)
-
     @property
-    def unbounded(self) -> bool:
-        return self.hi == math.inf
-
-    @property
-    def is_empty(self) -> bool:
+    def is_empty(self):
         return self.lo >= self.hi
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def intersect(self, other: "Interval") -> "Interval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo < hi else Interval.empty()
+        lo, hi = np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi)
+        keep = lo < hi
+        return Interval(_out(np.where(keep, lo, 0.0)), _out(np.where(keep, hi, 0.0)))
 
 
 class RhoValue(NamedTuple):
@@ -124,7 +125,7 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
     (C_i* == C_{i,i'}) the own-signal ratio degenerates and is replaced by the
     hard cap r < C_i*/lam.
     """
-    if r <= 0:
+    if np.min(r) <= 0:
         raise AnalysisError("r must be positive")
     c_star, c, c_cross, ct_star, ct = info.for_user(user)
     if mode == TIN:
@@ -133,7 +134,7 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
             raise AnalysisError(
                 f"user {user}: nonpositive denominator C*-C = {denom:.3e}"
             )
-        return RhoValue((lam * r - c) / denom, None)
+        return RhoValue(_out((lam * r - c) / denom), None)
     if mode != DI:
         raise AnalysisError(f"unknown decoder mode {mode!r}")
     t_denom = ct_star - ct
@@ -143,34 +144,29 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
         )
     tilde_ratio = (lam * r - ct) / t_denom
     if abs(c_star - c_cross) < _ADDITIVE_TOL:
-        return RhoValue(tilde_ratio, c_star / lam)
+        return RhoValue(_out(tilde_ratio), _out(c_star / lam))
     denom = c_star - c_cross
     if denom <= 0:
         raise AnalysisError(
             f"user {user}: nonpositive denominator C*-C_cross = {denom:.3e}"
         )
-    return RhoValue(max((lam * r - c_cross) / denom, tilde_ratio), None)
+    return RhoValue(_out(np.maximum((lam * r - c_cross) / denom, tilde_ratio)), None)
 
 
-def kappa(alpha: float) -> float:
+def kappa(alpha):
     """Asynchrony-window factor: 2 for alpha < 1, else (2/alpha)(2 - 1/alpha)."""
-    if alpha <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.min() <= 0:
         raise AnalysisError("alpha must be positive")
-    if alpha < 1.0:
-        return 2.0
-    return (2.0 / alpha) * (2.0 - 1.0 / alpha)
+    return _out(np.where(alpha < 1.0, 2.0, (2.0 / alpha) * (2.0 - 1.0 / alpha)))
 
 
-def delta_cdf(delta: float, d_max: float) -> float:
+def delta_cdf(delta, d_max):
     """CDF of the asynchrony |d1 - d2| for d_i ~ U[0, D]."""
-    if d_max <= 0:
+    if np.min(d_max) <= 0:
         raise AnalysisError("d_max must be positive")
-    if delta < 0:
-        return 0.0
-    if delta >= d_max:
-        return 1.0
-    u = delta / d_max
-    return u * (2.0 - u)
+    u = np.minimum(np.maximum(delta / np.asarray(d_max), 0.0), 1.0)   # 0 below, 1 beyond D
+    return _out(u * (2.0 - u))
 
 
 def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interval]:
@@ -186,31 +182,29 @@ def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interva
     for j in range(1, n_packets):
         lo = (j - 1) * r + rho_i
         hi = j * r - rho_i
-        out.append(Interval(lo, hi) if lo < hi else Interval.empty())
+        out.append(Interval(lo, hi) if lo < hi else Interval(0.0, 0.0))
     out.append(Interval((n_packets - 1) * r + rho_i))
     return out
 
 
-def _feasibility_case(a: float, b: float, lam: float) -> int:
+def _feasibility_case(a, b, lam):
     """Branch of rate_feasibility_interval: 1 when lam < min(b, a/2), 2 when
     a/2 <= lam < b, 3 when b <= lam < a/2, 0 (no solution) otherwise."""
-    if lam < b:
-        return 1 if lam < a / 2.0 else 2
-    return 3 if lam < a / 2.0 else 0
+    below_half = lam < a / 2.0
+    return np.where(lam < b, np.where(below_half, 1, 2), np.where(below_half, 3, 0))
 
 
-def rate_feasibility_interval(a: float, b: float, lam: float) -> Interval:
+def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
     """Solution in r > 1 of (lam*r - b)/(a - b) < min(1, r - 1) for a > b > 0."""
     if not a > b > 0:
         raise AnalysisError(f"need a > b > 0, got a={a}, b={b}")
+    lam = np.asarray(lam, dtype=float)
     case = _feasibility_case(a, b, lam)
-    if case == 1:
-        return Interval(1.0, a / lam)
-    if case == 2:
-        return Interval(1.0, (a - 2.0 * b) / (a - b - lam))
-    if case == 3:
-        return Interval((a - 2.0 * b) / (a - b - lam), a / lam)
-    return Interval.empty()
+    with np.errstate(divide="ignore", invalid="ignore"):    # in branches not taken
+        ratio = (a - 2.0 * b) / (a - b - lam)
+        cap = a / lam
+    return Interval(_out(np.where(case == 3, ratio, np.where(case > 0, 1.0, 0.0))),
+                    _out(np.where(case == 2, ratio, np.where(case > 0, cap, 0.0))))
 
 
 def feasible_rate_interval(info: InfoQuantities, user: int, lam: float, mode: str) -> Interval:
@@ -230,19 +224,20 @@ def _modes(mode) -> tuple[str, str]:
     return (mode, mode) if isinstance(mode, str) else tuple(mode)
 
 
-def r0(info: InfoQuantities, lam: float, d_max: float, mode) -> float:
+def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Interval:
+    return feasible_rate_interval(info, 1, lam, modes[0]).intersect(
+        feasible_rate_interval(info, 2, lam, modes[1])
+    )
+
+
+def r0(info: InfoQuantities, lam, d_max, mode):
     """Smallest feasible normalized code rate r > 1 for both users: the lower
     end of the intersection of the per-user feasible intervals.  Raises
-    InfeasibleRate when the intersection is empty.
+    InfeasibleRate when the intersection is empty (at any element of lam).
     """
-    m1, m2 = _modes(mode)
-    window = feasible_rate_interval(info, 1, lam, m1).intersect(
-        feasible_rate_interval(info, 2, lam, m2)
-    )
-    if window.is_empty:
-        raise InfeasibleRate(
-            f"no r > 1 satisfies both users' constraints at lambda={lam}"
-        )
+    window = _feasible_window(info, lam, _modes(mode))
+    if np.any(window.is_empty):
+        raise InfeasibleRate(f"{NO_FEASIBLE_RATE} at lambda={lam}")
     return window.lo
 
 
@@ -251,70 +246,64 @@ class BoundValue(NamedTuple):
     clamped: bool
 
 
-def _clamp(p: float) -> BoundValue:
-    if -1e-12 <= p <= 1.0 + 1e-12:
-        return BoundValue(min(max(p, 0.0), 1.0), False)
-    return BoundValue(p, True)
+def _clamp(p) -> BoundValue:
+    p = np.asarray(p, dtype=float)
+    inside = (-1e-12 <= p) & (p <= 1.0 + 1e-12)
+    return BoundValue(_out(np.where(inside, np.minimum(np.maximum(p, 0.0), 1.0), p)),
+                      _out(~inside))
 
 
-def outage_ub_finite_n(
-    alpha: float, beta: float, n_packets: int, chi1: bool, chi2: bool
-) -> BoundValue:
+def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     """Finite-N closed form for the outage upper bound of one user.
 
     ``beta`` is rho_i(r)/r; ``alpha`` is lam*D.  ``beta == 0`` is accepted
     (the formulas are continuous there); negative beta is the caller's
     zero-outage path and is rejected.
     """
-    if alpha <= 0:
+    alpha, beta, n = np.asarray(alpha, dtype=float), np.asarray(beta), np.asarray(n_packets)
+    if alpha.min() <= 0:
         raise AnalysisError("alpha must be positive")
-    if beta < 0:
+    if beta.min() < 0:
         raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
-    if n_packets < 1:
+    if n.min() < 1:
         raise AnalysisError("need at least one packet")
-    n = n_packets
     na = n * alpha
-    m = math.ceil(na - beta)
-    x1 = 1.0 if chi1 else 0.0
-    x2 = 1.0 if chi2 else 0.0
-    if m >= n:
-        p = (
-            1.0
-            - (1.0 - 2.0 * beta) * (2.0 - (n - 1) / na) * ((n - 1) / na) * x1
-            - (1.0 - (n - 1 + beta) / na) ** 2 * x2
-        )
-    elif m == 0 or m <= na + beta:
-        p = 1.0 - (1.0 - 2.0 * beta) * (2.0 - m / na) * (m / na) * x1
-    else:
-        # The interval straddling the window edge contributes (1 - u_m)^2 to
-        # the success mass, so it is subtracted along with the telescoped sum;
-        # continuity at m = N*alpha + beta pins the sign.
-        p = (
-            1.0
-            - (
-                (1.0 - 2.0 * beta) * (2.0 - (m - 1) / na) * ((m - 1) / na)
-                + (1.0 - (m - 1 + beta) / na) ** 2
-            )
-            * x1
-        )
-    return _clamp(p)
-
-
-def outage_ub_limit(alpha: float, beta: float, chi1: bool, chi2: bool) -> float:
-    """N -> infinity limit of the finite-N bound; equals kappa*beta when chi1 holds."""
-    if alpha <= 0:
-        raise AnalysisError("alpha must be positive")
-    if beta < 0:
-        raise AnalysisError("negative beta has no outage limit; use the zero path")
-    x1 = 1.0 if chi1 else 0.0
-    x2 = 1.0 if chi2 else 0.0
-    if alpha < 1.0:
-        return 1.0 - (1.0 - 2.0 * beta) * x1
-    return (
+    m = np.ceil(na - beta)
+    x1 = np.where(chi1, 1.0, 0.0)
+    x2 = np.where(chi2, 1.0, 0.0)
+    tail = 1.0 - (n - 1 + beta) / na
+    edge = 1.0 - (m - 1 + beta) / na
+    full = (
         1.0
-        - (1.0 / alpha) * (2.0 - 1.0 / alpha) * (1.0 - 2.0 * beta) * x1
-        - (1.0 - 1.0 / alpha) ** 2 * x2
+        - (1.0 - 2.0 * beta) * (2.0 - (n - 1) / na) * ((n - 1) / na) * x1
+        - tail * tail * x2
     )
+    inner = 1.0 - (1.0 - 2.0 * beta) * (2.0 - m / na) * (m / na) * x1
+    # The interval straddling the window edge contributes (1 - u_m)^2 to
+    # the success mass, so it is subtracted along with the telescoped sum;
+    # continuity at m = N*alpha + beta pins the sign.
+    straddle = (
+        1.0
+        - ((1.0 - 2.0 * beta) * (2.0 - (m - 1) / na) * ((m - 1) / na) + edge * edge) * x1
+    )
+    return _clamp(np.where(m >= n, full, np.where((m == 0) | (m <= na + beta), inner, straddle)))
+
+
+def outage_ub_limit(alpha, beta, chi1, chi2):
+    """N -> infinity limit of the finite-N bound; equals kappa*beta when chi1 holds."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta)
+    if alpha.min() <= 0:
+        raise AnalysisError("alpha must be positive")
+    if beta.min() < 0:
+        raise AnalysisError("negative beta has no outage limit; use the zero path")
+    x1 = np.where(chi1, 1.0, 0.0)
+    x2 = np.where(chi2, 1.0, 0.0)
+    tail = 1.0 - 1.0 / alpha
+    return _out(np.where(
+        alpha < 1.0,
+        1.0 - (1.0 - 2.0 * beta) * x1,
+        1.0 - (1.0 / alpha) * (2.0 - 1.0 / alpha) * (1.0 - 2.0 * beta) * x1 - tail * tail * x2,
+    ))
 
 
 @dataclass(frozen=True)
@@ -347,9 +336,7 @@ class UserOutageInputs(NamedTuple):
     chi2: bool
 
 
-def user_outage_inputs(
-    info: InfoQuantities, user: int, r: float, lam: float, mode: str
-) -> UserOutageInputs:
+def user_outage_inputs(info: InfoQuantities, user: int, r, lam, mode: str) -> UserOutageInputs:
     """rho_i(r), beta_i = rho_i/r and the chi indicators of one user.
 
     chi1 is rho_i < min(1, r - 1) and chi2 is rho_i < 1; both also need r
@@ -357,12 +344,12 @@ def user_outage_inputs(
     (0, 1], so parameter sweeps can use it too.
     """
     value, cap = rho(info, user, r, lam, mode)
-    cap_ok = cap is None or r < cap
+    cap_ok = True if cap is None else np.asarray(r) < cap
     return UserOutageInputs(
         rho=value,
-        beta=value / r,
-        chi1=value < min(1.0, r - 1.0) and cap_ok,
-        chi2=value < 1.0 and cap_ok,
+        beta=_out(value / np.asarray(r)),
+        chi1=_out((value < np.minimum(1.0, r - 1.0)) & cap_ok),
+        chi2=_out((np.asarray(value) < 1.0) & cap_ok),
     )
 
 
@@ -384,6 +371,9 @@ def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> OutageInputs:
 
 @dataclass(frozen=True)
 class EpsilonResult:
+    """One bound, or arrays of them: then value, r0 and kappa are nan and
+    user is 0 where kind is not "value"."""
+
     kind: str             # "zero", "value" or "not-applicable"
     value: float | None = None
     r0: float | None = None
@@ -392,40 +382,48 @@ class EpsilonResult:
     case_label: str = ""
 
     @property
-    def epsilon(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "value":
-            return self.value
-        raise AnalysisError("no r > 1 satisfies both users' constraints")
+    def epsilon(self):
+        kind = np.asarray(self.kind)
+        if np.any(kind == "not-applicable"):
+            raise AnalysisError(NO_FEASIBLE_RATE)
+        return _out(np.where(kind == "zero", 0.0, np.asarray(self.value, dtype=float)))
 
 
-def epsilon_bound(info: InfoQuantities, lam: float, d_max: float, mode) -> EpsilonResult:
+def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     """Outage-level bound: zero below the decoder threshold, else
-    kappa * max_i beta_i(r0)."""
+    kappa * max_i beta_i(r0).  lam and d_max broadcast."""
     m1, m2 = _modes(mode)
     thresholds = []
     for user, m in ((1, m1), (2, m2)):
         c_star, c, c_cross, ct_star, ct = info.for_user(user)
         thresholds.append(c if m == TIN else min(c_cross, ct))
-    if lam <= min(thresholds):
-        return EpsilonResult(kind="zero", case_label="below-threshold")
-    try:
-        r_inf = r0(info, lam, d_max, (m1, m2))
-    except InfeasibleRate:
-        return EpsilonResult(kind="not-applicable", case_label="no-feasible-rate")
-    k = kappa(lam * d_max)
-    betas = []
-    for user, m in ((1, m1), (2, m2)):
-        value, _ = rho(info, user, r_inf, lam, m)
-        betas.append(value / r_inf)
-    user = 1 + int(betas[1] > betas[0])
-    return EpsilonResult(kind="value", value=k * max(betas), r0=r_inf, kappa=k, user=user)
+    lam, d_max = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(d_max, dtype=float))
+    zero = lam <= min(thresholds)
+    kind = np.where(zero, "zero", "not-applicable")
+    r_inf = k = eps = np.full(lam.shape, np.nan)
+    user = np.zeros(lam.shape, dtype=int)
+    if not zero.all():      # a grid all below the threshold never reads the window
+        window = _feasible_window(info, lam, (m1, m2))
+        valued = ~zero & ~window.is_empty
+        kind = np.where(valued, "value", kind)
+        r_inf = np.where(valued, window.lo, np.nan)
+        k = np.where(valued, kappa(np.where(valued, lam * d_max, 1.0)), np.nan)
+        betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in ((1, m1), (2, m2))]
+        eps = k * np.maximum(*betas)
+        user = np.where(valued, 1 + (betas[1] > betas[0]), 0)
+    label = np.where(kind == "zero", "below-threshold",
+                     np.where(kind == "value", "", "no-feasible-rate"))
+    if lam.ndim:
+        return EpsilonResult(kind, eps, r_inf, k, user, label)
+    if kind != "value":
+        return EpsilonResult(kind=str(kind), case_label=str(label))
+    return EpsilonResult("value", float(eps), float(r_inf), float(k), int(user))
 
 
-def gaussian_case_label(
-    res: EpsilonResult, info: InfoQuantities, lam: float, mode: str
-) -> EpsilonResult:
+_CASE_LABELS = np.array([[f"case{k}-user{j}" for j in (1, 2)] for k in range(4)])
+
+
+def gaussian_case_label(res: EpsilonResult, info: InfoQuantities, lam, mode: str) -> EpsilonResult:
     """Attach the Gaussian case label to a result of epsilon_bound.
 
     A value is labelled case{k}-user{j}: j is the binding user and k the
@@ -433,12 +431,14 @@ def gaussian_case_label(
     pairs (C*, C) for TIN and (C~*, C~) for DI.  Zero and not-applicable
     results lie outside the ladder.
     """
-    if res.kind != "value":
+    if np.ndim(res.kind) == 0 and res.kind != "value":
         return replace(res, case_label="outside-ladder")
     a, b = (info.c_star, info.c) if mode == TIN else (info.c_tilde_star, info.c_tilde)
-    other = 2 - res.user    # 0-based index of the other user
-    k = _feasibility_case(a[other], b[other], lam)
-    return replace(res, case_label=f"case{k}-user{res.user}")
+    user = np.asarray(res.user)
+    other = np.where(user == 1, 1, 0)     # 0-based index of the other user
+    k = _feasibility_case(np.take(a, other), np.take(b, other), lam)
+    label = np.where(np.asarray(res.kind) == "value", _CASE_LABELS[k, user - 1], "outside-ladder")
+    return replace(res, case_label=_out(label))
 
 
 class SubunitRateBound(NamedTuple):
@@ -446,34 +446,59 @@ class SubunitRateBound(NamedTuple):
     limit: float
 
 
-def outage_ub_subunit_rate(
-    info: InfoQuantities,
-    user: int,
-    lam: float,
-    r: float,
-    n_packets: int,
-    d_max: float,
-) -> SubunitRateBound:
+def outage_ub_subunit_rate(info: InfoQuantities, user: int, lam, r, n_packets, d_max
+                           ) -> SubunitRateBound:
     """Outage bound for the gapless 0 < r < 1 regime (TIN decoding), plus its
     (N -> inf, r -> 1-) limit.  The limit is kappa/2 in the middle branch."""
-    if not 0.0 < r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 < r) & (r < 1.0)):
         raise AnalysisError("this bound applies to 0 < r < 1 only")
     c_star, c, _, _, _ = info.for_user(user)
-    value = (lam * r - c) / (c_star - c)
+    value = np.asarray(rho(info, user, r, lam, TIN).value)
     theta = 1.0 / (n_packets * r * lam)
     n = n_packets
-    p = 1.0
-    if value < 0.0:
-        p = 0.0     # rho_i < 0: decodable under any overlap, so no outage
-    elif value < 1.0:
-        p -= 1.0 - delta_cdf((n - 1 + value) * theta, d_max)
-    if lam <= c:
-        limit = 0.0
-    elif lam <= c_star:
-        limit = delta_cdf(1.0 / lam, d_max)
-    else:
-        limit = 1.0
-    return SubunitRateBound(p, limit)
+    cdf = delta_cdf((n - 1 + value) * theta, d_max)
+    # rho_i < 0: decodable under any overlap, so no outage
+    p = np.where(value < 0.0, 0.0, np.where(value < 1.0, 1.0 - (1.0 - cdf), 1.0))
+    limit = np.where(lam <= c, 0.0, np.where(lam <= c_star, delta_cdf(1.0 / lam, d_max), 1.0))
+    return SubunitRateBound(_out(p), _out(limit))
+
+
+class ClosedForm(NamedTuple):
+    inputs: UserOutageInputs
+    finite_n: float | None   # nan where no closed form applies; None without N
+    limit: float             # N -> inf; nan at r < 1
+
+
+def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max,
+                       mode: str) -> ClosedForm:
+    """User i's fluid outage in closed form, at N packets and as N -> inf.
+
+    - rho_i < 0: 0, or 1 if r breaks the additive DI cap r < C*/lam;
+    - r >= 1: outage_ub_finite_n and outage_ub_limit, chi1 false included;
+    - r < 1: the gapless outage_ub_subunit_rate(...).finite_n under TIN and
+      none under DI; the library has no limit at a fixed r < 1.
+
+    Where no closed form applies the value is nan.  The arguments broadcast;
+    finite_n is None when n_packets is.
+    """
+    inputs = user_outage_inputs(info, user, r, lam, mode)
+    negative = np.asarray(inputs.rho) < 0
+    beta = np.where(negative, 0.0, inputs.beta)
+    zero_path = np.where(inputs.chi2, 0.0, 1.0)
+    bursty = np.asarray(r) >= 1.0
+    alpha = lam * d_max
+    limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2), np.nan)
+    finite_n = None
+    if n_packets is not None:
+        bound = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2)
+        finite_n = np.where(bursty, bound.value, np.nan)
+        if mode == TIN and not bursty.all():
+            gapless = outage_ub_subunit_rate(info, user, lam, np.where(bursty, 0.5, r),
+                                             n_packets, d_max)
+            finite_n = np.where(bursty, finite_n, gapless.finite_n)
+        finite_n = _out(np.where(negative, zero_path, finite_n))
+    return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))
 
 
 def avg_rate(n_packets: int, r: float, lam: float) -> float:
@@ -484,24 +509,3 @@ def avg_rate(n_packets: int, r: float, lam: float) -> float:
     if r > 1.0:
         return n * r / (n * r + 1.0) * lam
     return n * r / (n + r) * lam
-
-
-def outage_ub_one_packet(alpha: float, beta: float) -> float:
-    """N=1 bound when both chi indicators hold."""
-    if beta >= alpha:
-        return 1.0
-    u = beta / alpha
-    return u * (2.0 - u)
-
-
-def outage_ub_two_packets(alpha: float, beta: float) -> float:
-    """N=2 bound when both chi indicators hold."""
-    ta = 2.0 * alpha
-    if beta >= ta:
-        return 1.0
-    if ta <= 1.0 - beta:
-        return 1.0 - (1.0 - beta / ta) ** 2
-    base = 1.0 - (1.0 - 2.0 * beta) * (2.0 - 1.0 / ta) / ta
-    if ta <= 1.0 + beta:
-        return base
-    return base - (1.0 - (1.0 + beta) / ta) ** 2

@@ -62,9 +62,9 @@ def _parse_list(text: str, convert, what: str) -> list:
         _fail(EXIT_CONFIG, f"cannot parse {what} {text!r}")
 
 
-def _check_lambda(lam: float) -> None:
-    if lam <= 0:
-        _fail(EXIT_CONFIG, f"arrival rate must be positive, got {lam!r}")
+def _check_positive(value: float, what: str) -> None:
+    if value <= 0:
+        _fail(EXIT_CONFIG, f"{what} must be positive, got {value!r}")
 
 
 def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
@@ -137,7 +137,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
     """Report information constants, thresholds and the outage bound."""
-    _check_lambda(lam)
+    _check_positive(lam, "arrival rate")
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
     lbar, _ = chan.lambda_bar(ch)
@@ -206,50 +206,29 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
         click.echo("epsilon bound not applicable (no feasible rate)")
 
 
-def _sweep_point(info, ch, row, lam, r_value, d_max, ns, mode, skipped):
-    """The CSV rows of one (value, mode) grid point: for each N, one per user.
+def _reprs(x) -> np.ndarray:
+    """The repr of each float in x, as CSV cells; nan gives a blank cell."""
+    x = np.asarray(x, dtype=float)
+    cells = ["" if math.isnan(v) else repr(v) for v in x.ravel().tolist()]
+    return np.array(cells, dtype=object).reshape(x.shape)
 
-    epsilon runs once per point, rho/beta/chi, kappa and the limit once per
-    user, and only the finite-N bound once per N.  A user's cells are
-    computed at the first N, so the closed forms run in the order of a
-    per-N evaluation and an input with two faults raises the same first error.
-    A point left without epsilon appends why to ``skipped``.
-    """
-    row = dict(row, mode=mode)
+
+def _epsilon_cells(ch, info, lam, d_max, mode, size: int):
+    """The epsilon and case_label cells of one mode over a grid of ``size``
+    points, and why each point left without epsilon has none ("" if it has one)."""
     try:
         eps = _epsilon(ch, info, lam, d_max, mode)
-        if isinstance(ch, chan.GaussianIC):
-            row["case_label"] = eps.case_label
-        row["epsilon"] = repr(float(eps.epsilon))
     except an.AnalysisError as exc:
-        skipped.append(f"no epsilon at {row['variable']}={row['value']}, mode {mode}: {exc}")
-    alpha = lam * d_max
-    users = {}
-    rows = []
-    for n_packets in ns:
-        for user in (1, 2):
-            urow = dict(row, user=user)
-            rows.append(urow)
-            if r_value is None:
-                continue
-            if user not in users:
-                rho_v, beta, chi1, chi2 = an.user_outage_inputs(info, user, r_value, lam, mode)
-                cells = dict(rho=repr(float(rho_v)), beta=repr(float(beta)),
-                             kappa=repr(float(an.kappa(alpha))), chi1=int(chi1), chi2=int(chi2))
-                if beta >= 0:
-                    cells["p_outage_limit"] = repr(
-                        float(an.outage_ub_limit(alpha, beta, chi1, chi2))
-                    )
-                users[user] = cells, beta, chi1, chi2
-            cells, beta, chi1, chi2 = users[user]
-            urow.update(cells)
-            if n_packets is not None:
-                urow["N"] = n_packets
-                if beta >= 0:
-                    urow["p_outage_finiteN"] = repr(
-                        float(an.outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2).value)
-                    )
-    return rows
+        if np.ndim(lam) == np.ndim(d_max) == 0:
+            return np.full(size, ""), np.full(size, ""), np.full(size, str(exc))
+        # A fault of the channel spares the points below the decoder threshold.
+        parts = [_epsilon_cells(ch, info, v, d, mode, 1) for v, d in np.broadcast(lam, d_max)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    kind = np.broadcast_to(eps.kind, size)
+    value = np.where(kind == "zero", 0.0, np.asarray(eps.value, dtype=float))
+    label = eps.case_label if isinstance(ch, chan.GaussianIC) else ""
+    reasons = np.where(kind == "not-applicable", an.NO_FEASIBLE_RATE, "")
+    return _reprs(np.broadcast_to(value, size)), np.broadcast_to(label, size), reasons
 
 
 @main.command()
@@ -290,56 +269,60 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         _fail(EXIT_CONFIG, "alpha sweeps need a fixed --lambda")
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
         _fail(EXIT_CONFIG, "sweep needs --lambda and --d (or alpha variable)")
-    _check_lambda(min(grid) if variable == "lambda" else lam)
-    rows, skipped = [], []
-    for value in grid:
-        at_lam, at_r, at_d, at_ns = lam, r_value, d_max, ns
-        if variable == "alpha":
-            at_d = value / lam
-        elif variable == "lambda":
-            at_lam = value
-        elif variable == "r":
-            at_r = value
-        else:
-            at_ns = [int(value)]
-        row = {c: "" for c in CSV_COLUMNS}
-        row.update(variable=variable, value=repr(value))
-        for mode in modes:
-            rows.extend(_sweep_point(info, ch, row, at_lam, at_r, at_d, at_ns, mode, skipped))
-    rows.sort(
-        key=lambda r: (
-            r["variable"],
-            float(r["value"]),
-            -1 if r["N"] == "" else int(r["N"]),
-            r["mode"],
-            r["user"],
-        )
-    )
-    _write_csv(out_path, CSV_COLUMNS, ([r[c] for c in CSV_COLUMNS] for r in rows))
-    if skipped:
-        click.echo("\n".join(skipped), err=True)
+    _check_positive(min(grid) if variable == "lambda" else lam, "arrival rate")
+    if variable == "alpha":
+        _check_positive(min(grid), "alpha")
+    else:
+        _check_positive(d_max, "asynchrony window")
+    counts = grid if variable == "n_packets" else [n for n in ns if n is not None]
+    bad = [n for n in counts if n < 1 or n != int(n)]
+    if bad:
+        _fail(EXIT_CONFIG, f"packet counts must be integers >= 1, got {bad[0]!r}")
+    # Each closed form runs once per mode over the whole grid.  Cells are laid
+    # out as (mode, user, N, value) and the rows sorted at the end.
+    points = np.array(grid)
+    at_lam = points if variable == "lambda" else lam
+    at_d = points / lam if variable == "alpha" else d_max
+    at_r = points if variable == "r" else r_value
+    if variable == "n_packets":
+        at_n = points.astype(int)
+    else:
+        at_n = None if ns == [None] else np.array(ns)[:, None]
+    shape = (len(modes), 2, len(ns) if np.ndim(at_n) == 2 else 1, len(grid))
+    cols = {c: np.full(shape, "", dtype=object) for c in CSV_COLUMNS}
+    cols["variable"][...] = variable
+    cols["value"][...] = _reprs(points)
+    cols["user"][...] = np.array([1, 2])[:, None, None]
+    if at_r is not None and at_n is not None:
+        cols["N"][...] = np.broadcast_to(at_n, shape[2:])
+    skipped = np.full((len(grid), len(modes)), "", dtype=object)
+    for m, mode in enumerate(modes):
+        cols["mode"][m] = mode
+        cols["epsilon"][m], cols["case_label"][m], skipped[:, m] = _epsilon_cells(
+            ch, info, at_lam, at_d, mode, len(grid))
+        if at_r is None:
+            continue
+        cols["kappa"][m] = _reprs(an.kappa(at_lam * at_d))
+        for u, user in enumerate((1, 2)):
+            bound = an.closed_form_outage(info, user, at_lam, at_r, at_n, at_d, mode)
+            rho_v, beta, chi1, chi2 = bound.inputs
+            blank = np.asarray(rho_v) < 0       # zero-outage cells stay blank
+            cols["rho"][m, u], cols["beta"][m, u] = _reprs(rho_v), _reprs(beta)
+            cols["chi1"][m, u] = np.where(chi1, "1", "0")
+            cols["chi2"][m, u] = np.where(chi2, "1", "0")
+            cols["p_outage_limit"][m, u] = _reprs(np.where(blank, np.nan, bound.limit))
+            if at_n is not None:
+                cols["p_outage_finiteN"][m, u] = _reprs(np.where(blank, np.nan, bound.finite_n))
+    keys = (cols["user"].astype(int), cols["mode"].astype(str),
+            np.where(cols["N"] == "", -1, cols["N"]).astype(int), points)
+    order = np.lexsort([np.broadcast_to(key, shape).ravel() for key in keys])
+    rows = np.stack([cols[c].ravel() for c in CSV_COLUMNS], axis=1)[order]
+    _write_csv(out_path, CSV_COLUMNS, rows.tolist())
+    reasons = [f"no epsilon at {variable}={grid[g]!r}, mode {modes[m]}: {skipped[g, m]}"
+               for g, m in zip(*np.nonzero(skipped != ""))]
+    if reasons:
+        click.echo("\n".join(reasons), err=True)
     click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-
-def _closed_form(info, scheme, inputs, user: int, fluid: bool) -> float | None:
-    """The closed-form outage ``simulate --check`` compares user's with, if any.
-
-    Fluid: 0 at rho < 0 (1 if r breaks the additive DI cap), else the r >= 1
-    form, or at r < 1 the gapless form under TIN and none under DI.  Stochastic
-    outage has a finite-n bias, so it is compared only at rho >= 0 with chi1.
-    """
-    j = user - 1
-    if fluid and inputs.rho[j] < 0:
-        return 0.0 if inputs.chi2[j] else 1.0
-    if not fluid and (inputs.rho[j] < 0 or not inputs.chi1[j]):
-        return None
-    if scheme.r >= 1.0:
-        return an.outage_ub_finite_n(inputs.alpha, inputs.beta[j], scheme.n_packets,
-                                     inputs.chi1[j], inputs.chi2[j]).value
-    if scheme.decoder[j] == an.TIN:
-        return an.outage_ub_subunit_rate(info, user, scheme.lam, scheme.r,
-                                         scheme.n_packets, scheme.d_max).finite_n
-    return None
 
 
 @main.command()
@@ -372,11 +355,17 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
         _write_csv(csv_path, ["user", "outage", "halfwidth", "rate"],
                    zip((1, 2), result.outage, result.halfwidth, result.rates))
     if check:
-        inputs = an.outage_inputs(info, scheme)
-        expected = [_closed_form(info, scheme, inputs, user, mode == "fluid") for user in (1, 2)]
-        for user, p, p_hat in zip((1, 2), expected, result.outage):
-            if p is None:
+        bounds = [an.closed_form_outage(info, user, lam, r_value, n_packets, d_max,
+                                        scheme.decoder[user - 1]) for user in (1, 2)]
+        compared = 0
+        for user, bound, p_hat in zip((1, 2), bounds, result.outage):
+            p = bound.finite_n
+            # Stochastic outage has a finite-n bias, so it is compared only
+            # at rho >= 0 with chi1.
+            biased = mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1)
+            if math.isnan(p) or biased:
                 continue
+            compared += 1
             sigma = np.sqrt(max(p * (1.0 - p), 1e-12) / trials)
             if abs(p_hat - p) > 4.0 * sigma:
                 _fail(
@@ -384,7 +373,7 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
                     f"user {user}: empirical outage {p_hat:.5f} deviates "
                     f"from closed form {p:.5f} by more than 4 sigma",
                 )
-        if mode == "fluid" and expected == [None, None]:
+        if mode == "fluid" and not compared:
             _fail(EXIT_CONFIG, "--check compared no user: no closed form for DI at r < 1")
         click.echo("check passed", err=True)
 

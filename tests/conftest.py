@@ -234,7 +234,7 @@ def r0_bisection_residual(
                 return False
         return True
 
-    hi = window.hi if not window.unbounded else window.lo + 10.0
+    hi = window.hi if window.hi != math.inf else window.lo + 10.0
     probe = min(analytic + 1e-6, (analytic + hi) / 2.0) if hi > analytic else analytic
     if analytic > 1.0 and predicate(probe):
         lo_b, hi_b = 1.0, probe
@@ -262,15 +262,13 @@ def outage_ub_numeric_oracle(
     chi2: bool,
 ) -> float:
     """Interval-sum evaluation of the outage_ub_finite_n bound, used to
-    cross-check the closed form: one CDF difference per admissible interval."""
+    cross-check the closed form: one CDF difference per admissible interval,
+    all evaluated in one array call."""
     theta = 1.0 / (n_packets * r * lam)
     intervals = admissible_intervals(r, rho_i, n_packets)
-    mass_union = 0.0
-    for iv in intervals[:-1]:
-        if not iv.is_empty:
-            mass_union += delta_cdf(theta * iv.hi, d_max) - delta_cdf(
-                theta * iv.lo, d_max
-            )
+    bounded = [(iv.lo, iv.hi) for iv in intervals[:-1] if not iv.is_empty]
+    lo, hi = np.array(bounded).reshape(-1, 2).T
+    mass_union = float(np.sum(delta_cdf(theta * hi, d_max) - delta_cdf(theta * lo, d_max)))
     tail = 1.0 - delta_cdf(theta * intervals[-1].lo, d_max)
     p = 1.0
     if chi1:
@@ -278,6 +276,31 @@ def outage_ub_numeric_oracle(
     if chi2:
         p -= tail
     return p
+
+
+# ---------------------------------------------------------------------------
+# oracle: the N = 1 and N = 2 special cases of the finite-N bound
+# ---------------------------------------------------------------------------
+
+def outage_ub_one_packet(alpha: float, beta: float) -> float:
+    """N=1 bound when both chi indicators hold."""
+    if beta >= alpha:
+        return 1.0
+    u = beta / alpha
+    return u * (2.0 - u)
+
+
+def outage_ub_two_packets(alpha: float, beta: float) -> float:
+    """N=2 bound when both chi indicators hold."""
+    ta = 2.0 * alpha
+    if beta >= ta:
+        return 1.0
+    if ta <= 1.0 - beta:
+        return 1.0 - (1.0 - beta / ta) ** 2
+    base = 1.0 - (1.0 - 2.0 * beta) * (2.0 - 1.0 / ta) / ta
+    if ta <= 1.0 + beta:
+        return base
+    return base - (1.0 - (1.0 + beta) / ta) ** 2
 
 
 # ---------------------------------------------------------------------------

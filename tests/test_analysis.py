@@ -9,6 +9,7 @@ labels against the hand-written case ladder in conftest.
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ import ic_outage as ic
 from ic_outage.analysis import (
     BoundValue,
     EpsilonResult,
-    outage_ub_one_packet,
-    outage_ub_two_packets,
     feasible_rate_interval,
     outage_ub_finite_n,
 )
@@ -28,6 +27,8 @@ from conftest import (
     dist,
     ladder_oracle,
     outage_ub_numeric_oracle,
+    outage_ub_one_packet,
+    outage_ub_two_packets,
     r0_bisection_residual,
     random_discrete,
     reference_point,
@@ -118,7 +119,7 @@ def test_delta_cdf_matches_uniform_difference_distribution():
 def test_admissible_intervals_basic():
     ivs = ic.admissible_intervals(2.0, 0.5, 2)
     assert (ivs[0].lo, ivs[0].hi) == (0.5, 1.5)
-    assert ivs[1].lo == 2.5 and ivs[1].unbounded
+    assert ivs[1].lo == 2.5 and ivs[1].hi == math.inf
 
 
 def test_admissible_intervals_hand_substitution():
@@ -127,14 +128,14 @@ def test_admissible_intervals_hand_substitution():
     assert ivs[0].hi == pytest.approx(1.1 - 0.0501)
     assert ivs[1].lo == pytest.approx(1.1 + 0.0501)
     assert ivs[1].hi == pytest.approx(2.2 - 0.0501)
-    assert ivs[2].lo == pytest.approx(2.2 + 0.0501) and ivs[2].unbounded
+    assert ivs[2].lo == pytest.approx(2.2 + 0.0501) and ivs[2].hi == math.inf
 
 
 def test_admissible_intervals_negative_rho_covers_positive_axis():
     ivs = ic.admissible_intervals(1.5, -0.2, 4)
     # consecutive intervals overlap, so their union covers (rho, inf)
     for a, b in zip(ivs, ivs[1:]):
-        assert b.lo < a.hi if not a.unbounded else True
+        assert b.lo < a.hi if a.hi != math.inf else True
 
 
 def test_admissible_intervals_invert_to_empty():
@@ -179,11 +180,11 @@ def test_feasibility_interval_agrees_with_pointwise_predicate(a_scale, b_frac, l
     rng = np.random.default_rng(17)
     for r in 1.0 + rng.random(25) * 4.0:
         inside = (lam * r - b) / (a - b) < min(1.0, r - 1.0)
-        if iv.contains(r):
+        if iv.lo < r < iv.hi:
             assert inside
         # avoid boundary ties when checking the converse direction
         elif not iv.is_empty and (
-            min(abs(r - iv.lo), abs(r - (iv.hi if not iv.unbounded else r + 1))) > 1e-9
+            min(abs(r - iv.lo), abs(r - (iv.hi if iv.hi != math.inf else r + 1))) > 1e-9
         ):
             assert not inside
         elif iv.is_empty:
@@ -545,6 +546,13 @@ def test_subunit_rate_limit_branches():
         ic.outage_ub_subunit_rate(info, 1, 0.1, 1.2, 50, 3.0)
 
 
+def test_subunit_rate_rejects_degenerate_denominator():
+    # c1 = 0 makes C1* = C1; the gapless form shares rho's denominator check.
+    info = ic.gaussian_info_quantities(ic.GaussianIC(p1=1000.0, p2=1000.0, c1=0.0, c2=1.5))
+    with pytest.raises(ic.AnalysisError, match=r"user 1: nonpositive denominator C\*-C = 0"):
+        ic.outage_ub_subunit_rate(info, 1, 0.6, 0.7, 4, 5.0)
+
+
 def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
     # A grid that has rho_i < 0 for both users.  There every codeword
     # decodes under any overlap (the fluid simulator gives exactly 0), so
@@ -638,3 +646,104 @@ def test_avg_rate():
     # both branch expressions agree at r = 1
     n = 7
     assert n * 1.0 / (n * 1.0 + 1) == n * 1.0 / (n + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# array path: a grid call equals its element-wise 0-d calls bit for bit
+# ---------------------------------------------------------------------------
+
+def _config_infos():
+    root = Path(__file__).resolve().parents[1] / "configs"
+    gaussian = ic.load_channel(str(root / "gaussian.json"))
+    discrete = ic.load_channel(str(root / "discrete.json"))
+    uniform = ic.InputDistribution(np.full(2, 0.5))
+    return {
+        "gaussian": ic.gaussian_info_quantities(gaussian),
+        "discrete": ic.info_quantities(discrete, uniform, uniform),
+        "reference": reference_point(),
+    }
+
+
+INFOS = _config_infos()
+
+
+def _closed_forms(info, mode):
+    """Each array closed form as f(lam, r, d_max, n_packets)."""
+    an = ic.analysis
+
+    def finite_n(lam, r, d, n):
+        _, beta, chi1, chi2 = an.user_outage_inputs(info, 2, r, lam, mode)
+        return an.outage_ub_finite_n(lam * d, np.abs(beta), n, chi1, chi2)
+
+    def limit(lam, r, d, n):
+        _, beta, chi1, chi2 = an.user_outage_inputs(info, 2, r, lam, mode)
+        return an.outage_ub_limit(lam * d, np.abs(beta), chi1, chi2)
+
+    def labelled(lam, r, d, n):
+        return an.gaussian_case_label(an.epsilon_bound(info, lam, d, mode), info, lam, mode)
+
+    return {
+        "rho": lambda lam, r, d, n: an.rho(info, 1, r, lam, mode),
+        "user_outage_inputs": lambda lam, r, d, n: an.user_outage_inputs(info, 2, r, lam, mode),
+        "kappa": lambda lam, r, d, n: an.kappa(lam * d),
+        "rate_feasibility_interval":
+            lambda lam, r, d, n: an.rate_feasibility_interval(*info.for_user(1)[:2], lam),
+        "r0": lambda lam, r, d, n: an.r0(info, lam, d, mode),
+        "epsilon_bound": labelled,
+        "outage_ub_finite_n": finite_n,
+        "outage_ub_limit": limit,
+        "outage_ub_subunit_rate":
+            lambda lam, r, d, n: an.outage_ub_subunit_rate(info, 2, lam, r / (1.0 + r), n, d),
+        "closed_form_outage":
+            lambda lam, r, d, n: an.closed_form_outage(info, 1, lam, r, n, d, mode),
+    }
+
+
+def _leaves(res) -> list:
+    """A result's fields; a scalar result's None reads as the arrays' nan (or user 0)."""
+    if isinstance(res, EpsilonResult):
+        def fill(v, empty):
+            return empty if v is None else v
+        return [res.kind, fill(res.value, math.nan), fill(res.r0, math.nan),
+                fill(res.kappa, math.nan), fill(res.user, 0), res.case_label]
+    if isinstance(res, ic.Interval):
+        return [res.lo, res.hi]
+    if isinstance(res, tuple):
+        return [leaf for field in res for leaf in _leaves(field)]
+    return [res]
+
+
+def _bits(v):
+    v = np.asarray(v).item()
+    return v.hex() if isinstance(v, float) else v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(INFOS)),
+    st.sampled_from([ic.TIN, ic.DI]),
+    st.lists(
+        st.tuples(st.floats(0.01, 5.0), st.floats(0.2, 4.0), st.floats(0.05, 20.0),
+                  st.integers(1, 300)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_grid_calls_equal_elementwise_scalar_calls(which, mode, points):
+    # lam, r (both sides of 1), D and N vary together along the grid.
+    lam, r, d, n = (np.array(column) for column in zip(*points))
+    for name, f in _closed_forms(INFOS[which], mode).items():
+        scalars = []
+        for i in range(len(points)):
+            try:
+                scalars.append(f(*points[i]))
+            except (ic.AnalysisError, ic.InfeasibleRate) as exc:
+                scalars.append(exc)
+        errors = tuple({type(s) for s in scalars if isinstance(s, Exception)})
+        if errors:
+            with pytest.raises(errors):
+                f(lam, r, d, n)
+            continue
+        grid = [np.broadcast_to(np.asarray(g, dtype=object), lam.shape)
+                for g in _leaves(f(lam, r, d, n))]
+        for i, scalar in enumerate(scalars):
+            assert [_bits(g[i]) for g in grid] == [_bits(v) for v in _leaves(scalar)], (name, i)

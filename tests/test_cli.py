@@ -254,6 +254,52 @@ def test_sweep_names_points_without_epsilon(runner, gaussian_file, discrete_file
     assert result.stderr.startswith("no epsilon at lambda=0.1, mode di: need a > b > 0")
 
 
+def test_sweep_channel_fault_spares_points_below_threshold(runner, discrete_file, tmp_path):
+    # DI's feasibility interval raises on the discrete channel, but only points
+    # above the decoder threshold (0.052) reach it: evaluating the grid at once
+    # must still write epsilon = 0 below the threshold.
+    out = tmp_path / "x.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", discrete_file, "--variable", "lambda", "--values", "0.1,0.01",
+         "--d", "5", "--mode", "di", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    [line] = result.stderr.splitlines()
+    assert line.startswith("no epsilon at lambda=0.1, mode di: need a > b > 0")
+    with open(out) as f:
+        cells = [(r["value"], r["epsilon"]) for r in csv.DictReader(f)]
+    assert cells == [("0.01", "0.0")] * 2 + [("0.1", "")] * 2
+
+
+def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tmp_path):
+    # At r < 1 the r > 1 forms do not apply: TIN takes the gapless form at
+    # finite N and DI has none; neither has a limit at a fixed r < 1.  Cells
+    # at rho < 0 stay blank.
+    info = ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5))
+    out = tmp_path / "r.csv"
+    cells = {}
+    for lam, r, mode in (("0.6", "0.7", "tin"), ("0.9", "0.8", "di")):
+        result = runner.invoke(
+            main,
+            ["sweep", "--channel", gaussian_file, "--variable", "r", "--values", r,
+             "--lambda", lam, "--d", "5", "--n", "4", "--mode", mode, "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.stderr
+        with open(out) as f:
+            for row in csv.DictReader(f):
+                cells[mode, int(row["user"])] = (
+                    row["rho"] != "", row["p_outage_finiteN"], row["p_outage_limit"])
+    gapless = ic.outage_ub_subunit_rate(info, 2, 0.6, 0.7, 4, 5.0).finite_n
+    assert gapless == pytest.approx(0.5884, abs=1e-4)
+    assert cells == {
+        ("tin", 1): (True, "", ""),                  # rho < 0
+        ("tin", 2): (True, repr(gapless), ""),
+        ("di", 1): (True, "", ""),
+        ("di", 2): (True, "", ""),
+    }
+
+
 def test_sweep_rejects_bad_grid(runner, gaussian_file, tmp_path):
     result = runner.invoke(
         main,
@@ -421,15 +467,16 @@ def test_simulate_csv_output(runner, gaussian_file, tmp_path):
 
 def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, tmp_path,
                                                          monkeypatch):
-    # epsilon depends on (value, mode) and the user cells on (value, mode,
-    # user); neither is re-evaluated for each N.
+    # The closed forms take the whole grid at once: epsilon runs once per
+    # mode and the user cells once per (mode, user), never once per N.
     calls = {"epsilon_bound": [], "user_outage_inputs": []}
 
     def counted(name):
         fn = getattr(ic.analysis, name)
 
         def wrapper(*args):
-            calls[name].append(args[1:])      # the arguments after info
+            # the arguments after info, with arrays as lists
+            calls[name].append(tuple(np.asarray(a).tolist() for a in args[1:]))
             return fn(*args)
         return wrapper
 
@@ -443,10 +490,10 @@ def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, 
     )
     assert result.exit_code == 0
     assert "wrote 36 rows" in result.output           # values x modes x N x users
-    points = [(lam, 5.0, mode) for lam in (0.5, 1.0, 2.0) for mode in (ic.TIN, ic.DI)]
-    assert calls["epsilon_bound"] == points
+    grid = [0.5, 1.0, 2.0]
+    assert calls["epsilon_bound"] == [(grid, 5.0, mode) for mode in (ic.TIN, ic.DI)]
     assert calls["user_outage_inputs"] == [
-        (user, 1.5, lam, mode) for lam, _, mode in points for user in (1, 2)
+        (user, 1.5, grid, mode) for mode in (ic.TIN, ic.DI) for user in (1, 2)
     ]
 
 
@@ -489,10 +536,20 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["simulate", "--channel", "DISCRETE", "--lambda", "1e-12", *_SIM,
           "--n-packets", "10", "--mode", "stochastic", "--n", "1000000000"],
          "error: n / lambda = 1e+21 slots exceeds 2**53"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0,2.0",
+          "--d", "-5", "--mode", "tin", "--out", "OUT"],
+         "error: asynchrony window must be positive, got -5.0"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "alpha", "--values", "-1,0,2",
+          "--lambda", "1.0", "--mode", "tin", "--out", "OUT"],
+         "error: alpha must be positive, got -1.0"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "4.7,1e3",
+          "--lambda", "1.0", "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: packet counts must be integers >= 1, got 4.7"),
     ],
     ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
-         "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53"],
+         "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",
+         "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,
@@ -505,8 +562,25 @@ def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, me
 
 
 # ---------------------------------------------------------------------------
-# benchmark references: the fluid kernel's output, byte for byte
+# benchmark references: the closed-form gate, and the fluid kernel's output
+# byte for byte
 # ---------------------------------------------------------------------------
+
+def test_closed_form_benchmark_operations_pass_the_gate(runner, monkeypatch, tmp_path):
+    # The benchmark judges each closed-form operation (analyze JSON, sweep CSV,
+    # documented errors) against perfbench/reference/; an output it would
+    # refuse fails here first.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    wl = importlib.import_module("workloads")
+    monkeypatch.chdir(wl.HERE.parent)
+    ops = wl.closed_form(0)
+    assert len(ops) == 7
+    for op in ops:
+        result = runner.invoke(main, op.argv(tmp_path))
+        verdict = wl.judge(op, 0, result.exit_code, result.stdout, result.stderr,
+                           tmp_path / f"{op.name}.csv")
+        assert verdict is None, f"{op.name}: {verdict}"
+
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_fluid_benchmark_operations_reproduce_references(runner, monkeypatch, threads):
