@@ -19,7 +19,6 @@ from .analysis import (
     DI,
     TIN,
     AnalysisError,
-    InfeasibleRate,
     Interval,
     OutageInputs,
     SchemeParams,
@@ -34,7 +33,6 @@ from .analysis import (
     outage_ub_finite_n,
     outage_ub_limit,
     outage_ub_subunit_rate,
-    r0,
     rho,
 )
 from .simulator import (
@@ -44,7 +42,6 @@ from .simulator import (
     overlap_fractions,
     run_trials,
     simulate_tau,
-    tau_bar,
 )
 
 __version__ = "0.1.0"

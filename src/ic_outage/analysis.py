@@ -3,11 +3,12 @@
 Everything here is a pure function of the information constants and the
 scheme parameters (arrival rate, normalized code rate, packet count,
 asynchrony window, decoder mode).  The closed forms take numpy arrays and
-broadcast them; a call with scalars returns Python scalars, as before.
+broadcast them; a call with scalars returns Python scalars.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -23,13 +24,11 @@ __all__ = [
     "OutageInputs",
     "Interval",
     "AnalysisError",
-    "InfeasibleRate",
     "rho",
     "kappa",
     "delta_cdf",
     "admissible_intervals",
     "rate_feasibility_interval",
-    "r0",
     "outage_ub_finite_n",
     "outage_ub_limit",
     "user_outage_inputs",
@@ -55,10 +54,6 @@ def _out(x):
     arrays pass through."""
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
-
-
-class InfeasibleRate(Exception):
-    """No normalized code rate r > 1 satisfies the scheme's feasibility predicate."""
 
 
 @dataclass(frozen=True)
@@ -106,51 +101,45 @@ class Interval:
     def is_empty(self):
         return self.lo >= self.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo, hi = np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi)
-        keep = lo < hi
-        return Interval(_out(np.where(keep, lo, 0.0)), _out(np.where(keep, hi, 0.0)))
-
 
 class RhoValue(NamedTuple):
     value: float
     r_cap: float | None   # extra feasibility cap r < r_cap (additive DI case)
 
 
-def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
-    """Interference-exposure fraction rho_i(r) plus any extra rate cap.
+def _ratios(info: InfoQuantities, user: int, mode: str):
+    """User i's decoding constraints as (name, a, b): rho_i(r) is the largest
+    (lam*r - b)/(a - b) over them, named by their denominators a - b.
 
-    TIN uses the (lam*r - C_i)/(C_i* - C_i) ratio.  DI takes the maximum of
-    the own-signal and interferer-signal ratios; when the channel is additive
-    (C_i* == C_{i,i'}) the own-signal ratio degenerates and is replaced by the
-    hard cap r < C_i*/lam.
+    TIN has (C*, C); DI has (C~*, C~) and (C*, C_cross).  On an additive
+    channel (C_i* == C_{i,i'}) the second DI ratio degenerates and the hard
+    cap r < C_i*/lam replaces it: the second value returned is C_i* then,
+    and None otherwise.
     """
-    if np.min(r) <= 0:
-        raise AnalysisError("r must be positive")
     c_star, c, c_cross, ct_star, ct = info.for_user(user)
     if mode == TIN:
-        denom = c_star - c
-        if denom <= 0:
-            raise AnalysisError(
-                f"user {user}: nonpositive denominator C*-C = {denom:.3e}"
-            )
-        return RhoValue(_out((lam * r - c) / denom), None)
+        return [("C*-C", c_star, c)], None
     if mode != DI:
         raise AnalysisError(f"unknown decoder mode {mode!r}")
-    t_denom = ct_star - ct
-    if t_denom <= 0:
-        raise AnalysisError(
-            f"user {user}: nonpositive denominator C~*-C~ = {t_denom:.3e}"
-        )
-    tilde_ratio = (lam * r - ct) / t_denom
     if abs(c_star - c_cross) < _ADDITIVE_TOL:
-        return RhoValue(_out(tilde_ratio), _out(c_star / lam))
-    denom = c_star - c_cross
-    if denom <= 0:
-        raise AnalysisError(
-            f"user {user}: nonpositive denominator C*-C_cross = {denom:.3e}"
-        )
-    return RhoValue(_out(np.maximum((lam * r - c_cross) / denom, tilde_ratio)), None)
+        return [("C~*-C~", ct_star, ct)], c_star
+    return [("C~*-C~", ct_star, ct), ("C*-C_cross", c_star, c_cross)], None
+
+
+def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
+    """Interference-exposure fraction rho_i(r), the largest of the user's
+    decoding ratios, plus the additive DI rate cap C_i*/lam (else None)."""
+    if np.min(r) <= 0:
+        raise AnalysisError("r must be positive")
+    pairs, cap = _ratios(info, user, mode)
+    values = []
+    for name, a, b in pairs:
+        denom = a - b
+        if denom <= 0:
+            raise AnalysisError(f"user {user}: nonpositive denominator {name} = {denom:.3e}")
+        values.append((lam * r - b) / denom)
+    return RhoValue(_out(functools.reduce(np.maximum, values)),
+                    None if cap is None else _out(cap / lam))
 
 
 def kappa(alpha):
@@ -207,38 +196,22 @@ def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
                     _out(np.where(case == 2, ratio, np.where(case > 0, cap, 0.0))))
 
 
-def feasible_rate_interval(info: InfoQuantities, user: int, lam: float, mode: str) -> Interval:
-    """Set of r > 1 with rho_i(r) < min(1, r-1) (and the additive DI cap)."""
-    c_star, c, c_cross, ct_star, ct = info.for_user(user)
-    if mode == TIN:
-        return rate_feasibility_interval(c_star, c, lam)
-    if mode != DI:
-        raise AnalysisError(f"unknown decoder mode {mode!r}")
-    tilde = rate_feasibility_interval(ct_star, ct, lam)
-    if abs(c_star - c_cross) < _ADDITIVE_TOL:
-        return tilde.intersect(Interval(1.0, c_star / lam))
-    return tilde.intersect(rate_feasibility_interval(c_star, c_cross, lam))
-
-
 def _modes(mode) -> tuple[str, str]:
     return (mode, mode) if isinstance(mode, str) else tuple(mode)
 
 
 def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Interval:
-    return feasible_rate_interval(info, 1, lam, modes[0]).intersect(
-        feasible_rate_interval(info, 2, lam, modes[1])
-    )
-
-
-def r0(info: InfoQuantities, lam, d_max, mode):
-    """Smallest feasible normalized code rate r > 1 for both users: the lower
-    end of the intersection of the per-user feasible intervals.  Raises
-    InfeasibleRate when the intersection is empty (at any element of lam).
-    """
-    window = _feasible_window(info, lam, _modes(mode))
-    if np.any(window.is_empty):
-        raise InfeasibleRate(f"{NO_FEASIBLE_RATE} at lambda={lam}")
-    return window.lo
+    """The r > 1 where rho_i(r) < min(1, r - 1) for both users and r is below
+    any additive DI cap: rate_feasibility_interval of every ratio of both
+    users, intersected.  The window is empty where lo >= hi."""
+    windows = []
+    for user, mode in zip((1, 2), modes):
+        pairs, cap = _ratios(info, user, mode)
+        windows += [rate_feasibility_interval(a, b, lam) for _, a, b in pairs]
+        if cap is not None:
+            windows.append(Interval(1.0, cap / lam))
+    return Interval(functools.reduce(np.maximum, [w.lo for w in windows]),
+                    functools.reduce(np.minimum, [w.hi for w in windows]))
 
 
 class BoundValue(NamedTuple):
@@ -376,10 +349,10 @@ class EpsilonResult:
 
     kind: str             # "zero", "value" or "not-applicable"
     value: float | None = None
-    r0: float | None = None
+    r0: float | None = None    # lower end of the r > 1 feasible for both users
     kappa: float | None = None
     user: int | None = None    # index attaining the max in the bound
-    case_label: str = ""
+    case_label: str = ""       # set by gaussian_case_label
 
     @property
     def epsilon(self):
@@ -411,12 +384,10 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
         betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in ((1, m1), (2, m2))]
         eps = k * np.maximum(*betas)
         user = np.where(valued, 1 + (betas[1] > betas[0]), 0)
-    label = np.where(kind == "zero", "below-threshold",
-                     np.where(kind == "value", "", "no-feasible-rate"))
     if lam.ndim:
-        return EpsilonResult(kind, eps, r_inf, k, user, label)
+        return EpsilonResult(kind, eps, r_inf, k, user)
     if kind != "value":
-        return EpsilonResult(kind=str(kind), case_label=str(label))
+        return EpsilonResult(kind=str(kind))
     return EpsilonResult("value", float(eps), float(r_inf), float(k), int(user))
 
 

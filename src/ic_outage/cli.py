@@ -138,6 +138,7 @@ def main():
 def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
     """Report information constants, thresholds and the outage bound."""
     _check_positive(lam, "arrival rate")
+    _check_positive(d_max, "asynchrony window")
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
     lbar, _ = chan.lambda_bar(ch)
@@ -357,11 +358,13 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
     if check:
         bounds = [an.closed_form_outage(info, user, lam, r_value, n_packets, d_max,
                                         scheme.decoder[user - 1]) for user in (1, 2)]
+        # Stochastic outage has a finite-n bias, so it is compared only
+        # at rho >= 0 with chi1.
+        rule = ("no closed form for DI at r < 1" if mode == "fluid"
+                else "stochastic mode compares only users with rho >= 0 and chi1")
         compared = 0
         for user, bound, p_hat in zip((1, 2), bounds, result.outage):
             p = bound.finite_n
-            # Stochastic outage has a finite-n bias, so it is compared only
-            # at rho >= 0 with chi1.
             biased = mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1)
             if math.isnan(p) or biased:
                 continue
@@ -373,8 +376,8 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
                     f"user {user}: empirical outage {p_hat:.5f} deviates "
                     f"from closed form {p:.5f} by more than 4 sigma",
                 )
-        if mode == "fluid" and not compared:
-            _fail(EXIT_CONFIG, "--check compared no user: no closed form for DI at r < 1")
+        if not compared:
+            _fail(EXIT_CONFIG, f"--check compared no user: {rule}")
         click.echo("check passed", err=True)
 
 

@@ -22,7 +22,6 @@ from .analysis import TIN, DI, AnalysisError, SchemeParams, avg_rate
 __all__ = [
     "SimConfig",
     "SimResult",
-    "tau_bar",
     "simulate_tau",
     "overlap_fractions",
     "decode_success",
@@ -32,14 +31,6 @@ __all__ = [
 
 _CHUNK = 16384           # trials per chunk, at most
 _CHUNK_ELEMS = 2**20     # codeword starts per user per chunk, at most
-
-
-def tau_bar(j: int, r: float) -> float:
-    """Limiting codeword start time (in codeword lengths): j*r for bursty
-    rates r > 1, r + j - 1 in the gapless regime."""
-    if j < 1 or r <= 0:
-        raise AnalysisError("need j >= 1 and r > 0")
-    return j * r if r > 1.0 else r + j - 1.0
 
 
 def _arrival_slots(lam: float, n: int, n_packets: int, rng: np.random.Generator,
@@ -89,7 +80,7 @@ def overlap_fractions(starts1, starts2) -> tuple[np.ndarray, np.ndarray]:
     max(0, 1 - |start difference|).
 
     Precondition: rows sorted, consecutive starts at least 1 apart up to
-    rounding (both simulation modes comply; clear violations raise
+    rounding (stochastic mode's release times comply; clear violations raise
     ``AnalysisError``).  So a codeword meets at most two of the other user's,
     the nearest start at or before its own and the next.  Every other
     overlap is 0, or a sliver of the rounding, so the two-term sum equals
@@ -150,7 +141,8 @@ def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuan
 
 def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
                        info: InfoQuantities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fluid-mode trials: user i's codeword j starts at d_i/theta + tau_bar_j.
+    """Fluid-mode trials: user i's codeword j starts at d_i/theta plus its
+    limiting start, j*r for r > 1 and r + j - 1 in the gapless regime.
     Returns (outage1, outage2, fail_counts) as ``_decode`` does.
 
     The starts lie on one lattice of step s = max(r, 1) >= 1, so with
@@ -162,7 +154,7 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     codewords in O(N); chunks of _CHUNK trials bound memory.
     """
     n = scheme.n_packets
-    s = max(scheme.r, 1.0)   # exact; tau_bar(2, r) - tau_bar(1, r) can round off 1
+    s = max(scheme.r, 1.0)   # exact; the gapless step (r + 1) - r can round off 1
     theta = 1.0 / (n * scheme.code_rate)
     # Per m in [-N-2, N+2] (beyond, no codeword has a partner), user 1's codewords
     # lo..hi with mu = A + B, A, B, 0 (j <= m) and 0 (j >= m+N+2); empty if lo > hi.

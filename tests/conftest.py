@@ -6,12 +6,12 @@ import pytest
 from ic_outage import DiscreteIC, GaussianIC, InfoQuantities, InputDistribution
 from ic_outage.analysis import (
     TIN,
+    AnalysisError,
     EpsilonResult,
+    _feasible_window,
     admissible_intervals,
     delta_cdf,
-    feasible_rate_interval,
     kappa,
-    r0,
     rho,
 )
 
@@ -215,15 +215,13 @@ def ladder_oracle(info: InfoQuantities, lam: float, d_max: float, mode: str) -> 
 # ---------------------------------------------------------------------------
 
 def r0_bisection_residual(
-    info: InfoQuantities, lam: float, d_max: float, mode: tuple[str, str]
+    info: InfoQuantities, lam: float, mode: tuple[str, str]
 ) -> float | None:
     """|r0 - bisected r0|, or None where the bisection does not apply (r0 at
     the r > 1 edge, or no feasible point just above r0)."""
     m1, m2 = mode
-    window = feasible_rate_interval(info, 1, lam, m1).intersect(
-        feasible_rate_interval(info, 2, lam, m2)
-    )
-    analytic = r0(info, lam, d_max, mode)
+    window = _feasible_window(info, lam, mode)
+    analytic = window.lo
 
     def predicate(r: float) -> bool:
         for user, m in ((1, m1), (2, m2)):
@@ -246,6 +244,18 @@ def r0_bisection_residual(
                 lo_b = mid
         return abs(hi_b - analytic)
     return None
+
+
+# ---------------------------------------------------------------------------
+# oracle: the limiting codeword schedule
+# ---------------------------------------------------------------------------
+
+def tau_bar(j: int, r: float) -> float:
+    """Limiting codeword start time (in codeword lengths): j*r for bursty
+    rates r > 1, r + j - 1 in the gapless regime."""
+    if j < 1 or r <= 0:
+        raise AnalysisError("need j >= 1 and r > 0")
+    return j * r if r > 1.0 else r + j - 1.0
 
 
 # ---------------------------------------------------------------------------

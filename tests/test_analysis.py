@@ -20,7 +20,7 @@ import ic_outage as ic
 from ic_outage.analysis import (
     BoundValue,
     EpsilonResult,
-    feasible_rate_interval,
+    _feasible_window,
     outage_ub_finite_n,
 )
 from conftest import (
@@ -338,7 +338,7 @@ def test_two_packets_beat_one_exactly_on_stated_region():
 
 def test_r0_gaussian_regression(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
-    r_inf = ic.r0(info, 1.0, 5.0, ic.TIN)
+    r_inf = ic.epsilon_bound(info, 1.0, 5.0, ic.TIN).r0
     expect = max(
         (info.c_star[j] - 2 * info.c[j]) / (info.c_star[j] - info.c[j] - 1.0)
         for j in range(2)
@@ -349,8 +349,8 @@ def test_r0_gaussian_regression(gaussian_channel):
 
 def test_r0_infeasible_when_both_users_saturate():
     info = ic.InfoQuantities((1.0, 1.0), (0.6, 0.6), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
-    with pytest.raises(ic.InfeasibleRate):
-        ic.r0(info, 0.9, 1.0, ic.TIN)     # lam >= max{b, a/2} for both users
+    # lam >= max{b, a/2} for both users
+    assert _feasible_window(info, 0.9, (ic.TIN, ic.TIN)).is_empty
 
 
 def test_epsilon_zero_below_threshold(gaussian_channel):
@@ -405,7 +405,7 @@ def test_r0_and_bound_forms_match_oracles_on_random_channels():
                 for user, m in ((1, modes[0]), (2, modes[1]))
             )
             assert abs(rho_form - res.value) <= 1e-9
-            residual = r0_bisection_residual(info, lam, 5.0, modes)
+            residual = r0_bisection_residual(info, lam, modes)
             if residual is not None:
                 assert residual <= 1e-6
                 checked[kind, modes] += 1
@@ -422,7 +422,7 @@ def test_epsilon_not_applicable_when_no_feasible_rate():
 
 def test_beta_is_increasing_in_r(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
-    window = feasible_rate_interval(info, 2, 1.0, ic.TIN)
+    window = ic.rate_feasibility_interval(info.c_star[1], info.c[1], 1.0)
     rs = np.linspace(window.lo + 1e-6, min(window.hi, window.lo + 2.0), 50)
     betas = [ic.analysis.rho(info, 2, r, 1.0, ic.TIN).value / r for r in rs]
     assert all(b > a for a, b in zip(betas, betas[1:]))
@@ -688,7 +688,6 @@ def _closed_forms(info, mode):
         "kappa": lambda lam, r, d, n: an.kappa(lam * d),
         "rate_feasibility_interval":
             lambda lam, r, d, n: an.rate_feasibility_interval(*info.for_user(1)[:2], lam),
-        "r0": lambda lam, r, d, n: an.r0(info, lam, d, mode),
         "epsilon_bound": labelled,
         "outage_ub_finite_n": finite_n,
         "outage_ub_limit": limit,
@@ -736,7 +735,7 @@ def test_grid_calls_equal_elementwise_scalar_calls(which, mode, points):
         for i in range(len(points)):
             try:
                 scalars.append(f(*points[i]))
-            except (ic.AnalysisError, ic.InfeasibleRate) as exc:
+            except ic.AnalysisError as exc:
                 scalars.append(exc)
         errors = tuple({type(s) for s in scalars if isinstance(s, Exception)})
         if errors:

@@ -438,6 +438,20 @@ def test_simulate_fluid_check_comparing_no_user_exits_2(runner, gaussian_file):
     assert result.stderr == "error: --check compared no user: no closed form for DI at r < 1\n"
 
 
+def test_simulate_stochastic_check_comparing_no_user_exits_2(runner, gaussian_file):
+    # At r < 1, chi1 is false for every rho >= 0, and stochastic mode compares
+    # only users with rho >= 0 and chi1: both users are skipped.
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "0.9", "--r", "0.8",
+         "--n-packets", "4", "--d", "1", "--mode", "stochastic", "--n", "2000",
+         "--trials", "200", "--check"],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == ("error: --check compared no user: "
+                             "stochastic mode compares only users with rho >= 0 and chi1\n")
+
+
 def test_simulate_fluid_at_n_500(runner, gaussian_file):
     result = runner.invoke(
         main,
@@ -527,6 +541,10 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "error: arrival rate must be positive, got 0.0"),
         (["analyze", "--channel", "DISCRETE", "--lambda", "-1"],
          "error: arrival rate must be positive, got -1.0"),
+        (["analyze", "--channel", "GAUSSIAN", "--lambda", "0.2", "--d", "-5"],
+         "error: asynchrony window must be positive, got -5.0"),
+        (["analyze", "--channel", "GAUSSIAN", "--lambda", "0.2", "--d", "0"],
+         "error: asynchrony window must be positive, got 0.0"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "alpha", "--values", "1.5",
           "--lambda", "0", "--out", "OUT"],
          "error: arrival rate must be positive, got 0.0"),
@@ -548,6 +566,7 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
     ],
     ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
+         "negative-d-analyze", "zero-d-analyze",
          "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",
          "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count"],
 )

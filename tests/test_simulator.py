@@ -23,7 +23,7 @@ from ic_outage.simulator import (
     overlap_fractions,
     simulate_tau,
 )
-from conftest import overlap_fractions_dense_oracle, reference_point
+from conftest import overlap_fractions_dense_oracle, reference_point, tau_bar
 
 
 # ---------------------------------------------------------------------------
@@ -31,26 +31,26 @@ from conftest import overlap_fractions_dense_oracle, reference_point
 # ---------------------------------------------------------------------------
 
 def test_tau_bar_values():
-    assert ic.tau_bar(1, 1.7) == 1.7
-    assert ic.tau_bar(3, 1.1) == pytest.approx(3.3)
-    assert ic.tau_bar(3, 0.8) == pytest.approx(2.8)
+    assert tau_bar(1, 1.7) == 1.7
+    assert tau_bar(3, 1.1) == pytest.approx(3.3)
+    assert tau_bar(3, 0.8) == pytest.approx(2.8)
     # both branches agree at r = 1
-    assert ic.tau_bar(4, 1.0) == pytest.approx(4.0)
-    assert ic.tau_bar(4, 1.0 + 1e-12) == pytest.approx(4.0, abs=1e-9)
+    assert tau_bar(4, 1.0) == pytest.approx(4.0)
+    assert tau_bar(4, 1.0 + 1e-12) == pytest.approx(4.0, abs=1e-9)
     with pytest.raises(ic.AnalysisError):
-        ic.tau_bar(0, 1.5)
+        tau_bar(0, 1.5)
 
 
 def test_subunit_rate_schedule_has_no_gap():
     # consecutive unit intervals touch exactly when r <= 1
     for r in (0.3, 0.8, 1.0):
-        starts = [ic.tau_bar(j, r) for j in range(1, 6)]
+        starts = [tau_bar(j, r) for j in range(1, 6)]
         for a, b in zip(starts, starts[1:]):
             assert b - a == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bursty_schedule_has_gap_r():
-    starts = [ic.tau_bar(j, 1.4) for j in range(1, 6)]
+    starts = [tau_bar(j, 1.4) for j in range(1, 6)]
     for a, b in zip(starts, starts[1:]):
         assert b - a == pytest.approx(1.4, abs=1e-12)
 
@@ -80,7 +80,7 @@ def test_simulate_tau_converges_to_limit_profile():
         tau = simulate_tau(lam, n, n_packets, r, rng)
         scaled = tau / n_theta
         for j in range(n_packets):
-            assert scaled[j] == pytest.approx(ic.tau_bar(j + 1, r), rel=0.05)
+            assert scaled[j] == pytest.approx(tau_bar(j + 1, r), rel=0.05)
 
 
 def test_simulate_tau_subunit_rate_profile():
@@ -90,7 +90,7 @@ def test_simulate_tau_subunit_rate_profile():
     tau = simulate_tau(lam, n, n_packets, r, rng)
     scaled = tau / n_theta
     for j in range(n_packets):
-        assert scaled[j] == pytest.approx(ic.tau_bar(j + 1, r), rel=0.05)
+        assert scaled[j] == pytest.approx(tau_bar(j + 1, r), rel=0.05)
 
 
 def test_simulate_tau_rejects_zero_bit_packets():
@@ -154,7 +154,7 @@ def test_overlap_both_neighbors_case():
     # 1 < r < 2 with a shift that clips both neighboring codewords: the
     # interior codewords see a total overlapped fraction of exactly 2 - r.
     r = 1.5
-    s1 = np.array([ic.tau_bar(j, r) for j in range(1, 6)])
+    s1 = np.array([tau_bar(j, r) for j in range(1, 6)])
     s2 = s1 + 0.75
     mu1, mu2 = overlap_fractions(s1, s2)
     assert mu1[1:] == pytest.approx([2.0 - r] * 4)
@@ -189,7 +189,7 @@ def _assert_matches_dense(s1, s2):
 @pytest.mark.parametrize("n_packets", [1, 2, 16, 64])
 def test_overlap_matches_dense_oracle_on_fluid_profiles(r, n_packets):
     scheme = ic.SchemeParams(lam=0.5, r=r, n_packets=n_packets, d_max=5.0)
-    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    taus = np.array([tau_bar(j, r) for j in range(1, n_packets + 1)])
     theta = 1.0 / (n_packets * scheme.code_rate)
     d1, d2 = _offset_draws(seed=n_packets, trials=500, d_max=scheme.d_max)
     _assert_matches_dense(d1[:, None] / theta + taus, d2[:, None] / theta + taus)
@@ -216,7 +216,7 @@ def test_overlap_matches_dense_oracle_on_release_recursion_rows(lam, r):
 def test_overlap_matches_dense_oracle_on_exact_grid(r, n_packets, x1, x2):
     # Starts on a grid of 1/8: all arithmetic is exact, so the search covers
     # equal starts and start differences of exactly 1 on either side.
-    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    taus = np.array([tau_bar(j, r) for j in range(1, n_packets + 1)])
     _assert_matches_dense(x1 / 8 + taus, x2 / 8 + taus)
 
 
@@ -385,7 +385,7 @@ def test_fluid_kernel_matches_general_path(config, decoder, r, n_packets, d_max,
     scheme = ic.SchemeParams(lam=lam, r=r, n_packets=n_packets, d_max=d_max, decoder=decoder)
     r_code = scheme.code_rate
     d1, d2 = _offset_draws(seed=seed, trials=200, d_max=d_max)
-    taus = np.array([ic.tau_bar(j, r) for j in range(1, n_packets + 1)])
+    taus = np.array([tau_bar(j, r) for j in range(1, n_packets + 1)])
     theta = 1.0 / (n_packets * r_code)
     mus = overlap_fractions(d1[:, None] / theta + taus, d2[:, None] / theta + taus)
     oks, tied = [], np.zeros(len(d1), dtype=bool)
