@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -141,8 +142,8 @@ def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuan
 
 def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
                        info: InfoQuantities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fluid-mode trials: user i's codeword j starts at d_i/theta plus its
-    limiting start, j*r for r > 1 and r + j - 1 in the gapless regime.
+    """One chunk of fluid-mode trials: user i's codeword j starts at d_i/theta
+    plus its limiting start, j*r for r > 1 and r + j - 1 in the gapless regime.
     Returns (outage1, outage2, fail_counts) as ``_decode`` does.
 
     The starts lie on one lattice of step s = max(r, 1) >= 1, so with
@@ -151,7 +152,8 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     B = max(0, 1 - |x + (m+1) s|); user 2's k meets user 1's k+m and k+m+1.
     So each mu is A + B, A, B or 0, by which partners exist in 1..N, and a
     trial costs O(1).  Failures tallied per (pattern, m) spread over the
-    codewords in O(N); chunks of _CHUNK trials bound memory.
+    codewords in O(N) per call.  Memory is linear in the trials passed in;
+    ``run_trials`` passes one chunk at a time.
     """
     n = scheme.n_packets
     s = max(scheme.r, 1.0)   # exact; the gapless step (r + 1) - r can round off 1
@@ -162,25 +164,38 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     lo = np.maximum([ms + 2, ms + 1, ms + n + 1, np.ones_like(ms), ms + n + 2], 1).ravel()
     hi = np.minimum([ms + n, ms + 1, ms + n + 1, ms, np.full_like(ms, n)], n).ravel()
     exists = lo <= hi
-    tally = np.zeros((2, exists.size), dtype=np.int64)   # failures per (user, pattern, m)
-    out = np.empty((2, len(d1)), dtype=bool)
-    for start in range(0, len(d1), _CHUNK):
-        x = d1[start:start + _CHUNK] / theta - d2[start:start + _CHUNK] / theta
-        m = np.floor(-x / s)
-        y = x + m * s
-        a = np.clip(1.0 - np.abs(y), 0.0, None)
-        b = np.clip(1.0 - np.abs(y + s), 0.0, None)
-        mu = np.stack([a + b, a, b, 0.0 * a, 0.0 * a])
-        cell = np.arange(5)[:, None] * ms.size + np.clip(m, -n - 2, n + 2).astype(int) + n + 2
-        failed = [exists[cell] & ~decode_success(mu, info, i, scheme.code_rate, decoder)
-                  for i, decoder in zip((1, 2), scheme.decoder)]
-        out[:, start:start + _CHUNK] = [f.any(axis=0) for f in failed]
-        tally += [np.bincount(cell[f], minlength=exists.size) for f in failed]
+    x = d1 / theta - d2 / theta
+    m = np.floor(-x / s)
+    y = x + m * s
+    a = np.clip(1.0 - np.abs(y), 0.0, None)
+    b = np.clip(1.0 - np.abs(y + s), 0.0, None)
+    mu = np.stack([a + b, a, b, 0.0 * a, 0.0 * a])
+    cell = np.arange(5)[:, None] * ms.size + np.clip(m, -n - 2, n + 2).astype(int) + n + 2
+    failed = [exists[cell] & ~decode_success(mu, info, i, scheme.code_rate, decoder)
+              for i, decoder in zip((1, 2), scheme.decoder)]
+    tally = [np.bincount(cell[f], minlength=exists.size)[exists] for f in failed]
     diff = [np.bincount(lo[exists], t, n + 2) - np.bincount(hi[exists] + 1, t, n + 2)
-            for t in tally[:, exists]]   # float counts, exact below 2**53
+            for t in tally]   # float counts, exact below 2**53
     fails = np.cumsum(diff, axis=1)[:, 1:n + 1].astype(np.int64)
     fails[1] = fails[1, ::-1]   # user 2's codeword k has user 1's pattern at N+1-k
-    return out[0], out[1], fails
+    return failed[0].any(axis=0), failed[1].any(axis=0), fails
+
+
+def _stochastic_chunk(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams, n: int,
+                      info: InfoQuantities, gen: np.random.Generator):
+    """One chunk of stochastic-mode trials: codewords start at the release
+    times of ``simulate_tau``, drawn from ``gen`` for both users of the chunk
+    at once, user 1 then user 2 per trial.  Returns (outage1, outage2,
+    fail_counts, rates) with rates of shape (2, trials).  Cost is O(N) per
+    trial whatever n is; ``run_trials`` passes one chunk at a time.
+    """
+    n_pk = scheme.n_packets
+    n_theta = n / (n_pk * scheme.code_rate)   # codeword length in slots
+    theta = 1.0 / (n_pk * scheme.code_rate)
+    tau = simulate_tau(scheme.lam, n, n_pk, scheme.r, gen, size=(len(d1), 2))
+    out1, out2, fails = _decode(d1[:, None] / theta + tau[:, 0] / n_theta,
+                                d2[:, None] / theta + tau[:, 1] / n_theta, scheme, info)
+    return out1, out2, fails, (n / (tau[:, :, -1] + n_theta)).T
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,8 @@ class SimConfig:
             raise AnalysisError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "stochastic" and not self.n:
             raise AnalysisError("stochastic mode needs the bits-per-source count n")
+        if self.mode != "stochastic" and self.n is not None:
+            raise AnalysisError("the bits-per-source count n applies to stochastic mode only")
 
 
 @dataclass(frozen=True)
@@ -220,33 +237,45 @@ def _halfwidth(p_hat: float, trials: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def _offset_draws(seed: int, trials: int, d_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Activation offsets for all trials from a counter-based stream.
-
-    Philox draws occupy fixed counter slots, so trial t's pair (d1, d2) is a
-    pure function of (seed, t) no matter how trials are later partitioned.
-    """
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    d = gen.random((trials, 2)) * d_max
-    return d[:, 0], d[:, 1]
-
-
 def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
     """Estimate per-user outage frequencies (and rates) over random asynchrony.
 
-    Deterministic for a fixed seed: trial t's offsets and release times are
-    functions of (seed, t) alone, so the first t trials of a run do not depend
-    on the trial count or the chunk size.  A fluid trial costs O(1) whatever
-    N is (see ``fluid_outage_flags``), a stochastic one O(N) whatever n is.
+    Trials run in chunks of at most ``_CHUNK`` (and, in stochastic mode,
+    ``_CHUNK_ELEMS // N``).  Each chunk draws its offsets, runs the mode's
+    kernel on them and keeps only outage counts, per-codeword failures and the
+    running rate sum, so memory is flat in the trial count.
+
+    Deterministic for a fixed seed: offsets come from a Philox stream keyed by
+    the seed and release times from the same stream jumped 2**128 steps ahead.
+    Philox draws occupy fixed counter slots, so trial t's offsets and release
+    times are functions of (seed, t) alone and the first t trials of a run do
+    not depend on the trial count or the chunk size.  A fluid trial costs
+    O(1) whatever N is (see ``fluid_outage_flags``), a stochastic one O(N)
+    whatever n is.
     """
     scheme = config.scheme
-    d1, d2 = _offset_draws(config.seed, config.trials, scheme.d_max)
+    offsets = np.random.Generator(np.random.Philox(key=config.seed))
     if config.mode == "fluid":
-        out1, out2, fails = fluid_outage_flags(d1, d2, scheme, info)
+        chunk = _CHUNK
+        kernel = partial(fluid_outage_flags, scheme=scheme, info=info)
+    else:
+        chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // scheme.n_packets))
+        gen = np.random.Generator(np.random.Philox(key=config.seed).jumped())
+        kernel = partial(_stochastic_chunk, scheme=scheme, n=config.n, info=info, gen=gen)
+    outages, fails, rate_sum = np.zeros(2, dtype=np.int64), 0, np.zeros(2)
+    for lo in range(0, config.trials, chunk):
+        d = offsets.random((min(chunk, config.trials - lo), 2)) * scheme.d_max
+        out1, out2, chunk_fails, *chunk_rates = kernel(d[:, 0], d[:, 1])
+        outages += out1.sum(), out2.sum()
+        fails = fails + chunk_fails
+        if chunk_rates:
+            # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
+            rate_sum = np.cumsum(np.column_stack([rate_sum, *chunk_rates]), axis=1)[:, -1]
+    p1, p2 = (outages / config.trials).tolist()
+    if config.mode == "fluid":
         rates = (avg_rate(scheme.n_packets, scheme.r, scheme.lam),) * 2
     else:
-        out1, out2, fails, rates = _run_stochastic(config, d1, d2, info)
-    p1, p2 = float(out1.mean()), float(out2.mean())
+        rates = tuple((rate_sum / config.trials).tolist())
     return SimResult(
         outage=(p1, p2),
         halfwidth=(_halfwidth(p1, config.trials), _halfwidth(p2, config.trials)),
@@ -256,33 +285,3 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
         mode=config.mode,
         per_codeword_failures=[[int(v) for v in row] for row in fails],
     )
-
-
-def _run_stochastic(config: SimConfig, d1, d2, info):
-    """Stochastic-mode trials: codewords start at the release times of
-    ``simulate_tau``, drawn for both users of a whole chunk at once.
-
-    The draws come in trial order from one Philox stream keyed by the seed
-    and jumped 2**128 steps past the offset stream, so trial t depends only
-    on (seed, t), not on the trial count or the chunk size.  Chunks share the
-    stream and so run serially.  Cost is O(N) per trial whatever n is.
-    """
-    scheme, n = config.scheme, config.n
-    n_pk = scheme.n_packets
-    n_theta = n / (n_pk * scheme.code_rate)   # codeword length in slots
-    theta = 1.0 / (n_pk * scheme.code_rate)
-    chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // n_pk))
-    gen = np.random.Generator(np.random.Philox(key=config.seed).jumped())
-    rates = np.empty((2, config.trials))
-    parts = []
-    for lo in range(0, config.trials, chunk):
-        hi = min(lo + chunk, config.trials)
-        tau = simulate_tau(scheme.lam, n, n_pk, scheme.r, gen, size=(hi - lo, 2))
-        rates[:, lo:hi] = (n / (tau[:, :, -1] + n_theta)).T
-        parts.append(_decode(d1[lo:hi, None] / theta + tau[:, 0] / n_theta,
-                             d2[lo:hi, None] / theta + tau[:, 1] / n_theta, scheme, info))
-    out1, out2, fails = zip(*parts)
-    # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
-    rate_sum = np.cumsum(rates, axis=1)[:, -1]
-    return (np.concatenate(out1), np.concatenate(out2), sum(fails),
-            tuple(rate_sum / config.trials))

@@ -14,6 +14,7 @@ from ic_outage.analysis import (
     kappa,
     rho,
 )
+from ic_outage.simulator import decode_success, overlap_fractions
 
 # 2x2-input, 5-output transition matrix used as the discrete regression channel.
 # Rows are the input pairs (0,0), (0,1), (1,0), (1,1).
@@ -324,3 +325,67 @@ def overlap_fractions_dense_oracle(starts1, starts2) -> tuple[np.ndarray, np.nda
     b = np.asarray(starts2, dtype=float)
     ov = np.clip(1.0 - np.abs(a[..., :, None] - b[..., None, :]), 0.0, None)
     return ov.sum(axis=-1), ov.sum(axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the activation offsets of a whole run in one draw
+# ---------------------------------------------------------------------------
+
+def _offset_draws(seed: int, trials: int, d_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Activation offsets (d1, d2) of every trial of a run, drawn at once from
+    the seed's Philox stream: the reference ``run_trials``' per-chunk draws
+    must equal bit for bit."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    d = gen.random((trials, 2)) * d_max
+    return d[:, 0], d[:, 1]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the exact fluid outage, by quadrature over the offset difference
+# ---------------------------------------------------------------------------
+
+def fluid_outage_exact_oracle(info: InfoQuantities, user: int, lam: float, r: float,
+                              n_packets: int, d_max: float, mode: str) -> float:
+    """User ``user``'s fluid-mode outage probability, exactly and with no trials;
+    the arguments are those of ``closed_form_outage``.
+
+    A fluid trial depends on the offsets only through x = (d1 - d2)/theta,
+    triangular on (-D/theta, D/theta).  Each interfered fraction mu_j(x) is
+    piecewise linear with breakpoints tau_k - tau_j + {-1, 0, 1}, so each
+    threshold margin (1 - mu) full + mu mixed - R_c is linear between them.
+    Cutting at the breakpoints and at every margin's zero crossing leaves
+    pieces on which no codeword's verdict changes; the simulator's own
+    ``overlap_fractions`` and ``decode_success`` judge each piece at its
+    midpoint, and the failing pieces' triangular mass is the outage.
+    """
+    n, r_code = n_packets, r * lam
+    theta = 1.0 / (n * r_code)
+    half = d_max / theta
+    taus = np.array([tau_bar(j, r) for j in range(1, n + 1)])
+
+    def mu(x):   # user's interfered fractions with user 1 shifted by x, shape (len(x), N)
+        return overlap_fractions(x[:, None] + taus, np.broadcast_to(taus, (len(x), n)))[user - 1]
+
+    gaps = (taus[None, :] - taus[:, None]).ravel()
+    cuts = np.unique(np.clip(np.concatenate([gaps - 1.0, gaps, gaps + 1.0, [-half, half]]),
+                             -half, half))
+    at_cuts = mu(cuts)
+    # A codeword decodes when R_c < (1 - mu) full + mu mixed for each pair.
+    c_star, c, c_cross, ct_star, ct = info.for_user(user)
+    pairs = [(c_star, c)] if mode == TIN else [(ct_star, ct), (c_star, c_cross)]
+    crossings = []
+    for full, mixed in pairs:
+        g = (1.0 - at_cuts) * full + at_cuts * mixed - r_code
+        flips = (g[:-1] > 0) != (g[1:] > 0)
+        piece, _ = np.nonzero(flips)
+        ga, gb = g[:-1][flips], g[1:][flips]   # one > 0 >= the other, so ga != gb
+        lo, hi = cuts[piece], cuts[piece + 1]
+        crossings.append(lo + (hi - lo) * ga / (ga - gb))
+    cuts = np.unique(np.concatenate([cuts, *crossings]))
+    mid = (cuts[:-1] + cuts[1:]) / 2.0
+    fails = ~decode_success(mu(mid), info, user, r_code, mode).all(axis=1)
+
+    def cdf(x):   # law of x: triangular on (-half, half)
+        return np.where(x <= 0.0, (half + x) ** 2, 2.0 * half**2 - (half - x) ** 2) / (2.0 * half**2)
+
+    return float(np.sum((cdf(cuts[1:]) - cdf(cuts[:-1]))[fails]))

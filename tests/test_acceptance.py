@@ -16,9 +16,10 @@ import pytest
 
 import ic_outage as ic
 from ic_outage.analysis import outage_ub_finite_n
-from ic_outage.simulator import _offset_draws, fluid_outage_flags
+from ic_outage.simulator import fluid_outage_flags
 from conftest import (
     KERNEL,
+    _offset_draws,
     normalize_rows,
     oracle_quantities,
     outage_ub_numeric_oracle,

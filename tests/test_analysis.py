@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ic_outage as ic
@@ -25,6 +25,7 @@ from ic_outage.analysis import (
 )
 from conftest import (
     dist,
+    fluid_outage_exact_oracle,
     ladder_oracle,
     outage_ub_numeric_oracle,
     outage_ub_one_packet,
@@ -577,6 +578,71 @@ def test_bursty_scheme_beats_gapless_limit():
         rho_i = rng.random() * min(1.0, r - 1.0)
         alpha = 0.05 + rng.random() * 4.95
         assert ic.kappa(alpha) * (rho_i / r) < ic.kappa(alpha) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# every finite-N closed form vs the exact fluid quadrature
+# ---------------------------------------------------------------------------
+
+def _closed_form_regime(bound, r):
+    """Which closed form ``closed_form_outage`` applied to a user."""
+    if bound.inputs.rho < 0:
+        return "rho<0"
+    if r < 1.0:
+        return "gapless"
+    return "chi1" if bound.inputs.chi1 else "no-chi1"
+
+
+def _random_info(rng, gaussian: bool) -> ic.InfoQuantities:
+    if gaussian:
+        p1, p2 = 10.0 ** rng.uniform(-1.0, 3.0, size=2)
+        c1, c2 = rng.uniform(0.05, 2.0, size=2)
+        return ic.gaussian_info_quantities(ic.GaussianIC(p1=p1, p2=p2, c1=c1, c2=c2))
+    return ic.info_quantities(random_discrete(rng), dist(rng, 2), dist(rng, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
+       st.sampled_from([1, 2]),
+       st.one_of(st.just(1.0), st.floats(0.2, 4.0, exclude_min=True, exclude_max=True)),
+       st.floats(0.05, 1.3), st.integers(1, 16), st.sampled_from([0.3, 1.0, 5.0, 20.0]))
+def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, user, r,
+                                                        load, n_packets, d_max):
+    # The code rate r*lam is `load` times the user's largest single-user
+    # capacity, so every regime of the user's threshold tests is reached.
+    info = _random_info(np.random.default_rng(seed), gaussian)
+    c_star, _, _, ct_star, _ = info.for_user(user)
+    lam = load * max(c_star, ct_star) / r
+    try:
+        bound = ic.analysis.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
+    except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
+        assume(False)
+    assume(not math.isnan(bound.finite_n))   # DI at r < 1 has no closed form
+    event(_closed_form_regime(bound, r))
+    exact = fluid_outage_exact_oracle(info, user, lam, r, n_packets, d_max, mode)
+    assert bound.finite_n == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam, r, mode, user, regime", [
+    (1.0, 1.5, ic.TIN, 2, "chi1"),
+    (0.6, 1.2, ic.DI, 1, "chi1"),
+    (2.0, 1.5, ic.DI, 2, "no-chi1"),
+    (2.0, 2.5, ic.TIN, 1, "no-chi1"),   # chi2 false too: outage 1
+    (0.3, 1.5, ic.TIN, 1, "rho<0"),
+    (0.3, 1.5, ic.DI, 2, "rho<0"),
+    (0.6, 0.7, ic.TIN, 1, "rho<0"),
+    (1.0, 0.7, ic.TIN, 1, "gapless"),
+    (0.6, 0.7, ic.TIN, 2, "gapless"),
+])
+@pytest.mark.parametrize("n_packets", [1, 4, 16])
+def test_finite_n_closed_forms_equal_exact_fluid_oracle_per_regime(
+        gaussian_channel, lam, r, mode, user, regime, n_packets):
+    # Each regime of closed_form_outage at least once, on the regression channel.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    bound = ic.analysis.closed_form_outage(info, user, lam, r, n_packets, 5.0, mode)
+    assert _closed_form_regime(bound, r) == regime
+    exact = fluid_outage_exact_oracle(info, user, lam, r, n_packets, 5.0, mode)
+    assert bound.finite_n == pytest.approx(exact, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,9 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["simulate", "--channel", "DISCRETE", "--lambda", "1e-12", *_SIM,
           "--n-packets", "10", "--mode", "stochastic", "--n", "1000000000"],
          "error: n / lambda = 1e+21 slots exceeds 2**53"),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM, "--mode", "fluid",
+          "--n", "5"],
+         "error: the bits-per-source count n applies to stochastic mode only"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0,2.0",
           "--d", "-5", "--mode", "tin", "--out", "OUT"],
          "error: asynchrony window must be positive, got -5.0"),
@@ -568,6 +571,7 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
          "negative-d-analyze", "zero-d-analyze",
          "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",
+         "n-outside-stochastic-mode",
          "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):

@@ -18,12 +18,11 @@ import ic_outage as ic
 import ic_outage.simulator as simulator
 from ic_outage.simulator import (
     _CHUNK,
-    _offset_draws,
     fluid_outage_flags,
     overlap_fractions,
     simulate_tau,
 )
-from conftest import overlap_fractions_dense_oracle, reference_point, tau_bar
+from conftest import _offset_draws, overlap_fractions_dense_oracle, reference_point, tau_bar
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +472,20 @@ def test_run_trials_ignores_thread_count_variable(monkeypatch, mode, n):
         assert ic.run_trials(config, info).to_json() == unset, threads
 
 
-def _fluid_peak_bytes(n_packets, trials):
+def _peak_bytes(config):
     import tracemalloc
 
-    info = reference_point()
-    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=n_packets, d_max=15.0, decoder=ic.TIN)
-    d1, d2 = _offset_draws(seed=8, trials=trials, d_max=scheme.d_max)
     tracemalloc.start()
     try:
-        fluid_outage_flags(d1, d2, scheme, info)
+        ic.run_trials(config, reference_point())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _fluid_peak_bytes(n_packets, trials):
+    scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=n_packets, d_max=15.0, decoder=ic.TIN)
+    return _peak_bytes(ic.SimConfig(scheme=scheme, trials=trials, seed=8))
 
 
 def test_fluid_kernel_holds_one_overlap_tensor_at_a_time(monkeypatch):
@@ -498,6 +499,43 @@ def test_fluid_kernel_memory_is_flat_in_n():
     # Four chunks of trials; per-codeword state is O(N) and small beside a chunk.
     small, large = _fluid_peak_bytes(4, 4 * _CHUNK), _fluid_peak_bytes(4096, 4 * _CHUNK)
     assert large < 1.5 * small, f"peak {large} B at N=4096 against {small} B at N=4"
+
+
+@pytest.mark.parametrize("mode, n", [("fluid", None), ("stochastic", 2000)])
+def test_run_trials_memory_is_flat_in_trial_count(monkeypatch, mode, n):
+    # Each chunk draws its own offsets and leaves only counts behind.
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=10, d_max=10.0, decoder=ic.TIN)
+
+    def peak(chunks):
+        return _peak_bytes(ic.SimConfig(scheme=scheme, trials=chunks * 256, seed=6,
+                                        mode=mode, n=n))
+
+    small, large = peak(4), peak(64)
+    assert large <= 1.5 * small, f"peak {large} B at 64 chunks against {small} B at 4"
+
+
+@pytest.mark.parametrize("mode, n", [("fluid", None), ("stochastic", 2000)])
+def test_chunked_offsets_equal_whole_run_draws(monkeypatch, mode, n):
+    # Each chunk continues the seed's Philox offset stream, so the first t
+    # trials' offsets are those of one whole-run draw, whatever the chunk size.
+    monkeypatch.setattr(simulator, "_CHUNK", 7)
+    kernel = "fluid_outage_flags" if mode == "fluid" else "_stochastic_chunk"
+    chunks = []
+    run_chunk = getattr(simulator, kernel)
+
+    def record(d1, d2, *args, **kwargs):
+        chunks.append((d1.copy(), d2.copy()))
+        return run_chunk(d1, d2, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, kernel, record)
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=5, d_max=10.0, decoder=ic.TIN)
+    ic.run_trials(ic.SimConfig(scheme=scheme, trials=50, seed=12, mode=mode, n=n),
+                  reference_point())
+    assert [len(d1) for d1, _ in chunks] == [7] * 7 + [1]
+    whole = _offset_draws(seed=12, trials=80, d_max=scheme.d_max)
+    for chunked, reference in zip(zip(*chunks), whole):
+        assert np.array_equal(np.concatenate(chunked), reference[:50])
 
 
 def test_stochastic_results_do_not_depend_on_thread_count(monkeypatch):
@@ -571,29 +609,28 @@ def test_stochastic_trials_do_not_depend_on_trial_count_or_chunk(monkeypatch):
         config = ic.SimConfig(scheme=scheme, trials=trials, seed=2, mode="stochastic", n=3000)
         return ic.run_trials(config, info), np.concatenate(recorded)
 
+    def fluid(trials):
+        return ic.run_trials(ic.SimConfig(scheme=scheme, trials=trials, seed=2), info)
+
     monkeypatch.setattr(simulator, "simulate_tau", record)
     res30, taus30 = run(30)
     _, taus50 = run(50)
+    fluid30, fluid_whole = fluid(30), fluid(4 * _CHUNK + 3)
     monkeypatch.setattr(simulator, "_CHUNK", 4)
     res30_chunked, taus30_chunked = run(30)
     assert taus30.shape == (30, 2, 6)
     assert np.array_equal(taus50[:30], taus30)
     assert np.array_equal(taus30_chunked, taus30)
     assert res30_chunked == res30
+    # A fluid result sums per-chunk counts, so it does not depend on the chunk size.
+    assert fluid(30) == fluid30
+    monkeypatch.setattr(simulator, "_CHUNK", 1000)
+    assert fluid(4 * _CHUNK + 3) == fluid_whole
 
 
 def _stochastic_peak_bytes(n):
-    import tracemalloc
-
-    info = reference_point()
     scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=10, d_max=10.0, decoder=ic.TIN)
-    config = ic.SimConfig(scheme=scheme, trials=4096, seed=6, mode="stochastic", n=n)
-    tracemalloc.start()
-    try:
-        ic.run_trials(config, info)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _peak_bytes(ic.SimConfig(scheme=scheme, trials=4096, seed=6, mode="stochastic", n=n))
 
 
 def test_stochastic_memory_is_flat_in_n():
@@ -632,6 +669,8 @@ def test_sim_config_validation():
         ic.SimConfig(scheme=scheme, trials=10, seed=1, mode="stochastic")
     with pytest.raises(ic.AnalysisError):
         ic.SimConfig(scheme=scheme, trials=10, seed=1, mode="exact")
+    with pytest.raises(ic.AnalysisError, match="stochastic mode only"):
+        ic.SimConfig(scheme=scheme, trials=10, seed=1, n=5)
 
 
 def test_sim_result_json_schema():
