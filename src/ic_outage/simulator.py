@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,7 @@ __all__ = [
     "run_trials",
 ]
 
-_CHUNK = 16384           # trials per chunk, at most
+_CHUNK = 16384           # trials per chunk, at most; a fluid chunk peaks near 1 MB
 _CHUNK_ELEMS = 2**20     # codeword starts per user per chunk, at most
 
 
@@ -116,12 +116,18 @@ def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str
     """
     mu = np.asarray(mu, dtype=float)
     c_star, c, c_cross, ct_star, ct = info.for_user(user)
+
+    def clears(free, mixed):
+        # r_code < (1 - mu) * free + mu * mixed, holding one temporary beside the sum
+        level = 1.0 - mu
+        level *= free
+        level += mu * mixed
+        return r_code < level
+
     if mode == TIN:
-        ok = r_code < (1.0 - mu) * c_star + mu * c
+        ok = clears(c_star, c)
     elif mode == DI:
-        ok = (r_code < (1.0 - mu) * ct_star + mu * ct) & (
-            r_code < (1.0 - mu) * c_star + mu * c_cross
-        )
+        ok = clears(ct_star, ct) & clears(c_star, c_cross)
     else:
         raise AnalysisError(f"unknown decoder mode {mode!r}")
     return bool(ok) if ok.ndim == 0 else ok
@@ -140,6 +146,13 @@ def _decode(p1: np.ndarray, p2: np.ndarray, scheme: SchemeParams, info: InfoQuan
     return ~ok1.all(axis=1), ~ok2.all(axis=1), fails
 
 
+def _unit_overlap(v: np.ndarray) -> np.ndarray:
+    """max(0, 1 - |v|), the overlap of unit intervals whose starts differ by v, in place."""
+    np.abs(v, out=v)
+    np.subtract(1.0, v, out=v)
+    return np.clip(v, 0.0, None, out=v)
+
+
 def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
                        info: InfoQuantities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk of fluid-mode trials: user i's codeword j starts at d_i/theta
@@ -150,35 +163,66 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     x = (d1 - d2)/theta and m = floor(-x/s) user 1's codeword j meets only
     user 2's j-m and j-m-1, overlapping by A = max(0, 1 - |x + m s|) and
     B = max(0, 1 - |x + (m+1) s|); user 2's k meets user 1's k+m and k+m+1.
-    So each mu is A + B, A, B or 0, by which partners exist in 1..N, and a
-    trial costs O(1).  Failures tallied per (pattern, m) spread over the
-    codewords in O(N) per call.  Memory is linear in the trials passed in;
-    ``run_trials`` passes one chunk at a time.
+    So codeword j's mu is A + B for m in [j-N, j-2], A for m = j-1, B for
+    m = j-N-1 and 0 otherwise, and a trial costs O(1): each of A + B, A and B
+    is decoded once per trial, the verdict at mu = 0 once per call.  Failures
+    tallied per m add up over each codeword's window of m in O(N) per call.
+    Memory is linear in the trials passed in: at most two float rows, the
+    integer m and the decode temporaries are alive at once, under 48 bytes a
+    trial; ``run_trials`` passes one chunk at a time.
     """
     n = scheme.n_packets
     s = max(scheme.r, 1.0)   # exact; the gapless step (r + 1) - r can round off 1
-    theta = 1.0 / (n * scheme.code_rate)
-    # Per m in [-N-2, N+2] (beyond, no codeword has a partner), user 1's codewords
-    # lo..hi with mu = A + B, A, B, 0 (j <= m) and 0 (j >= m+N+2); empty if lo > hi.
+    r_code = scheme.code_rate
+    theta = 1.0 / (n * r_code)
+    y = d1 / theta
+    y -= d2 / theta          # x
+    m = np.negative(y)
+    m /= s
+    np.floor(m, out=m)
+    y += m * s               # x + m s
+    # k = m + N + 2 with m clipped to [-N-2, N+2]: beyond, no codeword has a partner.
+    k = np.clip(m, -n - 2, n + 2, out=m).astype(np.intp)
+    del m
+    k += n + 2
     ms = np.arange(-n - 2, n + 3)
-    lo = np.maximum([ms + 2, ms + 1, ms + n + 1, np.ones_like(ms), ms + n + 2], 1).ravel()
-    hi = np.minimum([ms + n, ms + 1, ms + n + 1, ms, np.full_like(ms, n)], n).ravel()
-    exists = lo <= hi
-    x = d1 / theta - d2 / theta
-    m = np.floor(-x / s)
-    y = x + m * s
-    a = np.clip(1.0 - np.abs(y), 0.0, None)
-    b = np.clip(1.0 - np.abs(y + s), 0.0, None)
-    mu = np.stack([a + b, a, b, 0.0 * a, 0.0 * a])
-    cell = np.arange(5)[:, None] * ms.size + np.clip(m, -n - 2, n + 2).astype(int) + n + 2
-    failed = [exists[cell] & ~decode_success(mu, info, i, scheme.code_rate, decoder)
-              for i, decoder in zip((1, 2), scheme.decoder)]
-    tally = [np.bincount(cell[f], minlength=exists.size)[exists] for f in failed]
-    diff = [np.bincount(lo[exists], t, n + 2) - np.bincount(hi[exists] + 1, t, n + 2)
-            for t in tally]   # float counts, exact below 2**53
-    fails = np.cumsum(diff, axis=1)[:, 1:n + 1].astype(np.int64)
+    j = np.arange(1, n + 1)
+    users = tuple(zip((1, 2), scheme.decoder))
+    outage = np.zeros((2, len(k)), dtype=bool)
+    fails = np.zeros((2, n), dtype=np.int64)
+
+    def tally(mu, lo, hi):
+        # Codeword j has this mu when m is in [j + lo, j + hi], so some codeword
+        # has it when m is in [1 + lo, N + hi]; a failure counts for each such j.
+        has = ((ms >= 1 + lo) & (ms <= n + hi))[k]
+        for i, (user, decoder) in enumerate(users):
+            failed = ~decode_success(mu, info, user, r_code, decoder)
+            failed &= has
+            outage[i] |= failed
+            per_m = np.cumsum(np.bincount(k[failed], minlength=ms.size))
+            fails[i] += per_m[j + hi + n + 2] - per_m[j + lo + n + 1]
+
+    a = _unit_overlap(y.copy())    # A
+    tally(a, -1, -1)
+    y += s
+    b = _unit_overlap(y)           # B, in place of y
+    tally(b, -n - 1, -n - 1)
+    a += b                         # A + B
+    del y, b
+    tally(a, -n, -2)
+    # Codeword j has mu = 0 when m is outside [j-N-1, j-1], so some codeword
+    # has it when m >= 1 or m <= -2.
+    zero_fails = [not decode_success(0.0, info, user, r_code, decoder)
+                  for user, decoder in users]
+    if any(zero_fails):
+        has = ((ms >= 1) | (ms <= -2))[k]
+        per_m = np.cumsum(np.bincount(k, minlength=ms.size))
+        outside = len(k) - (per_m[j + n + 1] - per_m[j])
+        for i in np.flatnonzero(zero_fails):
+            outage[i] |= has
+            fails[i] += outside
     fails[1] = fails[1, ::-1]   # user 2's codeword k has user 1's pattern at N+1-k
-    return failed[0].any(axis=0), failed[1].any(axis=0), fails
+    return outage[0], outage[1], fails
 
 
 def _stochastic_chunk(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams, n: int,
@@ -230,7 +274,8 @@ class SimResult:
     per_codeword_failures: list[list[int]] = field(default_factory=list)
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        # Shallow: dataclasses.asdict would deep-copy all 2N failure counts.
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=indent)
 
 
 def _halfwidth(p_hat: float, trials: int) -> float:
@@ -283,5 +328,5 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
         trials=config.trials,
         seed=config.seed,
         mode=config.mode,
-        per_codeword_failures=[[int(v) for v in row] for row in fails],
+        per_codeword_failures=fails.tolist(),
     )

@@ -7,6 +7,7 @@ with the admissible-interval membership test from the closed-form analysis.
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,50 @@ def test_fluid_gapless_lattice_step_is_exactly_one():
     assert (fails[:, 1:7] == 2000).all()
 
 
+# At R_c = 0.6, user 2 fails at mu = 0 (C*_2 = 0.5) but, under DI, clears
+# 0.25 < mu < 0.6; user 1 clears mu = 0 and fails from mu = 4/7 (TIN) or 0.6
+# (DI).  No threshold sits at 0.5 or 1, the mu of a codeword with two
+# partners at r = 1.5 and at r <= 1.
+_ONE_SIDED_INFO = ic.InfoQuantities(c_star=(1.0, 0.5), c=(0.3, 0.2), c_cross=(1.2, 0.9),
+                                    c_tilde_star=(0.9, 0.9), c_tilde=(0.4, 0.4))
+
+
+def _swap_users(info):
+    return ic.InfoQuantities(*(values[::-1] for values in (
+        info.c_star, info.c, info.c_cross, info.c_tilde_star, info.c_tilde)))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("decoder", [(ic.TIN, ic.DI), (ic.DI, ic.TIN)])
+@pytest.mark.parametrize("r", [0.7, 1.0, 1.5])
+@pytest.mark.parametrize("n_packets", [1, 2, 7])
+def test_fluid_kernel_matches_general_path_mixed_decoders(swap, decoder, r, n_packets):
+    # Mixed decoders and a mu = 0 verdict that fails for one user only, which
+    # test_fluid_kernel_matches_general_path never draws; the general path is
+    # overlap_fractions and decode_success on the explicit rows d/theta + tau_bar.
+    info = _swap_users(_ONE_SIDED_INFO) if swap else _ONE_SIDED_INFO
+    scheme = ic.SchemeParams(lam=0.6 / r, r=r, n_packets=n_packets, d_max=5.0, decoder=decoder)
+    r_code = scheme.code_rate
+    assert [ic.decode_success(0.0, info, user, r_code, mode)
+            for user, mode in zip((1, 2), decoder)] == ([False, True] if swap else [True, False])
+    d1, d2 = _offset_draws(seed=17, trials=3000, d_max=scheme.d_max)
+    taus = np.array([tau_bar(j, r) for j in range(1, n_packets + 1)])
+    theta = 1.0 / (n_packets * r_code)
+    mus = overlap_fractions(d1[:, None] / theta + taus, d2[:, None] / theta + taus)
+    oks = [ic.decode_success(mu, info, user, r_code, mode)
+           for user, mu, mode in zip((1, 2), mus, decoder)]
+    # Leave out trials with an overlap within rounding of a threshold
+    # (mu = 4/7, 0.6 or 0.25); only there may the two paths differ.
+    near = [np.abs(np.subtract.outer(mu, [4 / 7, 0.6, 0.25])) <= 1e-12 for mu in mus]
+    keep = ~np.logical_or(*(x.any(axis=(1, 2)) for x in near))
+    assert keep.sum() > 2900
+    out1, out2, fails = fluid_outage_flags(d1[keep], d2[keep], scheme, info)
+    assert np.array_equal(out1, ~oks[0][keep].all(axis=1))
+    assert np.array_equal(out2, ~oks[1][keep].all(axis=1))
+    assert np.array_equal(fails, [(~ok[keep]).sum(axis=0) for ok in oks])
+    assert 0 < fails.sum() < 2 * n_packets * keep.sum()
+
+
 @pytest.fixture
 def pool_requests(monkeypatch):
     """Worker counts of every thread pool requested; the pool runs chunks in order."""
@@ -499,6 +544,13 @@ def test_fluid_kernel_memory_is_flat_in_n():
     # Four chunks of trials; per-codeword state is O(N) and small beside a chunk.
     small, large = _fluid_peak_bytes(4, 4 * _CHUNK), _fluid_peak_bytes(4096, 4 * _CHUNK)
     assert large < 1.5 * small, f"peak {large} B at N=4096 against {small} B at N=4"
+
+
+def test_fluid_chunk_working_set_fits_budget():
+    # A chunk decodes one 1-D mu row at a time, so its temporaries stay
+    # under 96 bytes a trial, the offsets that run_trials draws included.
+    peak = _fluid_peak_bytes(4, 4 * _CHUNK)
+    assert peak <= 96 * _CHUNK, f"peak {peak / _CHUNK:.0f} B per trial"
 
 
 @pytest.mark.parametrize("mode, n", [("fluid", None), ("stochastic", 2000)])
@@ -689,3 +741,14 @@ def test_sim_result_json_schema():
             1.96 * math.sqrt(p * (1.0 - p) / 100)
         )
     assert len(payload["per_codeword_failures"][0]) == 2
+
+
+@pytest.mark.parametrize("mode, n", [("fluid", None), ("stochastic", 2000)])
+def test_sim_result_json_equals_asdict_dump(monkeypatch, mode, n):
+    monkeypatch.setattr(simulator, "_CHUNK", 16)
+    scheme = ic.SchemeParams(lam=0.1, r=1.5, n_packets=6, d_max=10.0, decoder=ic.TIN)
+    res = ic.run_trials(ic.SimConfig(scheme=scheme, trials=61, seed=9, mode=mode, n=n),
+                        reference_point())
+    assert sum(map(sum, res.per_codeword_failures)) > 0
+    for indent in (None, 2):
+        assert res.to_json(indent) == json.dumps(asdict(res), indent=indent)
