@@ -417,41 +417,47 @@ class SubunitRateBound(NamedTuple):
     limit: float
 
 
-def outage_ub_subunit_rate(info: InfoQuantities, user: int, lam, r, n_packets, d_max
-                           ) -> SubunitRateBound:
-    """Outage bound for the gapless 0 < r < 1 regime (TIN decoding), plus its
-    (N -> inf, r -> 1-) limit.  The limit is kappa/2 in the middle branch."""
+def outage_ub_subunit_rate(info: InfoQuantities, user: int, lam, r, n_packets, d_max,
+                           mode: str) -> SubunitRateBound:
+    """Gapless (0 < r < 1) outage bound under either decoder.
+
+    finite_n is delta_cdf((N - 1 + rho_i)/(N r lam), D); it is 1 where chi2
+    fails and else 0 at rho_i < 0.  limit, the (N -> inf, r -> 1-) value, is
+    0 at rho_i(1) <= 0 and delta_cdf(1/lam, D) = kappa/2 at rho_i(1) <= 1;
+    it is 1 beyond that or when lam exceeds an additive DI cap C*.
+    """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 < r) & (r < 1.0)):
         raise AnalysisError("this bound applies to 0 < r < 1 only")
-    c_star, c, _, _, _ = info.for_user(user)
-    value = np.asarray(rho(info, user, r, lam, TIN).value)
-    theta = 1.0 / (n_packets * r * lam)
-    n = n_packets
-    cdf = delta_cdf((n - 1 + value) * theta, d_max)
-    # rho_i < 0: decodable under any overlap, so no outage
-    p = np.where(value < 0.0, 0.0, np.where(value < 1.0, 1.0 - (1.0 - cdf), 1.0))
-    limit = np.where(lam <= c, 0.0, np.where(lam <= c_star, delta_cdf(1.0 / lam, d_max), 1.0))
+    value, _, _, chi2 = user_outage_inputs(info, user, r, lam, mode)
+    value = np.asarray(value)
+    cdf = delta_cdf((n_packets - 1 + value) / (n_packets * r * lam), d_max)
+    p = np.where(chi2, np.where(value < 0.0, 0.0, cdf), 1.0)
+    at_one, cap = rho(info, user, 1.0, lam, mode)
+    at_one = np.asarray(at_one)
+    capped = False if cap is None else np.asarray(cap) < 1.0
+    limit = np.where(capped | (at_one > 1.0), 1.0,
+                     np.where(at_one <= 0.0, 0.0, delta_cdf(1.0 / lam, d_max)))
     return SubunitRateBound(_out(p), _out(limit))
 
 
 class ClosedForm(NamedTuple):
     inputs: UserOutageInputs
-    finite_n: float | None   # nan where no closed form applies; None without N
-    limit: float             # N -> inf; nan at r < 1
+    finite_n: float | None   # None without N
+    limit: float             # N -> inf at the given r
 
 
 def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max,
                        mode: str) -> ClosedForm:
-    """User i's fluid outage in closed form, at N packets and as N -> inf.
+    """User i's fluid outage in closed form, at N packets and as N -> inf,
+    under either decoder.
 
     - rho_i < 0: 0, or 1 if r breaks the additive DI cap r < C*/lam;
     - r >= 1: outage_ub_finite_n and outage_ub_limit, chi1 false included;
-    - r < 1: the gapless outage_ub_subunit_rate(...).finite_n under TIN and
-      none under DI; the library has no limit at a fixed r < 1.
+    - r < 1: the gapless outage_ub_subunit_rate(...).finite_n, and as
+      N -> inf delta_cdf(1/(r lam), D) where chi2 holds, else 1.
 
-    Where no closed form applies the value is nan.  The arguments broadcast;
-    finite_n is None when n_packets is.
+    The arguments broadcast; finite_n is None when n_packets is.
     """
     inputs = user_outage_inputs(info, user, r, lam, mode)
     negative = np.asarray(inputs.rho) < 0
@@ -459,14 +465,14 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
     bursty = np.asarray(r) >= 1.0
     alpha = lam * d_max
-    limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2), np.nan)
+    limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2),
+                     np.where(inputs.chi2, delta_cdf(1.0 / (np.asarray(r) * lam), d_max), 1.0))
     finite_n = None
     if n_packets is not None:
-        bound = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2)
-        finite_n = np.where(bursty, bound.value, np.nan)
-        if mode == TIN and not bursty.all():
+        finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2).value
+        if not bursty.all():
             gapless = outage_ub_subunit_rate(info, user, lam, np.where(bursty, 0.5, r),
-                                             n_packets, d_max)
+                                             n_packets, d_max, mode)
             finite_n = np.where(bursty, finite_n, gapless.finite_n)
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))

@@ -8,6 +8,8 @@ information quantities are in bits per channel use (log base 2).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,17 @@ class ChannelValidationError(ValueError):
 
 class AnalysisError(ValueError):
     """An analytic quantity cannot be evaluated at the given parameters."""
+
+
+def _finite(value, what: str):
+    """value itself if it is a finite real number; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ChannelValidationError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,8 @@ class GaussianIC:
     c2: float
 
     def __post_init__(self):
+        for name in ("p1", "p2", "c1", "c2"):
+            _finite(getattr(self, name), name)
         if self.p1 <= 0 or self.p2 <= 0:
             raise ChannelValidationError("transmit powers must be positive")
         if self.c1 < 0 or self.c2 < 0:
@@ -140,15 +155,16 @@ class InfoQuantities:
 
 
 def validate(channel: DiscreteIC) -> None:
-    """Check alphabet sizes, kernel shapes, row stochasticity and idle indices."""
+    """Check alphabet sizes, kernel shapes and entries, row stochasticity and
+    idle indices."""
     for name, size in (
         ("x1_size", channel.x1_size),
         ("x2_size", channel.x2_size),
         ("y1_size", channel.y1_size),
         ("y2_size", channel.y2_size),
     ):
-        if size < 1:
-            raise ChannelValidationError(f"{name} must be a positive integer")
+        if not _is_int(size) or size < 1:
+            raise ChannelValidationError(f"{name} must be a positive integer, got {size!r}")
     n_rows = channel.x1_size * channel.x2_size
     for name, kern, y in (
         ("kernel1", channel.kernel1, channel.y1_size),
@@ -158,6 +174,9 @@ def validate(channel: DiscreteIC) -> None:
             raise ChannelValidationError(
                 f"{name} has shape {kern.shape}, expected {(n_rows, y)}"
             )
+        if not np.isfinite(kern).all():
+            r = int(np.argwhere(~np.isfinite(kern))[0][0])
+            raise ChannelValidationError(f"{name} row {r} has a non-finite entry")
         if (kern < 0).any():
             r = int(np.argwhere(kern < 0)[0][0])
             raise ChannelValidationError(f"{name} row {r} has a negative entry")
@@ -169,10 +188,10 @@ def validate(channel: DiscreteIC) -> None:
                 f"{name} row {r} sums to {sums[r]:.15f} (deviation "
                 f"{sums[r] - 1.0:+.3e})"
             )
-    if not 0 <= channel.idle1 < channel.x1_size:
-        raise ChannelValidationError("idle index out of range for user 1")
-    if not 0 <= channel.idle2 < channel.x2_size:
-        raise ChannelValidationError("idle index out of range for user 2")
+    for user, idle, size in ((1, channel.idle1, channel.x1_size),
+                             (2, channel.idle2, channel.x2_size)):
+        if not _is_int(idle) or not 0 <= idle < size:
+            raise ChannelValidationError(f"idle index out of range for user {user}: {idle!r}")
 
 
 def _mutual_information(pi: np.ndarray, cond: np.ndarray) -> float:
@@ -401,12 +420,24 @@ def dbw_to_watts(dbw: float) -> float:
 
 
 def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
-    """Load a channel from a JSON config file path or an already-parsed dict."""
+    """Load a channel from a JSON config file path or an already-parsed dict.
+
+    Numbers must be finite, sizes and idle indices integers, and kernels
+    matrices of numbers; anything else raises ChannelValidationError."""
     if isinstance(path_or_dict, dict):
         cfg = path_or_dict
     else:
         with open(path_or_dict) as f:
             cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ChannelValidationError("channel config must be a JSON object")
+
+    def kernel(key):
+        k = np.asarray(cfg[key])
+        if k.dtype.kind not in "iuf":
+            raise ChannelValidationError(f"{key} must be a matrix of numbers")
+        return k.astype(float)
+
     kind = cfg.get("type")
     if kind == "discrete":
         ch = DiscreteIC(
@@ -414,8 +445,8 @@ def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
             x2_size=cfg["x2"],
             y1_size=cfg["y1"],
             y2_size=cfg["y2"],
-            kernel1=np.asarray(cfg["kernel1"], dtype=float),
-            kernel2=np.asarray(cfg["kernel2"], dtype=float),
+            kernel1=kernel("kernel1"),
+            kernel2=kernel("kernel2"),
             idle1=cfg.get("idle1", 0),
             idle2=cfg.get("idle2", 0),
         )
@@ -426,9 +457,13 @@ def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
             if f"{key}_dbw" in cfg and key in cfg:
                 raise ChannelValidationError(f"give {key} or {key}_dbw, not both")
             if f"{key}_dbw" in cfg:
-                return dbw_to_watts(cfg[f"{key}_dbw"])
+                dbw = _finite(cfg[f"{key}_dbw"], f"{key}_dbw")
+                try:
+                    return dbw_to_watts(dbw)
+                except OverflowError:
+                    raise ChannelValidationError(f"{key}_dbw = {dbw!r} overflows") from None
             if key in cfg:
-                return float(cfg[key])
+                return cfg[key]
             raise ChannelValidationError(f"missing {key} or {key}_dbw")
 
         return GaussianIC(p1=power("p1"), p2=power("p2"), c1=cfg["c1"], c2=cfg["c2"])

@@ -358,26 +358,19 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
     if check:
         bounds = [an.closed_form_outage(info, user, lam, r_value, n_packets, d_max,
                                         scheme.decoder[user - 1]) for user in (1, 2)]
-        # Stochastic outage has a finite-n bias, so it is compared only
-        # at rho >= 0 with chi1.
-        rule = ("no closed form for DI at r < 1" if mode == "fluid"
-                else "stochastic mode compares only users with rho >= 0 and chi1")
         compared = 0
         for user, bound, p_hat in zip((1, 2), bounds, result.outage):
-            p = bound.finite_n
-            biased = mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1)
-            if math.isnan(p) or biased:
+            # Stochastic outage has a finite-n bias: compare it only at rho >= 0 with chi1.
+            if mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1):
                 continue
             compared += 1
-            sigma = np.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-            if abs(p_hat - p) > 4.0 * sigma:
-                _fail(
-                    EXIT_CHECK,
-                    f"user {user}: empirical outage {p_hat:.5f} deviates "
-                    f"from closed form {p:.5f} by more than 4 sigma",
-                )
+            p = bound.finite_n
+            if abs(p_hat - p) > 4.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / trials):
+                _fail(EXIT_CHECK, f"user {user}: empirical outage {p_hat:.5f} deviates "
+                      f"from closed form {p:.5f} by more than 4 sigma")
         if not compared:
-            _fail(EXIT_CONFIG, f"--check compared no user: {rule}")
+            _fail(EXIT_CONFIG, "--check compared no user: "
+                  "stochastic mode compares only users with rho >= 0 and chi1")
         click.echo("check passed", err=True)
 
 

@@ -288,7 +288,7 @@ def test_criterion_09_gapless_regime_comparison():
         )
         lam = c + 1e-9 + rng.random() * (c_star - c - 1e-9)
         d_max = 0.2 + rng.random() * 30.0
-        _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max)
+        _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max, ic.TIN)
         worst = max(worst, abs(limit - ic.kappa(lam * d_max) / 2.0))
     dominance = True
     for _ in range(500):

@@ -533,25 +533,25 @@ def test_subunit_rate_limit_branches():
     info = reference_point()
     c1, c1s = info.c[0], info.c_star[0]
     # lam <= C: zero-outage limit
-    _, limit = ic.outage_ub_subunit_rate(info, 1, c1 / 2.0, 0.9, 50, 3.0)
+    _, limit = ic.outage_ub_subunit_rate(info, 1, c1 / 2.0, 0.9, 50, 3.0, ic.TIN)
     assert limit == 0.0
     # C < lam <= C*: limit is exactly half of kappa
     for lam in (c1 + 1e-3, (c1 + c1s) / 2.0, c1s):
         for d_max in (0.5 / lam, 2.0 / lam, 30.0):
-            _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max)
+            _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max, ic.TIN)
             assert limit == pytest.approx(ic.kappa(lam * d_max) / 2.0, abs=1e-12)
     # lam > C*: outage is certain in the limit
-    _, limit = ic.outage_ub_subunit_rate(info, 1, c1s + 0.1, 0.9, 50, 3.0)
+    _, limit = ic.outage_ub_subunit_rate(info, 1, c1s + 0.1, 0.9, 50, 3.0, ic.TIN)
     assert limit == 1.0
     with pytest.raises(ic.AnalysisError):
-        ic.outage_ub_subunit_rate(info, 1, 0.1, 1.2, 50, 3.0)
+        ic.outage_ub_subunit_rate(info, 1, 0.1, 1.2, 50, 3.0, ic.TIN)
 
 
 def test_subunit_rate_rejects_degenerate_denominator():
     # c1 = 0 makes C1* = C1; the gapless form shares rho's denominator check.
     info = ic.gaussian_info_quantities(ic.GaussianIC(p1=1000.0, p2=1000.0, c1=0.0, c2=1.5))
     with pytest.raises(ic.AnalysisError, match=r"user 1: nonpositive denominator C\*-C = 0"):
-        ic.outage_ub_subunit_rate(info, 1, 0.6, 0.7, 4, 5.0)
+        ic.outage_ub_subunit_rate(info, 1, 0.6, 0.7, 4, 5.0, ic.TIN)
 
 
 def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
@@ -562,12 +562,64 @@ def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
     below = 0
     grid = itertools.product((0.4, 0.45, 0.6, 1.0), (0.3, 0.6, 0.9), (1, 4, 16), (1.0, 5.0))
     for (lam, r, n_packets, d_max), user in itertools.product(grid, (1, 2)):
-        finite_n, _ = ic.outage_ub_subunit_rate(info, user, lam, r, n_packets, d_max)
+        finite_n, _ = ic.outage_ub_subunit_rate(info, user, lam, r, n_packets, d_max,
+                                                 ic.TIN)
         assert 0.0 <= finite_n <= 1.0
         if lam * r < info.c[user - 1]:    # rho_i < 0
             assert finite_n == 0.0
             below += 1
     assert 0 < below < 144
+
+
+@pytest.mark.parametrize("mode", [ic.TIN, ic.DI])
+@pytest.mark.parametrize("n_packets", [64, 256])
+def test_gapless_fixed_r_limit_is_within_lipschitz_bound_of_exact_outage(
+        gaussian_channel, mode, n_packets):
+    # At a fixed r < 1 the gapless outage is delta_cdf((N - 1 + rho) theta, D)
+    # with theta = 1/(N r lam), and its N -> inf limit is delta_cdf(1/(r lam), D).
+    # delta_cdf is 2/D-Lipschitz and |(N - 1 + rho) theta - N theta| <= theta,
+    # so the exact outage at N lies within 2/(D N r lam) of the limit.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    d_max, regimes = 5.0, Counter()
+    for user, r, load in itertools.product((1, 2), (0.5, 0.9), (0.1, 0.3, 0.6, 1.1)):
+        lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
+        bound = ic.analysis.closed_form_outage(info, user, lam, r, None, d_max, mode)
+        exact = fluid_outage_exact_oracle(info, user, lam, r, n_packets, d_max, mode)
+        assert abs(exact - bound.limit) <= 2.0 / (d_max * n_packets * r * lam), (user, r, load)
+        regimes[_closed_form_regime(bound, r) if bound.inputs.chi2 else "chi2 false"] += 1
+    assert regimes["gapless"] >= 8 and regimes["chi2 false"] >= 4, regimes
+
+
+@pytest.mark.parametrize("n_packets", [1, 4])
+def test_gapless_form_past_the_additive_cap_is_one_even_at_negative_rho(n_packets):
+    # On a channel with C~ > C* the DI exposure rho_i is negative while the
+    # code rate r lam is already at or above C*: no codeword decodes, even
+    # without interference, so the gapless form gives 1, not the rho < 0 zero.
+    info = ic.gaussian_info_quantities(ic.GaussianIC(p1=0.1, p2=0.1, c1=100.0, c2=100.0))
+    rho_1, _, _, chi2 = ic.analysis.user_outage_inputs(info, 1, 0.5, 1.0, ic.DI)
+    assert rho_1 < 0 and not chi2 and 0.5 * 1.0 >= info.c_star[0]
+    finite_n, _ = ic.outage_ub_subunit_rate(info, 1, 1.0, 0.5, n_packets, 1.0, ic.DI)
+    assert finite_n == fluid_outage_exact_oracle(info, 1, 1.0, 0.5, n_packets, 1.0, ic.DI) == 1.0
+
+
+@pytest.mark.parametrize("mode", [ic.TIN, ic.DI])
+def test_gapless_limit_is_the_fixed_r_limit_as_r_tends_to_one(gaussian_channel, mode):
+    # outage_ub_subunit_rate(...).limit is the (N -> inf, r -> 1-) value, so it
+    # equals closed_form_outage's fixed-r limit just below r = 1.  The weak
+    # channel has C~ > C*: there rho_i(1) <= 0 while lam breaks the additive
+    # DI cap, and the limit is 1.
+    weak = ic.GaussianIC(p1=0.1, p2=0.1, c1=100.0, c2=100.0)
+    values = Counter()
+    for ch, d_max in itertools.product((gaussian_channel, weak), (0.3, 5.0)):
+        info = ic.gaussian_info_quantities(ch)
+        lam = np.linspace(0.05, 6.0, 120)
+        for user in (1, 2):
+            limit = ic.outage_ub_subunit_rate(info, user, lam, 0.5, 1, d_max, mode).limit
+            below_one = ic.analysis.closed_form_outage(info, user, lam, 1.0 - 1e-10, None,
+                                                       d_max, mode).limit
+            np.testing.assert_allclose(limit, below_one, rtol=0.0, atol=1e-6)
+            values.update(np.where(limit == 0.0, "0", np.where(limit == 1.0, "1", "cdf")))
+    assert min(values["0"], values["1"], values["cdf"]) > 0, values
 
 
 def test_bursty_scheme_beats_gapless_limit():
@@ -617,7 +669,6 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, us
         bound = ic.analysis.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
     except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
         assume(False)
-    assume(not math.isnan(bound.finite_n))   # DI at r < 1 has no closed form
     event(_closed_form_regime(bound, r))
     exact = fluid_outage_exact_oracle(info, user, lam, r, n_packets, d_max, mode)
     assert bound.finite_n == pytest.approx(exact, abs=1e-12)
@@ -633,6 +684,10 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, us
     (0.6, 0.7, ic.TIN, 1, "rho<0"),
     (1.0, 0.7, ic.TIN, 1, "gapless"),
     (0.6, 0.7, ic.TIN, 2, "gapless"),
+    (0.6, 0.7, ic.DI, 2, "rho<0"),
+    (0.9, 0.8, ic.DI, 1, "gapless"),
+    (0.9, 0.8, ic.DI, 2, "gapless"),
+    (6.0, 0.9, ic.DI, 1, "gapless"),   # r breaks the additive DI cap: outage 1
 ])
 @pytest.mark.parametrize("n_packets", [1, 4, 16])
 def test_finite_n_closed_forms_equal_exact_fluid_oracle_per_regime(
@@ -757,8 +812,8 @@ def _closed_forms(info, mode):
         "epsilon_bound": labelled,
         "outage_ub_finite_n": finite_n,
         "outage_ub_limit": limit,
-        "outage_ub_subunit_rate":
-            lambda lam, r, d, n: an.outage_ub_subunit_rate(info, 2, lam, r / (1.0 + r), n, d),
+        "outage_ub_subunit_rate": lambda lam, r, d, n: an.outage_ub_subunit_rate(
+            info, 2, lam, r / (1.0 + r), n, d, mode),
         "closed_form_outage":
             lambda lam, r, d, n: an.closed_form_outage(info, 1, lam, r, n, d, mode),
     }

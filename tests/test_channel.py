@@ -123,6 +123,28 @@ def test_validate_rejects_negative_entry():
         ic.validate(ch)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p1", math.nan), ("p2", math.inf), ("c1", "0.5"), ("c2", None), ("c1", True),
+])
+def test_gaussian_ic_refuses_non_finite_or_non_numeric_values(field, value):
+    kwargs = {"p1": 1000.0, "p2": 1000.0, "c1": 0.8, "c2": 1.5, field: value}
+    with pytest.raises(ic.ChannelValidationError, match=f"{field} must be a finite number"):
+        ic.GaussianIC(**kwargs)
+
+
+def test_validate_rejects_non_finite_entry_and_non_integer_size():
+    # NaN compares false with every bound, so neither the sign nor the
+    # row-sum check would see it.
+    k = normalize_rows(KERNEL).copy()
+    k[1, 3] = math.nan
+    with pytest.raises(ic.ChannelValidationError, match="kernel2 row 1 has a non-finite entry"):
+        ic.validate(ic.DiscreteIC(2, 2, 5, 5, normalize_rows(KERNEL), k))
+    with pytest.raises(ic.ChannelValidationError, match="y1_size must be a positive integer"):
+        ic.validate(ic.DiscreteIC(2, 2, 5.0, 5, normalize_rows(KERNEL), normalize_rows(KERNEL)))
+    k = normalize_rows(KERNEL)
+    ic.validate(ic.DiscreteIC(np.int64(2), 2, 5, 5, k, k))
+
+
 def test_input_distribution_invariants():
     with pytest.raises(ic.ChannelValidationError):
         ic.InputDistribution(np.array([0.5, 0.6]))

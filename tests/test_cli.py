@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -273,9 +274,9 @@ def test_sweep_channel_fault_spares_points_below_threshold(runner, discrete_file
 
 
 def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tmp_path):
-    # At r < 1 the r > 1 forms do not apply: TIN takes the gapless form at
-    # finite N and DI has none; neither has a limit at a fixed r < 1.  Cells
-    # at rho < 0 stay blank.
+    # At r < 1 the r > 1 forms do not apply: both decoders take the gapless
+    # form at finite N, and the limit is its N -> inf value at that r,
+    # delta_cdf(1/(r lam), D).  Cells at rho < 0 stay blank.
     info = ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5))
     out = tmp_path / "r.csv"
     cells = {}
@@ -290,13 +291,16 @@ def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tm
             for row in csv.DictReader(f):
                 cells[mode, int(row["user"])] = (
                     row["rho"] != "", row["p_outage_finiteN"], row["p_outage_limit"])
-    gapless = ic.outage_ub_subunit_rate(info, 2, 0.6, 0.7, 4, 5.0).finite_n
+    gapless = ic.outage_ub_subunit_rate(info, 2, 0.6, 0.7, 4, 5.0, ic.TIN).finite_n
     assert gapless == pytest.approx(0.5884, abs=1e-4)
+    di = [ic.outage_ub_subunit_rate(info, user, 0.9, 0.8, 4, 5.0, ic.DI).finite_n
+          for user in (1, 2)]
+    assert di == pytest.approx([0.38065, 0.37468], abs=1e-5)
     assert cells == {
         ("tin", 1): (True, "", ""),                  # rho < 0
-        ("tin", 2): (True, repr(gapless), ""),
-        ("di", 1): (True, "", ""),
-        ("di", 2): (True, "", ""),
+        ("tin", 2): (True, repr(gapless), repr(ic.delta_cdf(1.0 / (0.7 * 0.6), 5.0))),
+        ("di", 1): (True, repr(di[0]), repr(ic.delta_cdf(1.0 / (0.8 * 0.9), 5.0))),
+        ("di", 2): (True, repr(di[1]), repr(ic.delta_cdf(1.0 / (0.8 * 0.9), 5.0))),
     }
 
 
@@ -407,13 +411,22 @@ def test_simulate_fluid_check_compares_the_gapless_form(runner, gaussian_file, m
                                                          d_max):
     # At r < 1 chi1 is false for every rho >= 0; the check compares user 2
     # with the gapless-regime form instead, 1 at D = 1 and 0.59 at D = 5, and
-    # user 1 (rho < 0) with 0.  Shifting the gapless form by 0.1 must fail it.
+    # user 1 (rho < 0) with 0.  At D = 5 it also compares both DI users at
+    # lambda = 0.9, r = 0.8 with 0.38065 and 0.37468 (measured: 0.37970 and
+    # 0.37450).  Shifting the gapless form by 0.1 must fail every run.
     args = ["simulate", "--channel", gaussian_file, "--lambda", "0.6", "--r", "0.7",
             "--n-packets", "4", "--d", d_max, "--trials", "20000", "--seed", "0", "--check"]
+    di_args = ["simulate", "--channel", gaussian_file, "--lambda", "0.9", "--r", "0.8",
+               "--n-packets", "4", "--d", d_max, "--decoder", "di", "--trials", "20000",
+               "--seed", "0", "--check"]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.stderr
     assert result.stderr == "check passed\n"
     assert json.loads(result.stdout)["outage"][0] == 0.0
+    if d_max == "5":
+        result = runner.invoke(main, di_args)
+        assert (result.exit_code, result.stderr) == (0, "check passed\n")
+        assert json.loads(result.stdout)["outage"] == [0.3797, 0.3745]
     gapless = ic.analysis.outage_ub_subunit_rate
 
     def shifted(info, user, *rest):
@@ -424,18 +437,23 @@ def test_simulate_fluid_check_compares_the_gapless_form(runner, gaussian_file, m
     result = runner.invoke(main, args)
     assert result.exit_code == 4
     assert "user 2: empirical outage" in result.stderr
+    if d_max == "5":
+        result = runner.invoke(main, di_args)
+        assert result.exit_code == 4
+        assert "user 1: empirical outage" in result.stderr
 
 
-def test_simulate_fluid_check_comparing_no_user_exits_2(runner, gaussian_file):
-    # DI at r < 1: rho < 0 is compared with 0 (lambda = 0.6, r = 0.7), but with
-    # rho >= 0 for both users (lambda = 0.9, r = 0.8) there is no closed form.
+def test_simulate_fluid_check_compares_di_below_unit_rate(runner, gaussian_file):
+    # DI at r < 1 takes the gapless form like TIN: rho < 0 is compared with 0
+    # (lambda = 0.6, r = 0.7), and rho >= 0 for both users (lambda = 0.9,
+    # r = 0.8) with delta_cdf((N - 1 + rho) theta, D), which is 1 at D = 1.
     args = ["simulate", "--channel", gaussian_file, "--n-packets", "4", "--d", "1",
             "--decoder", "di", "--trials", "200", "--check"]
     result = runner.invoke(main, [*args, "--lambda", "0.6", "--r", "0.7"])
     assert (result.exit_code, result.stderr) == (0, "check passed\n")
     result = runner.invoke(main, [*args, "--lambda", "0.9", "--r", "0.8"])
-    assert result.exit_code == 2
-    assert result.stderr == "error: --check compared no user: no closed form for DI at r < 1\n"
+    assert (result.exit_code, result.stderr) == (0, "check passed\n")
+    assert json.loads(result.stdout)["outage"] == [1.0, 1.0]
 
 
 def test_simulate_stochastic_check_comparing_no_user_exits_2(runner, gaussian_file):
@@ -581,6 +599,43 @@ def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, me
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert message in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+_GAUSSIAN_CFG = {"type": "gaussian", "p1_dbw": 30.0, "p2_dbw": 30.0, "c1": 0.8, "c2": 1.5}
+_DISCRETE_CFG = {"type": "discrete", "x1": 2, "x2": 2, "y1": 2, "y2": 2,
+                 "kernel1": [[0.5, 0.5]] * 4, "kernel2": [[0.5, 0.5]] * 4}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**_GAUSSIAN_CFG, "c1": math.nan}, "c1 must be a finite number, got nan"),
+    ({**_GAUSSIAN_CFG, "c2": math.inf}, "c2 must be a finite number, got inf"),
+    ({**_GAUSSIAN_CFG, "c1": "0.5"}, "c1 must be a finite number, got '0.5'"),
+    ({**_GAUSSIAN_CFG, "c1": None}, "c1 must be a finite number, got None"),
+    ({**_GAUSSIAN_CFG, "p1_dbw": math.nan}, "p1_dbw must be a finite number, got nan"),
+    ({**_GAUSSIAN_CFG, "p2_dbw": 4000.0}, "p2_dbw = 4000.0 overflows"),
+    ({**_DISCRETE_CFG, "kernel1": [[math.nan, 0.5]] + [[0.5, 0.5]] * 3},
+     "kernel1 row 0 has a non-finite entry"),
+    ({**_DISCRETE_CFG, "kernel2": [[0.5, 0.5]] * 3 + [["0.5", 0.5]]},
+     "kernel2 must be a matrix of numbers"),
+    ({**_DISCRETE_CFG, "x1": "2"}, "x1_size must be a positive integer, got '2'"),
+    ({**_DISCRETE_CFG, "x1": 2.5}, "x1_size must be a positive integer, got 2.5"),
+    ({**_DISCRETE_CFG, "idle2": True}, "idle index out of range for user 2: True"),
+    ([_GAUSSIAN_CFG], "channel config must be a JSON object"),
+], ids=["nan-gain", "inf-gain", "string-gain", "null-gain", "nan-dbw", "overflowing-dbw",
+        "nan-kernel-entry", "string-kernel-entry", "string-size", "fractional-size",
+        "bool-idle", "top-level-array"])
+def test_malformed_channel_config_exits_2(runner, tmp_path, config, message):
+    # NaN compares false with every bound, so finiteness is checked on its
+    # own.  Every command refuses these at load time, before any work.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for args in (["analyze", "--lambda", "0.5"],
+                 ["simulate", "--lambda", "0.5", *_SIM],
+                 ["sweep", "--variable", "lambda", "--values", "0.5", "--d", "5",
+                  "--out", str(tmp_path / "x.csv")]):
+        result = runner.invoke(main, [args[0], "--channel", str(path), *args[1:]])
+        _assert_config_error(result, f"error: cannot load channel config: {message}\n")
     assert not (tmp_path / "x.csv").exists()
 
 
