@@ -11,7 +11,6 @@ from .channel import (
     gaussian_info_quantities,
     info_quantities,
     lambda_bar,
-    lambda_thresholds,
     load_channel,
     validate,
 )
@@ -26,8 +25,8 @@ from .analysis import (
     avg_rate,
     delta_cdf,
     epsilon_bound,
-    gaussian_case_label,
     kappa,
+    lambda_thresholds,
     rate_feasibility_interval,
     outage_inputs,
     outage_ub_finite_n,

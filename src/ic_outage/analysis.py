@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ __all__ = [
     "user_outage_inputs",
     "outage_inputs",
     "epsilon_bound",
-    "gaussian_case_label",
+    "lambda_thresholds",
     "outage_ub_subunit_rate",
     "closed_form_outage",
     "avg_rate",
@@ -107,23 +107,42 @@ class RhoValue(NamedTuple):
     r_cap: float | None   # extra feasibility cap r < r_cap (additive DI case)
 
 
-def _ratios(info: InfoQuantities, user: int, mode: str):
-    """User i's decoding constraints as (name, a, b): rho_i(r) is the largest
-    (lam*r - b)/(a - b) over them, named by their denominators a - b.
-
-    TIN has (C*, C); DI has (C~*, C~) and (C*, C_cross).  On an additive
-    channel (C_i* == C_{i,i'}) the second DI ratio degenerates and the hard
-    cap r < C_i*/lam replaces it: the second value returned is C_i* then,
-    and None otherwise.
-    """
+def _constraints(info: InfoQuantities, user: int, mode: str) -> list[tuple[str, float, float]]:
+    """User i's decoding constraints as (name, full, mixed): a codeword with
+    interfered fraction mu decodes when R_c < (1 - mu) full + mu mixed for
+    every entry.  TIN has (C*, C); DI has (C~*, C~) and (C*, C_cross).  Each
+    is named by its denominator full - mixed."""
     c_star, c, c_cross, ct_star, ct = info.for_user(user)
     if mode == TIN:
-        return [("C*-C", c_star, c)], None
-    if mode != DI:
-        raise AnalysisError(f"unknown decoder mode {mode!r}")
-    if abs(c_star - c_cross) < _ADDITIVE_TOL:
-        return [("C~*-C~", ct_star, ct)], c_star
-    return [("C~*-C~", ct_star, ct), ("C*-C_cross", c_star, c_cross)], None
+        return [("C*-C", c_star, c)]
+    if mode == DI:
+        return [("C~*-C~", ct_star, ct), ("C*-C_cross", c_star, c_cross)]
+    raise AnalysisError(f"unknown decoder mode {mode!r}")
+
+
+def _ratios(info: InfoQuantities, user: int, mode: str):
+    """The constraints (name, a, b) whose ratios (lam*r - b)/(a - b) give
+    rho_i(r), and the additive DI cap: on an additive channel (C_i* ==
+    C_{i,i'}) the ratio of (C*, C_cross) degenerates and the hard cap
+    r < C_i*/lam replaces it, so C_i* is returned then, and None otherwise."""
+    pairs = _constraints(info, user, mode)
+    name, a, b = pairs[-1]
+    if name == "C*-C_cross" and abs(a - b) < _ADDITIVE_TOL:
+        return pairs[:-1], a
+    return pairs, None
+
+
+def _zero_threshold(info: InfoQuantities, modes: tuple[str, str]) -> float:
+    """The arrival rate at or below which outage vanishes: the smallest
+    mixed rate over both users' constraints."""
+    return min(mixed for user, mode in zip((1, 2), modes)
+               for _, _, mixed in _constraints(info, user, mode))
+
+
+def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
+    """(lambda_TIN, lambda_DI): the arrival rates at or below which outage
+    vanishes when both users run that decoder."""
+    return _zero_threshold(info, (TIN, TIN)), _zero_threshold(info, (DI, DI))
 
 
 def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
@@ -194,10 +213,6 @@ def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
         cap = a / lam
     return Interval(_out(np.where(case == 3, ratio, np.where(case > 0, 1.0, 0.0))),
                     _out(np.where(case == 2, ratio, np.where(case > 0, cap, 0.0))))
-
-
-def _modes(mode) -> tuple[str, str]:
-    return (mode, mode) if isinstance(mode, str) else tuple(mode)
 
 
 def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Interval:
@@ -345,14 +360,17 @@ def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> OutageInputs:
 @dataclass(frozen=True)
 class EpsilonResult:
     """One bound, or arrays of them: then value, r0 and kappa are nan and
-    user is 0 where kind is not "value"."""
+    user is 0 where kind is not "value".  A value's case_label is
+    case{k}-user{j}: j is the binding user and k the branch of
+    rate_feasibility_interval that the other user's first constraint is on,
+    under its own mode; any other kind is labelled outside-ladder."""
 
     kind: str             # "zero", "value" or "not-applicable"
     value: float | None = None
     r0: float | None = None    # lower end of the r > 1 feasible for both users
     kappa: float | None = None
     user: int | None = None    # index attaining the max in the bound
-    case_label: str = ""       # set by gaussian_case_label
+    case_label: str = ""
 
     @property
     def epsilon(self):
@@ -362,54 +380,38 @@ class EpsilonResult:
         return _out(np.where(kind == "zero", 0.0, np.asarray(self.value, dtype=float)))
 
 
+_CASE_LABELS = np.array([[f"case{k}-user{j}" for j in (1, 2)] for k in range(4)])
+
+
 def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     """Outage-level bound: zero below the decoder threshold, else
-    kappa * max_i beta_i(r0).  lam and d_max broadcast."""
-    m1, m2 = _modes(mode)
-    thresholds = []
-    for user, m in ((1, m1), (2, m2)):
-        c_star, c, c_cross, ct_star, ct = info.for_user(user)
-        thresholds.append(c if m == TIN else min(c_cross, ct))
+    kappa * max_i beta_i(r0), with its case label.  lam and d_max broadcast."""
+    modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
+    users = tuple(zip((1, 2), modes))
     lam, d_max = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(d_max, dtype=float))
-    zero = lam <= min(thresholds)
+    zero = lam <= _zero_threshold(info, modes)
     kind = np.where(zero, "zero", "not-applicable")
     r_inf = k = eps = np.full(lam.shape, np.nan)
     user = np.zeros(lam.shape, dtype=int)
+    label = np.full(lam.shape, "outside-ladder")
     if not zero.all():      # a grid all below the threshold never reads the window
-        window = _feasible_window(info, lam, (m1, m2))
+        window = _feasible_window(info, lam, modes)
         valued = ~zero & ~window.is_empty
         kind = np.where(valued, "value", kind)
         r_inf = np.where(valued, window.lo, np.nan)
         k = np.where(valued, kappa(np.where(valued, lam * d_max, 1.0)), np.nan)
-        betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in ((1, m1), (2, m2))]
+        betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in users]
         eps = k * np.maximum(*betas)
         user = np.where(valued, 1 + (betas[1] > betas[0]), 0)
+        first = np.array([_constraints(info, u, m)[0][1:] for u, m in users])
+        other = np.where(user == 1, 1, 0)     # 0-based index of the other user
+        case = _feasibility_case(first[other, 0], first[other, 1], lam)
+        label = np.where(valued, _CASE_LABELS[case, user - 1], label)
     if lam.ndim:
-        return EpsilonResult(kind, eps, r_inf, k, user)
+        return EpsilonResult(kind, eps, r_inf, k, user, label)
     if kind != "value":
-        return EpsilonResult(kind=str(kind))
-    return EpsilonResult("value", float(eps), float(r_inf), float(k), int(user))
-
-
-_CASE_LABELS = np.array([[f"case{k}-user{j}" for j in (1, 2)] for k in range(4)])
-
-
-def gaussian_case_label(res: EpsilonResult, info: InfoQuantities, lam, mode: str) -> EpsilonResult:
-    """Attach the Gaussian case label to a result of epsilon_bound.
-
-    A value is labelled case{k}-user{j}: j is the binding user and k the
-    branch of rate_feasibility_interval that the other user is on, over the
-    pairs (C*, C) for TIN and (C~*, C~) for DI.  Zero and not-applicable
-    results lie outside the ladder.
-    """
-    if np.ndim(res.kind) == 0 and res.kind != "value":
-        return replace(res, case_label="outside-ladder")
-    a, b = (info.c_star, info.c) if mode == TIN else (info.c_tilde_star, info.c_tilde)
-    user = np.asarray(res.user)
-    other = np.where(user == 1, 1, 0)     # 0-based index of the other user
-    k = _feasibility_case(np.take(a, other), np.take(b, other), lam)
-    label = np.where(np.asarray(res.kind) == "value", _CASE_LABELS[k, user - 1], "outside-ladder")
-    return replace(res, case_label=_out(label))
+        return EpsilonResult(kind=str(kind), case_label="outside-ladder")
+    return EpsilonResult("value", float(eps), float(r_inf), float(k), int(user), str(label))
 
 
 class SubunitRateBound(NamedTuple):
@@ -421,24 +423,21 @@ def outage_ub_subunit_rate(info: InfoQuantities, user: int, lam, r, n_packets, d
                            mode: str) -> SubunitRateBound:
     """Gapless (0 < r < 1) outage bound under either decoder.
 
-    finite_n is delta_cdf((N - 1 + rho_i)/(N r lam), D); it is 1 where chi2
-    fails and else 0 at rho_i < 0.  limit, the (N -> inf, r -> 1-) value, is
-    0 at rho_i(1) <= 0 and delta_cdf(1/lam, D) = kappa/2 at rho_i(1) <= 1;
-    it is 1 beyond that or when lam exceeds an additive DI cap C*.
+    finite_n is closed_form_outage's finite_n.  limit, the (N -> inf,
+    r -> 1-) value, is 0 at rho_i(1) <= 0 and delta_cdf(1/lam, D) = kappa/2
+    at rho_i(1) <= 1; it is 1 beyond that or when lam exceeds an additive DI
+    cap C*.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 < r) & (r < 1.0)):
         raise AnalysisError("this bound applies to 0 < r < 1 only")
-    value, _, _, chi2 = user_outage_inputs(info, user, r, lam, mode)
-    value = np.asarray(value)
-    cdf = delta_cdf((n_packets - 1 + value) / (n_packets * r * lam), d_max)
-    p = np.where(chi2, np.where(value < 0.0, 0.0, cdf), 1.0)
     at_one, cap = rho(info, user, 1.0, lam, mode)
     at_one = np.asarray(at_one)
     capped = False if cap is None else np.asarray(cap) < 1.0
     limit = np.where(capped | (at_one > 1.0), 1.0,
                      np.where(at_one <= 0.0, 0.0, delta_cdf(1.0 / lam, d_max)))
-    return SubunitRateBound(_out(p), _out(limit))
+    finite_n = closed_form_outage(info, user, lam, r, n_packets, d_max, mode).finite_n
+    return SubunitRateBound(finite_n, _out(limit))
 
 
 class ClosedForm(NamedTuple):
@@ -454,8 +453,8 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
 
     - rho_i < 0: 0, or 1 if r breaks the additive DI cap r < C*/lam;
     - r >= 1: outage_ub_finite_n and outage_ub_limit, chi1 false included;
-    - r < 1: the gapless outage_ub_subunit_rate(...).finite_n, and as
-      N -> inf delta_cdf(1/(r lam), D) where chi2 holds, else 1.
+    - r < 1: the gapless delta_cdf((N - 1 + rho_i)/(N r lam), D) where chi2
+      holds, and as N -> inf delta_cdf(1/(r lam), D); 1 where chi2 fails.
 
     The arguments broadcast; finite_n is None when n_packets is.
     """
@@ -463,17 +462,17 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     negative = np.asarray(inputs.rho) < 0
     beta = np.where(negative, 0.0, inputs.beta)
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
-    bursty = np.asarray(r) >= 1.0
+    r = np.asarray(r, dtype=float)
+    bursty = r >= 1.0
     alpha = lam * d_max
     limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2),
-                     np.where(inputs.chi2, delta_cdf(1.0 / (np.asarray(r) * lam), d_max), 1.0))
+                     np.where(inputs.chi2, delta_cdf(1.0 / (r * lam), d_max), 1.0))
     finite_n = None
     if n_packets is not None:
         finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2).value
         if not bursty.all():
-            gapless = outage_ub_subunit_rate(info, user, lam, np.where(bursty, 0.5, r),
-                                             n_packets, d_max, mode)
-            finite_n = np.where(bursty, finite_n, gapless.finite_n)
+            gapless = delta_cdf((n_packets - 1 + inputs.rho) / (n_packets * r * lam), d_max)
+            finite_n = np.where(bursty, finite_n, np.where(inputs.chi2, gapless, 1.0))
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))
 

@@ -24,7 +24,6 @@ __all__ = [
     "info_quantities",
     "gaussian_info_quantities",
     "lambda_bar",
-    "lambda_thresholds",
     "load_channel",
     "awgn_capacity",
     "dbw_to_watts",
@@ -114,6 +113,8 @@ class InputDistribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1:
             raise ChannelValidationError("input distribution must be a vector")
+        if not np.isfinite(p).all():
+            raise ChannelValidationError("input distribution has a non-finite entry")
         if (p < 0).any():
             raise ChannelValidationError("input distribution has negative mass")
         if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
@@ -406,13 +407,6 @@ def lambda_bar(channel: DiscreteIC | GaussianIC):
     if i_min == 0:
         return v, (InputDistribution(pi_own), InputDistribution(pi_int))
     return v, (InputDistribution(pi_int), InputDistribution(pi_own))
-
-
-def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
-    """(lambda_TIN, lambda_DI): the arrival rates below which outage vanishes."""
-    l_tin = min(info.c)
-    l_di = min(info.c_cross[0], info.c_tilde[0], info.c_cross[1], info.c_tilde[1])
-    return l_tin, l_di
 
 
 def dbw_to_watts(dbw: float) -> float:

@@ -97,18 +97,12 @@ def _load(channel_path: str):
 
 def _resolve_info(ch, pi1: str | None, pi2: str | None) -> chan.InfoQuantities:
     if isinstance(ch, chan.GaussianIC):
+        if pi1 is not None or pi2 is not None:
+            _fail(EXIT_CONFIG, "--pi1 and --pi2 apply to discrete channels only")
         return chan.gaussian_info_quantities(ch)
     d1 = _parse_dist(pi1, ch.x1_size)
     d2 = _parse_dist(pi2, ch.x2_size)
     return chan.info_quantities(ch, d1, d2)
-
-
-def _epsilon(ch, info, lam: float, d_max: float, mode: str) -> an.EpsilonResult:
-    """The outage-level bound; on Gaussian channels with its case label."""
-    eps = an.epsilon_bound(info, lam, d_max, mode)
-    if isinstance(ch, chan.GaussianIC):
-        return an.gaussian_case_label(eps, info, lam, mode)
-    return eps
 
 
 class _Main(click.Group):
@@ -144,7 +138,7 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
     lbar, _ = chan.lambda_bar(ch)
     if lam > lbar:
         _fail(EXIT_CONVERSE, f"lambda exceeds converse threshold {lbar:.4f}")
-    l_tin, l_di = chan.lambda_thresholds(info)
+    l_tin, l_di = an.lambda_thresholds(info)
     report = {
         "info": {
             "c_star": list(info.c_star),
@@ -164,7 +158,7 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
             value, cap = an.rho(info, user, r_value, lam, mode)
             rhos[f"user{user}"] = {"rho": value, "r_cap": cap}
         report["rho"] = rhos
-    eps = _epsilon(ch, info, lam, d_max, mode)
+    eps = an.epsilon_bound(info, lam, d_max, mode)
     if isinstance(ch, chan.GaussianIC) and eps.kind == "value":
         report["case_label"] = eps.case_label
     report["epsilon"] = {
@@ -218,7 +212,7 @@ def _epsilon_cells(ch, info, lam, d_max, mode, size: int):
     """The epsilon and case_label cells of one mode over a grid of ``size``
     points, and why each point left without epsilon has none ("" if it has one)."""
     try:
-        eps = _epsilon(ch, info, lam, d_max, mode)
+        eps = an.epsilon_bound(info, lam, d_max, mode)
     except an.AnalysisError as exc:
         if np.ndim(lam) == np.ndim(d_max) == 0:
             return np.full(size, ""), np.full(size, ""), np.full(size, str(exc))

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
+from . import analysis
 from .channel import InfoQuantities
-from .analysis import TIN, DI, AnalysisError, SchemeParams, avg_rate
+from .analysis import AnalysisError, SchemeParams, avg_rate
 
 __all__ = [
     "SimConfig",
@@ -108,28 +110,22 @@ def _partner_overlap(a, b, k):
 
 
 def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str):
-    """Threshold test for a codeword with interfered fraction ``mu``.
-
-    TIN needs the single mixed-rate inequality; DI additionally needs the
+    """Threshold test for a codeword with interfered fraction ``mu``: the
+    code rate must clear (1 - mu) full + mu mixed for each (full, mixed)
+    pair of the decoder in ``analysis._constraints``, so DI also needs the
     interferer's codeword decodable over the same overlap.  Strict
-    inequalities: a rate exactly at threshold fails.
-    """
+    inequalities: a rate exactly at threshold fails."""
     mu = np.asarray(mu, dtype=float)
-    c_star, c, c_cross, ct_star, ct = info.for_user(user)
 
-    def clears(free, mixed):
-        # r_code < (1 - mu) * free + mu * mixed, holding one temporary beside the sum
+    def clears(full, mixed):
+        # r_code < (1 - mu) * full + mu * mixed, holding one temporary beside the sum
         level = 1.0 - mu
-        level *= free
+        level *= full
         level += mu * mixed
         return r_code < level
 
-    if mode == TIN:
-        ok = clears(c_star, c)
-    elif mode == DI:
-        ok = clears(ct_star, ct) & clears(c_star, c_cross)
-    else:
-        raise AnalysisError(f"unknown decoder mode {mode!r}")
+    ok = reduce(operator.and_, [clears(full, mixed)
+                                for _, full, mixed in analysis._constraints(info, user, mode)])
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -261,6 +257,10 @@ class SimConfig:
             raise AnalysisError("stochastic mode needs the bits-per-source count n")
         if self.mode != "stochastic" and self.n is not None:
             raise AnalysisError("the bits-per-source count n applies to stochastic mode only")
+        theta = 1.0 / (self.scheme.n_packets * self.scheme.code_rate)   # as the kernels take it
+        if not (theta > 0 and math.isfinite(self.scheme.d_max / theta)):
+            raise AnalysisError(f"asynchrony window D = {self.scheme.d_max!r} is not a finite "
+                                "number of codeword lengths 1/(N r lambda)")
 
 
 @dataclass(frozen=True)

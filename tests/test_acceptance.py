@@ -310,8 +310,8 @@ def test_criterion_10_tin_di_crossover():
     d_max = 5.0
 
     def curves(lam):
-        tin = ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, ic.TIN), info, lam, ic.TIN)
-        di = ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, ic.DI), info, lam, ic.DI)
+        tin = ic.epsilon_bound(info, lam, d_max, ic.TIN)
+        di = ic.epsilon_bound(info, lam, d_max, ic.DI)
         assert tin.kind == "value" and di.kind == "value", (
             f"ladder undefined at lambda={lam}: {tin}, {di}"
         )

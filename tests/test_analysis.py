@@ -67,6 +67,32 @@ def test_rho_di_non_additive_takes_max_of_ratios():
     assert value == pytest.approx(max(own, tilde), abs=1e-12)
 
 
+def test_every_layer_reads_the_one_constraint_table(gaussian_channel, monkeypatch):
+    # Changing TIN's pair (C*, C) to (C*, C/2) in analysis._constraints alone
+    # moves rho, the simulator's decode verdict, epsilon_bound's zero kind and
+    # lambda_thresholds together; DI keeps its table.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    table = ic.analysis._constraints
+    c_star, c = info.c_star[0], info.c[0]
+    lam = 0.75 * min(info.c)                # below TIN's threshold, above half of it
+    l_di = ic.lambda_thresholds(info)[1]
+    assert ic.decode_success(1.0, info, 1, 0.75 * c, ic.TIN)
+    assert ic.epsilon_bound(info, lam, 5.0, ic.TIN).kind == "zero"
+
+    def halved(info, user, mode):
+        if mode != ic.TIN:
+            return table(info, user, mode)
+        return [("C*-C", info.c_star[user - 1], info.c[user - 1] / 2.0)]
+
+    monkeypatch.setattr(ic.analysis, "_constraints", halved)
+    assert ic.analysis.rho(info, 1, 1.5, 1.0, ic.TIN).value == (1.5 - c / 2.0) / (c_star - c / 2.0)
+    assert not ic.decode_success(1.0, info, 1, 0.75 * c, ic.TIN)
+    assert ic.decode_success(1.0, info, 1, 0.49 * c, ic.TIN)
+    assert ic.epsilon_bound(info, lam, 5.0, ic.TIN).kind != "zero"
+    assert ic.epsilon_bound(info, lam / 2.0, 5.0, ic.TIN).kind == "zero"
+    assert ic.lambda_thresholds(info) == (min(info.c) / 2.0, l_di)
+
+
 def test_rho_rejects_degenerate_denominator():
     info = ic.InfoQuantities((0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.6, 0.6), (0.1, 0.1))
     with pytest.raises(ic.AnalysisError, match="denominator"):
@@ -435,7 +461,7 @@ def test_beta_is_increasing_in_r(gaussian_channel):
 
 def labelled_bound(info, lam, d_max, mode):
     """epsilon_bound with its Gaussian case label."""
-    return ic.gaussian_case_label(ic.epsilon_bound(info, lam, d_max, mode), info, lam, mode)
+    return ic.epsilon_bound(info, lam, d_max, mode)
 
 
 def _assert_same_value(res, oracle):
@@ -801,7 +827,7 @@ def _closed_forms(info, mode):
         return an.outage_ub_limit(lam * d, np.abs(beta), chi1, chi2)
 
     def labelled(lam, r, d, n):
-        return an.gaussian_case_label(an.epsilon_bound(info, lam, d, mode), info, lam, mode)
+        return an.epsilon_bound(info, lam, d, mode)
 
     return {
         "rho": lambda lam, r, d, n: an.rho(info, 1, r, lam, mode),

@@ -138,6 +138,36 @@ def test_analyze_unparsable_distribution_exits_2(runner, discrete_file):
     _assert_config_error(result, "cannot parse input distribution 'abc'")
 
 
+_COMMANDS = (["analyze", "--lambda", "0.1"],
+             ["sweep", "--variable", "lambda", "--values", "0.1", "--d", "5", "--r", "1.5"],
+             ["simulate", "--lambda", "0.1", "--r", "1.5", "--n-packets", "4", "--d", "1",
+              "--trials", "100", "--check"])
+
+
+@pytest.mark.parametrize("pi", ["nan,1", "nan", "inf,0", "0.5,-inf"])
+def test_non_finite_input_distribution_exits_2(runner, discrete_file, tmp_path, pi):
+    # NaN compares false with 1, so a sum test alone let "nan,1" through:
+    # simulate --check passed with outage [1.0, 1.0] and sweep wrote blank rho.
+    out = str(tmp_path / "x.csv")
+    for command, *rest in _COMMANDS:
+        args = [command, "--channel", discrete_file, "--pi1", pi, *rest]
+        result = runner.invoke(main, [*args, "--out", out] if command == "sweep" else args)
+        _assert_config_error(result, "input distribution has a non-finite entry\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--pi1", "--pi2"])
+def test_input_distribution_on_gaussian_channel_exits_2(runner, gaussian_file, tmp_path, flag):
+    # A Gaussian channel fixes its inputs; a --pi there used to be ignored.
+    out = str(tmp_path / "x.csv")
+    for command, *rest in _COMMANDS:
+        args = [command, "--channel", gaussian_file, flag, "0.3", *rest]
+        result = runner.invoke(main, [*args, "--out", out] if command == "sweep" else args)
+        assert (result.exit_code, result.stderr) == (
+            2, "error: --pi1 and --pi2 apply to discrete channels only\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_analyze_uncertified_lambda_bar_exits_2(runner, discrete_file, monkeypatch):
     monkeypatch.setattr(ic.channel, "_CAPACITY_MAX_ITER", 5)
     result = runner.invoke(main, ["analyze", "--channel", discrete_file, "--lambda", "0.1"])
@@ -427,13 +457,15 @@ def test_simulate_fluid_check_compares_the_gapless_form(runner, gaussian_file, m
         result = runner.invoke(main, di_args)
         assert (result.exit_code, result.stderr) == (0, "check passed\n")
         assert json.loads(result.stdout)["outage"] == [0.3797, 0.3745]
-    gapless = ic.analysis.outage_ub_subunit_rate
+    closed_form = ic.analysis.closed_form_outage
 
-    def shifted(info, user, *rest):
-        bound = gapless(info, user, *rest)
-        return bound._replace(finite_n=abs(bound.finite_n - 0.1))
+    def shifted(info, user, lam, r, *rest):
+        # the gapless cell only: r < 1 with rho >= 0, as the zero path is not the form
+        bound = closed_form(info, user, lam, r, *rest)
+        gapless = r < 1 and bound.inputs.rho >= 0
+        return bound._replace(finite_n=abs(bound.finite_n - 0.1)) if gapless else bound
 
-    monkeypatch.setattr(ic.analysis, "outage_ub_subunit_rate", shifted)
+    monkeypatch.setattr(ic.analysis, "closed_form_outage", shifted)
     result = runner.invoke(main, args)
     assert result.exit_code == 4
     assert "user 2: empirical outage" in result.stderr
@@ -470,6 +502,23 @@ def test_simulate_stochastic_check_comparing_no_user_exits_2(runner, gaussian_fi
                              "stochastic mode compares only users with rho >= 0 and chi1\n")
 
 
+@pytest.mark.parametrize("mode", [["--mode", "fluid"], ["--mode", "stochastic", "--n", "1000"]])
+def test_simulate_refuses_a_window_of_infinitely_many_codewords(runner, gaussian_file, mode):
+    # D/theta = D N r lambda is 6e308 at D = 1e308: fluid mode ended in an
+    # IndexError, stochastic mode in a misleading error about sorted starts.
+    # The same holds when N r lambda itself overflows.
+    args = ["simulate", "--channel", gaussian_file, "--lambda", "1", "--r", "1.5",
+            "--n-packets", "4", "--trials", "50", *mode]
+    result = runner.invoke(main, [*args, "--d", "1e308"])
+    _assert_config_error(result, "asynchrony window D = 1e+308 is not a finite number of "
+                                 "codeword lengths 1/(N r lambda)\n")
+    result = runner.invoke(main, [*args, "--d", "1e307"])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["outage"] == [0.0, 0.0]
+    result = runner.invoke(main, [*args, "--d", "1", "--r", "1e308"])
+    _assert_config_error(result, "asynchrony window D = 1.0 is not a finite number")
+
+
 def test_simulate_fluid_at_n_500(runner, gaussian_file):
     result = runner.invoke(
         main,
@@ -500,7 +549,8 @@ def test_simulate_csv_output(runner, gaussian_file, tmp_path):
 def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, tmp_path,
                                                          monkeypatch):
     # The closed forms take the whole grid at once: epsilon runs once per
-    # mode and the user cells once per (mode, user), never once per N.
+    # mode and the user cells once per (mode, user), never once per N, and
+    # the gapless cells at r < 1 reuse the same inputs.
     calls = {"epsilon_bound": [], "user_outage_inputs": []}
 
     def counted(name):
@@ -514,19 +564,22 @@ def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, 
 
     for name in calls:
         monkeypatch.setattr(ic.analysis, name, counted(name))
-    result = runner.invoke(
-        main,
-        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
-         "--values", "0.5,1.0,2.0", "--d", "5", "--r", "1.5", "--n", "1,4,16",
-         "--mode", "tin", "--mode", "di", "--out", str(tmp_path / "x.csv")],
-    )
-    assert result.exit_code == 0
-    assert "wrote 36 rows" in result.output           # values x modes x N x users
-    grid = [0.5, 1.0, 2.0]
-    assert calls["epsilon_bound"] == [(grid, 5.0, mode) for mode in (ic.TIN, ic.DI)]
-    assert calls["user_outage_inputs"] == [
-        (user, 1.5, grid, mode) for mode in (ic.TIN, ic.DI) for user in (1, 2)
-    ]
+    for r in (1.5, 0.7):
+        for made in calls.values():
+            made.clear()
+        result = runner.invoke(
+            main,
+            ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+             "--values", "0.5,1.0,2.0", "--d", "5", "--r", str(r), "--n", "1,4,16",
+             "--mode", "tin", "--mode", "di", "--out", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 0
+        assert "wrote 36 rows" in result.output           # values x modes x N x users
+        grid = [0.5, 1.0, 2.0]
+        assert calls["epsilon_bound"] == [(grid, 5.0, mode) for mode in (ic.TIN, ic.DI)]
+        assert calls["user_outage_inputs"] == [
+            (user, r, grid, mode) for mode in (ic.TIN, ic.DI) for user in (1, 2)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,29 @@
+"""The README's library quick start runs, and its commented numbers hold."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs_and_its_numbers_hold():
+    code = _quick_start()
+    ns: dict = {}
+    exec(compile(code, str(README), "exec"), ns)
+    ic, info, ch, res = ns["ic"], ns["info"], ns["ch"], ns["res"]
+    # the numbers in the block's comments, to the 4 decimals shown there
+    assert "# (0.3683, 0.4237)" in code
+    assert tuple(round(x, 4) for x in ic.lambda_thresholds(info)) == (0.3683, 0.4237)
+    assert "# 4.9836" in code
+    assert round(ic.lambda_bar(ch)[0], 4) == 4.9836
+    assert "# 0.1071, binding user 2 at r0 = 1.1747" in code
+    assert (round(res.epsilon, 4), res.user, round(res.r0, 4)) == (0.1071, 2, 1.1747)
+    assert "# 'case3-user2'" in code
+    assert res.case_label == "case3-user2"
+    assert len(ns["sim"].outage) == 2
