@@ -1,46 +1,14 @@
 """Outage-level bounds for two-user interference channels with gradual data
 arrival, plus a Monte Carlo simulator of the underlying block transmission
-scheme."""
+scheme.
 
-from .channel import (
-    ChannelValidationError,
-    DiscreteIC,
-    GaussianIC,
-    InfoQuantities,
-    InputDistribution,
-    gaussian_info_quantities,
-    info_quantities,
-    lambda_bar,
-    load_channel,
-    validate,
-)
-from .analysis import (
-    DI,
-    TIN,
-    AnalysisError,
-    Interval,
-    OutageInputs,
-    SchemeParams,
-    admissible_intervals,
-    avg_rate,
-    delta_cdf,
-    epsilon_bound,
-    kappa,
-    lambda_thresholds,
-    rate_feasibility_interval,
-    outage_inputs,
-    outage_ub_finite_n,
-    outage_ub_limit,
-    outage_ub_subunit_rate,
-    rho,
-)
-from .simulator import (
-    SimConfig,
-    SimResult,
-    decode_success,
-    overlap_fractions,
-    run_trials,
-    simulate_tau,
-)
+The public names are those of each module's ``__all__``, re-exported here."""
+
+from . import analysis, channel, simulator
+from .analysis import *
+from .channel import *
+from .simulator import *
+
+__all__ = [*channel.__all__, *analysis.__all__, *simulator.__all__]
 
 __version__ = "0.1.0"

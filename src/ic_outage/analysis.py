@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import AnalysisError, InfoQuantities
+from .channel import AnalysisError, InfoQuantities, _is_int
 
 __all__ = [
     "TIN",
@@ -27,7 +27,6 @@ __all__ = [
     "rho",
     "kappa",
     "delta_cdf",
-    "admissible_intervals",
     "rate_feasibility_interval",
     "outage_ub_finite_n",
     "outage_ub_limit",
@@ -35,7 +34,6 @@ __all__ = [
     "outage_inputs",
     "epsilon_bound",
     "lambda_thresholds",
-    "outage_ub_subunit_rate",
     "closed_form_outage",
     "avg_rate",
 ]
@@ -69,10 +67,15 @@ class SchemeParams:
             raise AnalysisError("arrival rate must be in (0, 1]")
         if self.r <= 0:
             raise AnalysisError("normalized code rate must be positive")
+        if not _is_int(self.n_packets):
+            raise AnalysisError(f"number of packets must be an integer, got {self.n_packets!r}")
         if self.n_packets < 1:
             raise AnalysisError("need at least one packet")
         if self.d_max <= 0:
             raise AnalysisError("asynchrony window must be positive")
+        for what, value in (("normalized code rate", self.r), ("asynchrony window", self.d_max)):
+            if not math.isfinite(value):
+                raise AnalysisError(f"{what} must be finite, got {value!r}")
         dec = self.decoder
         if isinstance(dec, str):
             dec = (dec, dec)
@@ -91,11 +94,11 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval (lo, hi) on the real line; hi = inf means (lo, inf).
-    lo and hi may be arrays, one interval per element."""
+    """Open interval (lo, hi) on the real line.  lo and hi may be arrays, one
+    interval per element."""
 
     lo: float
-    hi: float = math.inf
+    hi: float
 
     @property
     def is_empty(self):
@@ -166,7 +169,8 @@ def kappa(alpha):
     alpha = np.asarray(alpha, dtype=float)
     if alpha.min() <= 0:
         raise AnalysisError("alpha must be positive")
-    return _out(np.where(alpha < 1.0, 2.0, (2.0 / alpha) * (2.0 - 1.0 / alpha)))
+    beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha
+    return _out(np.where(alpha < 1.0, 2.0, (2.0 / beyond) * (2.0 - 1.0 / beyond)))
 
 
 def delta_cdf(delta, d_max):
@@ -175,24 +179,6 @@ def delta_cdf(delta, d_max):
         raise AnalysisError("d_max must be positive")
     u = np.minimum(np.maximum(delta / np.asarray(d_max), 0.0), 1.0)   # 0 below, 1 beyond D
     return _out(u * (2.0 - u))
-
-
-def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interval]:
-    """Per-packet ranges of normalized asynchrony that keep every codeword clean.
-
-    The first n_packets - 1 intervals are bounded; the last extends to
-    infinity.  Bounded entries invert to the empty interval when
-    2*rho_i >= r.
-    """
-    if r <= 1:
-        raise AnalysisError("admissible intervals are defined for r > 1")
-    out = []
-    for j in range(1, n_packets):
-        lo = (j - 1) * r + rho_i
-        hi = j * r - rho_i
-        out.append(Interval(lo, hi) if lo < hi else Interval(0.0, 0.0))
-    out.append(Interval((n_packets - 1) * r + rho_i))
-    return out
 
 
 def _feasibility_case(a, b, lam):
@@ -414,32 +400,6 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     return EpsilonResult("value", float(eps), float(r_inf), float(k), int(user), str(label))
 
 
-class SubunitRateBound(NamedTuple):
-    finite_n: float
-    limit: float
-
-
-def outage_ub_subunit_rate(info: InfoQuantities, user: int, lam, r, n_packets, d_max,
-                           mode: str) -> SubunitRateBound:
-    """Gapless (0 < r < 1) outage bound under either decoder.
-
-    finite_n is closed_form_outage's finite_n.  limit, the (N -> inf,
-    r -> 1-) value, is 0 at rho_i(1) <= 0 and delta_cdf(1/lam, D) = kappa/2
-    at rho_i(1) <= 1; it is 1 beyond that or when lam exceeds an additive DI
-    cap C*.
-    """
-    r = np.asarray(r, dtype=float)
-    if not np.all((0.0 < r) & (r < 1.0)):
-        raise AnalysisError("this bound applies to 0 < r < 1 only")
-    at_one, cap = rho(info, user, 1.0, lam, mode)
-    at_one = np.asarray(at_one)
-    capped = False if cap is None else np.asarray(cap) < 1.0
-    limit = np.where(capped | (at_one > 1.0), 1.0,
-                     np.where(at_one <= 0.0, 0.0, delta_cdf(1.0 / lam, d_max)))
-    finite_n = closed_form_outage(info, user, lam, r, n_packets, d_max, mode).finite_n
-    return SubunitRateBound(finite_n, _out(limit))
-
-
 class ClosedForm(NamedTuple):
     inputs: UserOutageInputs
     finite_n: float | None   # None without N
@@ -464,7 +424,8 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
     r = np.asarray(r, dtype=float)
     bursty = r >= 1.0
-    alpha = lam * d_max
+    # Cells that read neither r >= 1 form get alpha = 1, where they cannot overflow.
+    alpha = np.where(bursty & ~negative, lam * d_max, 1.0)
     limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2),
                      np.where(inputs.chi2, delta_cdf(1.0 / (r * lam), d_max), 1.0))
     finite_n = None

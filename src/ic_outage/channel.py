@@ -25,8 +25,6 @@ __all__ = [
     "gaussian_info_quantities",
     "lambda_bar",
     "load_channel",
-    "awgn_capacity",
-    "dbw_to_watts",
 ]
 
 _ROW_SUM_TOL = 1e-12

@@ -8,8 +8,8 @@ from ic_outage.analysis import (
     TIN,
     AnalysisError,
     EpsilonResult,
+    Interval,
     _feasible_window,
-    admissible_intervals,
     delta_cdf,
     kappa,
     rho,
@@ -263,6 +263,24 @@ def tau_bar(j: int, r: float) -> float:
 # oracle: the finite-N outage bound as a sum over the admissible intervals
 # ---------------------------------------------------------------------------
 
+def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interval]:
+    """Per-packet ranges of normalized asynchrony that keep every codeword clean.
+
+    The first n_packets - 1 intervals are bounded; the last extends to
+    infinity.  Bounded entries invert to the empty interval when
+    2*rho_i >= r.
+    """
+    if r <= 1:
+        raise AnalysisError("admissible intervals are defined for r > 1")
+    out = []
+    for j in range(1, n_packets):
+        lo = (j - 1) * r + rho_i
+        hi = j * r - rho_i
+        out.append(Interval(lo, hi) if lo < hi else Interval(0.0, 0.0))
+    out.append(Interval((n_packets - 1) * r + rho_i, math.inf))
+    return out
+
+
 def outage_ub_numeric_oracle(
     r: float,
     rho_i: float,
@@ -287,6 +305,25 @@ def outage_ub_numeric_oracle(
     if chi2:
         p -= tail
     return p
+
+
+# ---------------------------------------------------------------------------
+# oracle: the gapless outage as N -> inf and r -> 1-
+# ---------------------------------------------------------------------------
+
+def gapless_limit_oracle(info: InfoQuantities, user: int, lam, d_max, mode: str):
+    """User ``user``'s gapless (r < 1) outage in the limit N -> inf, r -> 1-.
+
+    0 at rho_i(1) <= 0, delta_cdf(1/lam, D) = kappa/2 at rho_i(1) <= 1, and
+    1 beyond that or when lam exceeds an additive DI cap C*.  lam and d_max
+    broadcast.
+    """
+    at_one, cap = rho(info, user, 1.0, lam, mode)
+    at_one = np.asarray(at_one)
+    capped = False if cap is None else np.asarray(cap) < 1.0
+    limit = np.where(capped | (at_one > 1.0), 1.0,
+                     np.where(at_one <= 0.0, 0.0, delta_cdf(1.0 / lam, d_max)))
+    return limit.item() if limit.ndim == 0 else limit
 
 
 # ---------------------------------------------------------------------------

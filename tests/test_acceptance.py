@@ -20,6 +20,8 @@ from ic_outage.simulator import fluid_outage_flags
 from conftest import (
     KERNEL,
     _offset_draws,
+    admissible_intervals,
+    gapless_limit_oracle,
     normalize_rows,
     oracle_quantities,
     outage_ub_numeric_oracle,
@@ -231,7 +233,7 @@ def test_criterion_07_fluid_simulator_vs_closed_form():
                 worst_sigma = max(worst_sigma, abs(out.mean() - p) / sigma)
                 # per-trial equivalence with the admissible-interval test
                 member = np.zeros(trials, dtype=bool)
-                for iv in ic.admissible_intervals(r, inputs.rho[j], n_packets):
+                for iv in admissible_intervals(r, inputs.rho[j], n_packets):
                     if iv.is_empty:
                         continue
                     hit = delta_prime > iv.lo
@@ -288,7 +290,7 @@ def test_criterion_09_gapless_regime_comparison():
         )
         lam = c + 1e-9 + rng.random() * (c_star - c - 1e-9)
         d_max = 0.2 + rng.random() * 30.0
-        _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max, ic.TIN)
+        limit = gapless_limit_oracle(info, 1, lam, d_max, ic.TIN)
         worst = max(worst, abs(limit - ic.kappa(lam * d_max) / 2.0))
     dominance = True
     for _ in range(500):

@@ -24,8 +24,10 @@ from ic_outage.analysis import (
     outage_ub_finite_n,
 )
 from conftest import (
+    admissible_intervals,
     dist,
     fluid_outage_exact_oracle,
+    gapless_limit_oracle,
     ladder_oracle,
     outage_ub_numeric_oracle,
     outage_ub_one_packet,
@@ -144,13 +146,13 @@ def test_delta_cdf_matches_uniform_difference_distribution():
 # ---------------------------------------------------------------------------
 
 def test_admissible_intervals_basic():
-    ivs = ic.admissible_intervals(2.0, 0.5, 2)
+    ivs = admissible_intervals(2.0, 0.5, 2)
     assert (ivs[0].lo, ivs[0].hi) == (0.5, 1.5)
     assert ivs[1].lo == 2.5 and ivs[1].hi == math.inf
 
 
 def test_admissible_intervals_hand_substitution():
-    ivs = ic.admissible_intervals(1.1, 0.0501, 3)
+    ivs = admissible_intervals(1.1, 0.0501, 3)
     assert ivs[0].lo == pytest.approx(0.0501)
     assert ivs[0].hi == pytest.approx(1.1 - 0.0501)
     assert ivs[1].lo == pytest.approx(1.1 + 0.0501)
@@ -159,14 +161,14 @@ def test_admissible_intervals_hand_substitution():
 
 
 def test_admissible_intervals_negative_rho_covers_positive_axis():
-    ivs = ic.admissible_intervals(1.5, -0.2, 4)
+    ivs = admissible_intervals(1.5, -0.2, 4)
     # consecutive intervals overlap, so their union covers (rho, inf)
     for a, b in zip(ivs, ivs[1:]):
         assert b.lo < a.hi if a.hi != math.inf else True
 
 
 def test_admissible_intervals_invert_to_empty():
-    ivs = ic.admissible_intervals(1.2, 0.7, 3)
+    ivs = admissible_intervals(1.2, 0.7, 3)
     assert ivs[0].is_empty and ivs[1].is_empty
     assert not ivs[2].is_empty
 
@@ -559,25 +561,21 @@ def test_subunit_rate_limit_branches():
     info = reference_point()
     c1, c1s = info.c[0], info.c_star[0]
     # lam <= C: zero-outage limit
-    _, limit = ic.outage_ub_subunit_rate(info, 1, c1 / 2.0, 0.9, 50, 3.0, ic.TIN)
-    assert limit == 0.0
+    assert gapless_limit_oracle(info, 1, c1 / 2.0, 3.0, ic.TIN) == 0.0
     # C < lam <= C*: limit is exactly half of kappa
     for lam in (c1 + 1e-3, (c1 + c1s) / 2.0, c1s):
         for d_max in (0.5 / lam, 2.0 / lam, 30.0):
-            _, limit = ic.outage_ub_subunit_rate(info, 1, lam, 0.9, 50, d_max, ic.TIN)
+            limit = gapless_limit_oracle(info, 1, lam, d_max, ic.TIN)
             assert limit == pytest.approx(ic.kappa(lam * d_max) / 2.0, abs=1e-12)
     # lam > C*: outage is certain in the limit
-    _, limit = ic.outage_ub_subunit_rate(info, 1, c1s + 0.1, 0.9, 50, 3.0, ic.TIN)
-    assert limit == 1.0
-    with pytest.raises(ic.AnalysisError):
-        ic.outage_ub_subunit_rate(info, 1, 0.1, 1.2, 50, 3.0, ic.TIN)
+    assert gapless_limit_oracle(info, 1, c1s + 0.1, 3.0, ic.TIN) == 1.0
 
 
 def test_subunit_rate_rejects_degenerate_denominator():
     # c1 = 0 makes C1* = C1; the gapless form shares rho's denominator check.
     info = ic.gaussian_info_quantities(ic.GaussianIC(p1=1000.0, p2=1000.0, c1=0.0, c2=1.5))
     with pytest.raises(ic.AnalysisError, match=r"user 1: nonpositive denominator C\*-C = 0"):
-        ic.outage_ub_subunit_rate(info, 1, 0.6, 0.7, 4, 5.0, ic.TIN)
+        ic.closed_form_outage(info, 1, 0.6, 0.7, 4, 5.0, ic.TIN)
 
 
 def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
@@ -588,8 +586,7 @@ def test_subunit_rate_finite_n_is_a_probability(gaussian_channel):
     below = 0
     grid = itertools.product((0.4, 0.45, 0.6, 1.0), (0.3, 0.6, 0.9), (1, 4, 16), (1.0, 5.0))
     for (lam, r, n_packets, d_max), user in itertools.product(grid, (1, 2)):
-        finite_n, _ = ic.outage_ub_subunit_rate(info, user, lam, r, n_packets, d_max,
-                                                 ic.TIN)
+        finite_n = ic.closed_form_outage(info, user, lam, r, n_packets, d_max, ic.TIN).finite_n
         assert 0.0 <= finite_n <= 1.0
         if lam * r < info.c[user - 1]:    # rho_i < 0
             assert finite_n == 0.0
@@ -624,14 +621,14 @@ def test_gapless_form_past_the_additive_cap_is_one_even_at_negative_rho(n_packet
     info = ic.gaussian_info_quantities(ic.GaussianIC(p1=0.1, p2=0.1, c1=100.0, c2=100.0))
     rho_1, _, _, chi2 = ic.analysis.user_outage_inputs(info, 1, 0.5, 1.0, ic.DI)
     assert rho_1 < 0 and not chi2 and 0.5 * 1.0 >= info.c_star[0]
-    finite_n, _ = ic.outage_ub_subunit_rate(info, 1, 1.0, 0.5, n_packets, 1.0, ic.DI)
+    finite_n = ic.closed_form_outage(info, 1, 1.0, 0.5, n_packets, 1.0, ic.DI).finite_n
     assert finite_n == fluid_outage_exact_oracle(info, 1, 1.0, 0.5, n_packets, 1.0, ic.DI) == 1.0
 
 
 @pytest.mark.parametrize("mode", [ic.TIN, ic.DI])
 def test_gapless_limit_is_the_fixed_r_limit_as_r_tends_to_one(gaussian_channel, mode):
-    # outage_ub_subunit_rate(...).limit is the (N -> inf, r -> 1-) value, so it
-    # equals closed_form_outage's fixed-r limit just below r = 1.  The weak
+    # gapless_limit_oracle is the (N -> inf, r -> 1-) value, so it equals
+    # closed_form_outage's fixed-r limit just below r = 1.  The weak
     # channel has C~ > C*: there rho_i(1) <= 0 while lam breaks the additive
     # DI cap, and the limit is 1.
     weak = ic.GaussianIC(p1=0.1, p2=0.1, c1=100.0, c2=100.0)
@@ -640,9 +637,9 @@ def test_gapless_limit_is_the_fixed_r_limit_as_r_tends_to_one(gaussian_channel, 
         info = ic.gaussian_info_quantities(ch)
         lam = np.linspace(0.05, 6.0, 120)
         for user in (1, 2):
-            limit = ic.outage_ub_subunit_rate(info, user, lam, 0.5, 1, d_max, mode).limit
-            below_one = ic.analysis.closed_form_outage(info, user, lam, 1.0 - 1e-10, None,
-                                                       d_max, mode).limit
+            limit = gapless_limit_oracle(info, user, lam, d_max, mode)
+            below_one = ic.closed_form_outage(info, user, lam, 1.0 - 1e-10, None,
+                                              d_max, mode).limit
             np.testing.assert_allclose(limit, below_one, rtol=0.0, atol=1e-6)
             values.update(np.where(limit == 0.0, "0", np.where(limit == 1.0, "1", "cdf")))
     assert min(values["0"], values["1"], values["cdf"]) > 0, values
@@ -726,6 +723,27 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle_per_regime(
     assert bound.finite_n == pytest.approx(exact, abs=1e-12)
 
 
+def test_closed_form_at_a_vanishing_rate_does_not_evaluate_the_forms_it_discards(
+        gaussian_channel):
+    # At lam = 1e-300 both users have rho < 0 and the answer is the exact 0.
+    # The r >= 1 forms at alpha = lam D would overflow (RuntimeWarning, an
+    # error here); the cells they do not answer must not evaluate them, nor
+    # kappa its alpha >= 1 branch.
+    assert ic.kappa(1e-300) == 2.0
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    for mode, user in itertools.product((ic.TIN, ic.DI), (1, 2)):
+        bound = ic.closed_form_outage(info, user, 1e-300, 1.5, 2, 1.0, mode)
+        assert (bound.finite_n, bound.limit) == (0.0, 0.0)
+    # A grid mixing such cells with answered ones: the answered cells are
+    # those of the scalar calls, bit for bit.
+    lam, r = np.array([1e-300, 1.0, 1e-300, 0.9]), np.array([1.5, 1.5, 0.7, 0.8])
+    grid = ic.closed_form_outage(info, 2, lam, r, 4, 5.0, ic.DI)
+    for i in range(len(lam)):
+        scalar = ic.closed_form_outage(info, 2, lam[i], r[i], 4, 5.0, ic.DI)
+        assert (grid.finite_n[i], grid.limit[i]) == (scalar.finite_n, scalar.limit)
+    assert grid.finite_n[0] == grid.finite_n[2] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # derived-input bookkeeping
 # ---------------------------------------------------------------------------
@@ -773,6 +791,15 @@ def test_scheme_params_validation():
         ic.SchemeParams(lam=0.5, r=-1.0, n_packets=2, d_max=1.0)
     with pytest.raises(ic.AnalysisError):
         ic.SchemeParams(lam=0.5, r=1.1, n_packets=0, d_max=1.0)
+    # NaN compares false with every bound, so each field is also tested for
+    # finiteness and n_packets for being an integer.
+    for r, d_max in ((math.nan, 1.0), (math.inf, 1.0), (1.1, math.nan), (1.1, math.inf)):
+        with pytest.raises(ic.AnalysisError, match="must be finite"):
+            ic.SchemeParams(lam=1.0, r=r, n_packets=4, d_max=d_max)
+    for n_packets in (math.nan, math.inf, 2.0, 2.5, "4"):
+        with pytest.raises(ic.AnalysisError, match="number of packets must be an integer"):
+            ic.SchemeParams(lam=1.0, r=1.1, n_packets=n_packets, d_max=1.0)
+    assert ic.SchemeParams(lam=1.0, r=1.1, n_packets=np.int64(4), d_max=1.0).n_packets == 4
     s = ic.SchemeParams(lam=0.5, r=1.2, n_packets=2, d_max=2.0, decoder="di")
     assert s.decoder == (ic.DI, ic.DI)
     assert s.code_rate == pytest.approx(0.6)
@@ -838,7 +865,7 @@ def _closed_forms(info, mode):
         "epsilon_bound": labelled,
         "outage_ub_finite_n": finite_n,
         "outage_ub_limit": limit,
-        "outage_ub_subunit_rate": lambda lam, r, d, n: an.outage_ub_subunit_rate(
+        "closed_form_outage, gapless": lambda lam, r, d, n: an.closed_form_outage(
             info, 2, lam, r / (1.0 + r), n, d, mode),
         "closed_form_outage":
             lambda lam, r, d, n: an.closed_form_outage(info, 1, lam, r, n, d, mode),

@@ -321,9 +321,9 @@ def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tm
             for row in csv.DictReader(f):
                 cells[mode, int(row["user"])] = (
                     row["rho"] != "", row["p_outage_finiteN"], row["p_outage_limit"])
-    gapless = ic.outage_ub_subunit_rate(info, 2, 0.6, 0.7, 4, 5.0, ic.TIN).finite_n
+    gapless = ic.closed_form_outage(info, 2, 0.6, 0.7, 4, 5.0, ic.TIN).finite_n
     assert gapless == pytest.approx(0.5884, abs=1e-4)
-    di = [ic.outage_ub_subunit_rate(info, user, 0.9, 0.8, 4, 5.0, ic.DI).finite_n
+    di = [ic.closed_form_outage(info, user, 0.9, 0.8, 4, 5.0, ic.DI).finite_n
           for user in (1, 2)]
     assert di == pytest.approx([0.38065, 0.37468], abs=1e-5)
     assert cells == {
@@ -486,6 +486,27 @@ def test_simulate_fluid_check_compares_di_below_unit_rate(runner, gaussian_file)
     result = runner.invoke(main, [*args, "--lambda", "0.9", "--r", "0.8"])
     assert (result.exit_code, result.stderr) == (0, "check passed\n")
     assert json.loads(result.stdout)["outage"] == [1.0, 1.0]
+
+
+def test_simulate_check_at_a_vanishing_rate_prints_only_the_verdict(runner, gaussian_file,
+                                                                     tmp_path):
+    # Both users have rho < 0 at lambda = 1e-300: the check compares them with
+    # the exact 0, and no overflow of a discarded closed form reaches stderr.
+    # A sweep from there writes its kappa column without one either.
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "1e-300", "--r", "1.5",
+         "--n-packets", "2", "--d", "1", "--check"],
+    )
+    assert (result.exit_code, result.stderr) == (0, "check passed\n")
+    assert json.loads(result.stdout)["outage"] == [0.0, 0.0]
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--lo", "1e-300",
+         "--hi", "2", "--steps", "5", "--d", "5", "--r", "1.5", "--n", "4",
+         "--out", str(tmp_path / "s.csv")],
+    )
+    assert (result.exit_code, result.stderr) == (0, "")
 
 
 def test_simulate_stochastic_check_comparing_no_user_exits_2(runner, gaussian_file):

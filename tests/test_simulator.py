@@ -23,7 +23,13 @@ from ic_outage.simulator import (
     overlap_fractions,
     simulate_tau,
 )
-from conftest import _offset_draws, overlap_fractions_dense_oracle, reference_point, tau_bar
+from conftest import (
+    _offset_draws,
+    admissible_intervals,
+    overlap_fractions_dense_oracle,
+    reference_point,
+    tau_bar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +319,7 @@ def test_fluid_trials_match_interval_membership():
     d1, d2 = _offset_draws(seed=99, trials=4000, d_max=scheme.d_max)
     out1, out2, fails = fluid_outage_flags(d1, d2, scheme, info)
     for j, (out, rho_j) in enumerate(zip((out1, out2), inputs.rho)):
-        ivs = ic.admissible_intervals(scheme.r, rho_j, scheme.n_packets)
+        ivs = admissible_intervals(scheme.r, rho_j, scheme.n_packets)
         for t in range(len(d1)):
             delta_prime = abs(d1[t] - d2[t]) / theta
             member = any(iv.lo < delta_prime < iv.hi for iv in ivs)
