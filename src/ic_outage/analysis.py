@@ -45,6 +45,16 @@ DI = "di"
 _ADDITIVE_TOL = 1e-9
 
 NO_FEASIBLE_RATE = "no r > 1 satisfies both users' constraints"
+NONPOSITIVE_ALPHA = "alpha must be positive"
+# The closed forms compute N in float64, which holds every integer up to 2**53.
+MAX_PACKETS = 2**53
+
+
+def alpha_of(lam, d_max):
+    """alpha = lam * D.  A product past the float range is inf, which every
+    closed form here reads as its alpha -> inf limit, so it is not warned of."""
+    with np.errstate(over="ignore"):
+        return np.multiply(lam, d_max)
 
 
 def _out(x):
@@ -71,6 +81,8 @@ class SchemeParams:
             raise AnalysisError(f"number of packets must be an integer, got {self.n_packets!r}")
         if self.n_packets < 1:
             raise AnalysisError("need at least one packet")
+        if self.n_packets > MAX_PACKETS:
+            raise AnalysisError(f"number of packets must be at most 2**53, got {self.n_packets!r}")
         if self.d_max <= 0:
             raise AnalysisError("asynchrony window must be positive")
         for what, value in (("normalized code rate", self.r), ("asynchrony window", self.d_max)):
@@ -123,15 +135,17 @@ def _constraints(info: InfoQuantities, user: int, mode: str) -> list[tuple[str, 
     raise AnalysisError(f"unknown decoder mode {mode!r}")
 
 
-def _ratios(info: InfoQuantities, user: int, mode: str):
+def _ratios(info: InfoQuantities, user: int, mode: str, lam):
     """The constraints (name, a, b) whose ratios (lam*r - b)/(a - b) give
     rho_i(r), and the additive DI cap: on an additive channel (C_i* ==
     C_{i,i'}) the ratio of (C*, C_cross) degenerates and the hard cap
-    r < C_i*/lam replaces it, so C_i* is returned then, and None otherwise."""
+    r < C_i*/lam replaces it, so C_i*/lam is returned then (inf where that
+    overflows: a vanishing lam leaves r uncapped), and None otherwise."""
     pairs = _constraints(info, user, mode)
     name, a, b = pairs[-1]
     if name == "C*-C_cross" and abs(a - b) < _ADDITIVE_TOL:
-        return pairs[:-1], a
+        with np.errstate(over="ignore"):
+            return pairs[:-1], a / lam
     return pairs, None
 
 
@@ -153,7 +167,7 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
     decoding ratios, plus the additive DI rate cap C_i*/lam (else None)."""
     if np.min(r) <= 0:
         raise AnalysisError("r must be positive")
-    pairs, cap = _ratios(info, user, mode)
+    pairs, cap = _ratios(info, user, mode, lam)
     values = []
     for name, a, b in pairs:
         denom = a - b
@@ -161,14 +175,14 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
             raise AnalysisError(f"user {user}: nonpositive denominator {name} = {denom:.3e}")
         values.append((lam * r - b) / denom)
     return RhoValue(_out(functools.reduce(np.maximum, values)),
-                    None if cap is None else _out(cap / lam))
+                    None if cap is None else _out(cap))
 
 
 def kappa(alpha):
     """Asynchrony-window factor: 2 for alpha < 1, else (2/alpha)(2 - 1/alpha)."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.min() <= 0:
-        raise AnalysisError("alpha must be positive")
+        raise AnalysisError(NONPOSITIVE_ALPHA)
     beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha
     return _out(np.where(alpha < 1.0, 2.0, (2.0 / beyond) * (2.0 - 1.0 / beyond)))
 
@@ -177,7 +191,8 @@ def delta_cdf(delta, d_max):
     """CDF of the asynchrony |d1 - d2| for d_i ~ U[0, D]."""
     if np.min(d_max) <= 0:
         raise AnalysisError("d_max must be positive")
-    u = np.minimum(np.maximum(delta / np.asarray(d_max), 0.0), 1.0)   # 0 below, 1 beyond D
+    # delta is clipped to [0, D] before the division, which then cannot overflow
+    u = np.minimum(np.maximum(delta, 0.0), d_max) / np.asarray(d_max)
     return _out(u * (2.0 - u))
 
 
@@ -194,7 +209,8 @@ def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
         raise AnalysisError(f"need a > b > 0, got a={a}, b={b}")
     lam = np.asarray(lam, dtype=float)
     case = _feasibility_case(a, b, lam)
-    with np.errstate(divide="ignore", invalid="ignore"):    # in branches not taken
+    # ratio is read in cases 2 and 3 only; cap is inf where lam vanishes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = (a - 2.0 * b) / (a - b - lam)
         cap = a / lam
     return Interval(_out(np.where(case == 3, ratio, np.where(case > 0, 1.0, 0.0))),
@@ -207,10 +223,10 @@ def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Inter
     users, intersected.  The window is empty where lo >= hi."""
     windows = []
     for user, mode in zip((1, 2), modes):
-        pairs, cap = _ratios(info, user, mode)
+        pairs, cap = _ratios(info, user, mode, lam)
         windows += [rate_feasibility_interval(a, b, lam) for _, a, b in pairs]
         if cap is not None:
-            windows.append(Interval(1.0, cap / lam))
+            windows.append(Interval(1.0, cap))
     return Interval(functools.reduce(np.maximum, [w.lo for w in windows]),
                     functools.reduce(np.minimum, [w.hi for w in windows]))
 
@@ -236,53 +252,64 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     """
     alpha, beta, n = np.asarray(alpha, dtype=float), np.asarray(beta), np.asarray(n_packets)
     if alpha.min() <= 0:
-        raise AnalysisError("alpha must be positive")
+        raise AnalysisError(NONPOSITIVE_ALPHA)
     if beta.min() < 0:
         raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
-    na = n * alpha
+    with np.errstate(over="ignore"):    # N*alpha past the float range is read as inf
+        na = n * alpha
     m = np.ceil(na - beta)
+    is_full = m >= n
+    is_inner = ~is_full & ((m == 0) | (m <= na + beta))
+    is_straddle = ~is_full & ~is_inner
+
+    def per_na(x, cells):
+        """x / (N alpha) in the cells that read it; elsewhere 0, as a tiny or
+        infinite N*alpha there could overflow."""
+        return np.where(cells, x, 0.0) / np.where(cells, na, np.inf)
+
+    # Each fraction is read only in its own branch, and only under the
+    # indicator (chi1 or chi2) of the term it sits in.
     x1 = np.where(chi1, 1.0, 0.0)
     x2 = np.where(chi2, 1.0, 0.0)
-    tail = 1.0 - (n - 1 + beta) / na
-    edge = 1.0 - (m - 1 + beta) / na
-    full = (
-        1.0
-        - (1.0 - 2.0 * beta) * (2.0 - (n - 1) / na) * ((n - 1) / na) * x1
-        - tail * tail * x2
-    )
-    inner = 1.0 - (1.0 - 2.0 * beta) * (2.0 - m / na) * (m / na) * x1
+    u_full, u_inner, u_straddle = (per_na(n - 1, is_full & chi1), per_na(m, is_inner & chi1),
+                                   per_na(m - 1, is_straddle & chi1))
+    tail = 1.0 - per_na(n - 1 + beta, is_full & chi2)
+    edge = 1.0 - per_na(m - 1 + beta, is_straddle & chi1)
+    full = 1.0 - (1.0 - 2.0 * beta) * (2.0 - u_full) * u_full * x1 - tail * tail * x2
+    inner = 1.0 - (1.0 - 2.0 * beta) * (2.0 - u_inner) * u_inner * x1
     # The interval straddling the window edge contributes (1 - u_m)^2 to
     # the success mass, so it is subtracted along with the telescoped sum;
     # continuity at m = N*alpha + beta pins the sign.
-    straddle = (
-        1.0
-        - ((1.0 - 2.0 * beta) * (2.0 - (m - 1) / na) * ((m - 1) / na) + edge * edge) * x1
-    )
-    return _clamp(np.where(m >= n, full, np.where((m == 0) | (m <= na + beta), inner, straddle)))
+    straddle = 1.0 - ((1.0 - 2.0 * beta) * (2.0 - u_straddle) * u_straddle + edge * edge) * x1
+    return _clamp(np.where(is_full, full, np.where(is_inner, inner, straddle)))
 
 
 def outage_ub_limit(alpha, beta, chi1, chi2):
     """N -> infinity limit of the finite-N bound; equals kappa*beta when chi1 holds."""
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta)
     if alpha.min() <= 0:
-        raise AnalysisError("alpha must be positive")
+        raise AnalysisError(NONPOSITIVE_ALPHA)
     if beta.min() < 0:
         raise AnalysisError("negative beta has no outage limit; use the zero path")
     x1 = np.where(chi1, 1.0, 0.0)
     x2 = np.where(chi2, 1.0, 0.0)
-    tail = 1.0 - 1.0 / alpha
+    beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha
+    tail = 1.0 - 1.0 / beyond
     return _out(np.where(
         alpha < 1.0,
         1.0 - (1.0 - 2.0 * beta) * x1,
-        1.0 - (1.0 / alpha) * (2.0 - 1.0 / alpha) * (1.0 - 2.0 * beta) * x1 - tail * tail * x2,
+        1.0 - (1.0 / beyond) * (2.0 - 1.0 / beyond) * (1.0 - 2.0 * beta) * x1 - tail * tail * x2,
     ))
 
 
 @dataclass(frozen=True)
 class OutageInputs:
-    """Derived scalars feeding the finite-N bound and the epsilon bound."""
+    """Derived scalars feeding the finite-N bound and the epsilon bound.
+
+    It checks nothing: user_outage_inputs makes chi1 imply chi2 and
+    beta < 1/2, and kappa refuses alpha <= 0."""
 
     alpha: float
     rho: tuple[float, float]
@@ -290,17 +317,6 @@ class OutageInputs:
     kappa: float
     chi1: tuple[bool, bool]
     chi2: tuple[bool, bool]
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise AnalysisError("alpha must be positive")
-        for j in range(2):
-            if self.chi1[j] and not self.chi2[j]:
-                raise AnalysisError("chi1 implies chi2")
-            if self.chi1[j] and not (self.beta[j] < 0.5):
-                raise AnalysisError(
-                    f"user {j+1}: chi1 requires beta < 1/2, got {self.beta[j]}"
-                )
 
 
 class UserOutageInputs(NamedTuple):
@@ -385,7 +401,7 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
         valued = ~zero & ~window.is_empty
         kind = np.where(valued, "value", kind)
         r_inf = np.where(valued, window.lo, np.nan)
-        k = np.where(valued, kappa(np.where(valued, lam * d_max, 1.0)), np.nan)
+        k = np.where(valued, kappa(np.where(valued, alpha_of(lam, d_max), 1.0)), np.nan)
         betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in users]
         eps = k * np.maximum(*betas)
         user = np.where(valued, 1 + (betas[1] > betas[0]), 0)
@@ -424,15 +440,19 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
     r = np.asarray(r, dtype=float)
     bursty = r >= 1.0
-    # Cells that read neither r >= 1 form get alpha = 1, where they cannot overflow.
-    alpha = np.where(bursty & ~negative, lam * d_max, 1.0)
+    # Cells that read neither r >= 1 form get alpha = 1, and cells that read
+    # neither gapless form (r >= 1, rho < 0 or chi2 false) get r = lam = 1,
+    # where they cannot overflow.
+    alpha = np.where(bursty & ~negative, alpha_of(lam, d_max), 1.0)
+    gap_r, gap_lam = (np.where(~bursty & ~negative & inputs.chi2, x, 1.0) for x in (r, lam))
     limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2),
-                     np.where(inputs.chi2, delta_cdf(1.0 / (r * lam), d_max), 1.0))
+                     np.where(inputs.chi2, delta_cdf(1.0 / (gap_r * gap_lam), d_max), 1.0))
     finite_n = None
     if n_packets is not None:
         finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2).value
         if not bursty.all():
-            gapless = delta_cdf((n_packets - 1 + inputs.rho) / (n_packets * r * lam), d_max)
+            gapless = delta_cdf((n_packets - 1 + inputs.rho) / (n_packets * gap_r * gap_lam),
+                                d_max)
             finite_n = np.where(bursty, finite_n, np.where(inputs.chi2, gapless, 1.0))
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))

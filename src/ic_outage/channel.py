@@ -20,7 +20,6 @@ __all__ = [
     "InputDistribution",
     "InfoQuantities",
     "ChannelValidationError",
-    "validate",
     "info_quantities",
     "gaussian_info_quantities",
     "lambda_bar",
@@ -62,6 +61,11 @@ class DiscreteIC:
     output ``c`` when the transmitters send ``(a, b)``; likewise ``kernel2``
     for receiver 2.  ``idle1``/``idle2`` are the symbols each transmitter
     emits while it has no codeword on the air.
+
+    Building one copies the kernels into read-only float arrays and checks
+    alphabet sizes, kernel shapes and entries, row stochasticity and idle
+    indices, raising ChannelValidationError at the first that fails; so
+    every DiscreteIC is valid.
     """
 
     x1_size: int
@@ -74,8 +78,39 @@ class DiscreteIC:
     idle2: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel1", np.asarray(self.kernel1, dtype=float))
-        object.__setattr__(self, "kernel2", np.asarray(self.kernel2, dtype=float))
+        for name in ("kernel1", "kernel2"):
+            kern = np.array(getattr(self, name), dtype=float)
+            kern.flags.writeable = False
+            object.__setattr__(self, name, kern)
+        for name in ("x1_size", "x2_size", "y1_size", "y2_size"):
+            size = getattr(self, name)
+            if not _is_int(size) or size < 1:
+                raise ChannelValidationError(f"{name} must be a positive integer, got {size!r}")
+        n_rows = self.x1_size * self.x2_size
+        for name, kern, y in (("kernel1", self.kernel1, self.y1_size),
+                              ("kernel2", self.kernel2, self.y2_size)):
+            if kern.shape != (n_rows, y):
+                raise ChannelValidationError(
+                    f"{name} has shape {kern.shape}, expected {(n_rows, y)}"
+                )
+            if not np.isfinite(kern).all():
+                r = int(np.argwhere(~np.isfinite(kern))[0][0])
+                raise ChannelValidationError(f"{name} row {r} has a non-finite entry")
+            if (kern < 0).any():
+                r = int(np.argwhere(kern < 0)[0][0])
+                raise ChannelValidationError(f"{name} row {r} has a negative entry")
+            sums = kern.sum(axis=1)
+            bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise ChannelValidationError(
+                    f"{name} row {r} sums to {sums[r]:.15f} (deviation "
+                    f"{sums[r] - 1.0:+.3e})"
+                )
+        for user, idle, size in ((1, self.idle1, self.x1_size),
+                                 (2, self.idle2, self.x2_size)):
+            if not _is_int(idle) or not 0 <= idle < size:
+                raise ChannelValidationError(f"idle index out of range for user {user}: {idle!r}")
 
     def kernel(self, receiver: int) -> np.ndarray:
         """Kernel for ``receiver`` reshaped to (x1, x2, y)."""
@@ -153,46 +188,6 @@ class InfoQuantities:
         )
 
 
-def validate(channel: DiscreteIC) -> None:
-    """Check alphabet sizes, kernel shapes and entries, row stochasticity and
-    idle indices."""
-    for name, size in (
-        ("x1_size", channel.x1_size),
-        ("x2_size", channel.x2_size),
-        ("y1_size", channel.y1_size),
-        ("y2_size", channel.y2_size),
-    ):
-        if not _is_int(size) or size < 1:
-            raise ChannelValidationError(f"{name} must be a positive integer, got {size!r}")
-    n_rows = channel.x1_size * channel.x2_size
-    for name, kern, y in (
-        ("kernel1", channel.kernel1, channel.y1_size),
-        ("kernel2", channel.kernel2, channel.y2_size),
-    ):
-        if kern.shape != (n_rows, y):
-            raise ChannelValidationError(
-                f"{name} has shape {kern.shape}, expected {(n_rows, y)}"
-            )
-        if not np.isfinite(kern).all():
-            r = int(np.argwhere(~np.isfinite(kern))[0][0])
-            raise ChannelValidationError(f"{name} row {r} has a non-finite entry")
-        if (kern < 0).any():
-            r = int(np.argwhere(kern < 0)[0][0])
-            raise ChannelValidationError(f"{name} row {r} has a negative entry")
-        sums = kern.sum(axis=1)
-        bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise ChannelValidationError(
-                f"{name} row {r} sums to {sums[r]:.15f} (deviation "
-                f"{sums[r] - 1.0:+.3e})"
-            )
-    for user, idle, size in ((1, channel.idle1, channel.x1_size),
-                             (2, channel.idle2, channel.x2_size)):
-        if not _is_int(idle) or not 0 <= idle < size:
-            raise ChannelValidationError(f"idle index out of range for user {user}: {idle!r}")
-
-
 def _mutual_information(pi: np.ndarray, cond: np.ndarray) -> float:
     """I(X; Y) in bits for X ~ pi and conditional law cond[x, y].
 
@@ -235,8 +230,10 @@ def _receiver_quantities(
 def info_quantities(
     channel: DiscreteIC, pi1: InputDistribution, pi2: InputDistribution
 ) -> InfoQuantities:
-    """All ten information constants under independent inputs pi1, pi2."""
-    validate(channel)
+    """All ten information constants under independent inputs pi1, pi2.
+
+    The channel is valid by construction; the distributions must match its
+    input alphabets."""
     if len(pi1.probs) != channel.x1_size or len(pi2.probs) != channel.x2_size:
         raise ChannelValidationError("input distribution size does not match alphabet")
     q1 = _receiver_quantities(
@@ -249,20 +246,13 @@ def info_quantities(
         channel.idle2,
         channel.idle1,
     )
-    info = InfoQuantities(
+    return InfoQuantities(
         c_star=(q1[0], q2[0]),
         c=(q1[1], q2[1]),
         c_cross=(q1[2], q2[2]),
         c_tilde_star=(q1[3], q2[3]),
         c_tilde=(q1[4], q2[4]),
     )
-    for j in range(2):
-        if info.c[j] > info.c_cross[j] + 1e-9:
-            raise ChannelValidationError(
-                f"C_{j+1} exceeds C_{{ {j+1},{2-j} }}: conditioning on an "
-                "independent input cannot reduce mutual information"
-            )
-    return info
 
 
 def awgn_capacity(snr: float) -> float:
@@ -387,7 +377,6 @@ def lambda_bar(channel: DiscreteIC | GaussianIC):
     """
     if isinstance(channel, GaussianIC):
         return min(awgn_capacity(channel.p1), awgn_capacity(channel.p2)), None
-    validate(channel)
     per_user = []
     for k3 in (channel.kernel(1), channel.kernel(2).transpose(1, 0, 2)):
         subs = k3.transpose(1, 0, 2)
@@ -415,7 +404,8 @@ def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
     """Load a channel from a JSON config file path or an already-parsed dict.
 
     Numbers must be finite, sizes and idle indices integers, and kernels
-    matrices of numbers; anything else raises ChannelValidationError."""
+    matrices of numbers; anything else raises ChannelValidationError, from
+    here or from the channel's constructor."""
     if isinstance(path_or_dict, dict):
         cfg = path_or_dict
     else:
@@ -432,7 +422,7 @@ def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
 
     kind = cfg.get("type")
     if kind == "discrete":
-        ch = DiscreteIC(
+        return DiscreteIC(
             x1_size=cfg["x1"],
             x2_size=cfg["x2"],
             y1_size=cfg["y1"],
@@ -442,8 +432,6 @@ def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
             idle1=cfg.get("idle1", 0),
             idle2=cfg.get("idle2", 0),
         )
-        validate(ch)
-        return ch
     if kind == "gaussian":
         def power(key):
             if f"{key}_dbw" in cfg and key in cfg:

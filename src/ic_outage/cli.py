@@ -210,20 +210,25 @@ def _reprs(x) -> np.ndarray:
 
 def _epsilon_cells(ch, info, lam, d_max, mode, size: int):
     """The epsilon and case_label cells of one mode over a grid of ``size``
-    points, and why each point left without epsilon has none ("" if it has one)."""
+    points, and why each point left without epsilon has none ("" if it has one).
+
+    epsilon_bound runs once.  A fault of the channel does not depend on lam:
+    it fails every point above the decoder threshold.  The only other fault
+    is an alpha = lam * D that underflowed to 0, which fails the points that
+    would have a value; they are found from lam and D."""
+    underflow = an.alpha_of(lam, d_max) <= 0
     try:
-        eps = an.epsilon_bound(info, lam, d_max, mode)
+        eps = an.epsilon_bound(info, lam, np.where(underflow, 1.0, d_max), mode)
+        kind, value, label = np.broadcast_to(eps.kind, size), eps.value, eps.case_label
+        fault = np.where(underflow & (kind == "value"), an.NONPOSITIVE_ALPHA, "")
     except an.AnalysisError as exc:
-        if np.ndim(lam) == np.ndim(d_max) == 0:
-            return np.full(size, ""), np.full(size, ""), np.full(size, str(exc))
-        # A fault of the channel spares the points below the decoder threshold.
-        parts = [_epsilon_cells(ch, info, v, d, mode, 1) for v, d in np.broadcast(lam, d_max)]
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    kind = np.broadcast_to(eps.kind, size)
-    value = np.where(kind == "zero", 0.0, np.asarray(eps.value, dtype=float))
-    label = eps.case_label if isinstance(ch, chan.GaussianIC) else ""
-    reasons = np.where(kind == "not-applicable", an.NO_FEASIBLE_RATE, "")
-    return _reprs(np.broadcast_to(value, size)), np.broadcast_to(label, size), reasons
+        zero = np.broadcast_to(lam <= an.lambda_thresholds(info)[mode == an.DI], size)
+        kind, value, label = np.where(zero, "zero", ""), None, "outside-ladder"
+        fault = np.where(zero, "", str(exc))
+    value = np.where(kind == "zero", 0.0, np.where(fault == "", np.asarray(value, float), np.nan))
+    label = np.where(fault == "", label if isinstance(ch, chan.GaussianIC) else "", "")
+    reasons = np.where(kind == "not-applicable", an.NO_FEASIBLE_RATE, fault)
+    return _reprs(value), label, reasons
 
 
 @main.command()
@@ -273,8 +278,12 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     bad = [n for n in counts if n < 1 or n != int(n)]
     if bad:
         _fail(EXIT_CONFIG, f"packet counts must be integers >= 1, got {bad[0]!r}")
+    big = [n for n in counts if n > an.MAX_PACKETS]
+    if big:
+        _fail(EXIT_CONFIG, f"packet counts must be at most 2**53, got {big[0]!r}")
     # Each closed form runs once per mode over the whole grid.  Cells are laid
-    # out as (mode, user, N, value) and the rows sorted at the end.
+    # out as (mode, user, N, value) and the rows sorted at the end, by value,
+    # then N, mode name and user.
     points = np.array(grid)
     at_lam = points if variable == "lambda" else lam
     at_d = points / lam if variable == "alpha" else d_max
@@ -288,8 +297,9 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     cols["variable"][...] = variable
     cols["value"][...] = _reprs(points)
     cols["user"][...] = np.array([1, 2])[:, None, None]
-    if at_r is not None and at_n is not None:
-        cols["N"][...] = np.broadcast_to(at_n, shape[2:])
+    shown_n = None if at_r is None else at_n      # N is shown beside the per-user cells only
+    if shown_n is not None:
+        cols["N"][...] = np.broadcast_to(shown_n, shape[2:])
     skipped = np.full((len(grid), len(modes)), "", dtype=object)
     for m, mode in enumerate(modes):
         cols["mode"][m] = mode
@@ -297,7 +307,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
             ch, info, at_lam, at_d, mode, len(grid))
         if at_r is None:
             continue
-        cols["kappa"][m] = _reprs(an.kappa(at_lam * at_d))
+        cols["kappa"][m] = _reprs(an.kappa(an.alpha_of(at_lam, at_d)))
         for u, user in enumerate((1, 2)):
             bound = an.closed_form_outage(info, user, at_lam, at_r, at_n, at_d, mode)
             rho_v, beta, chi1, chi2 = bound.inputs
@@ -308,8 +318,8 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
             cols["p_outage_limit"][m, u] = _reprs(np.where(blank, np.nan, bound.limit))
             if at_n is not None:
                 cols["p_outage_finiteN"][m, u] = _reprs(np.where(blank, np.nan, bound.finite_n))
-    keys = (cols["user"].astype(int), cols["mode"].astype(str),
-            np.where(cols["N"] == "", -1, cols["N"]).astype(int), points)
+    mode_rank = np.array([sorted(modes).index(mode) for mode in modes])[:, None, None, None]
+    keys = (np.array([1, 2])[:, None, None], mode_rank, -1 if shown_n is None else shown_n, points)
     order = np.lexsort([np.broadcast_to(key, shape).ravel() for key in keys])
     rows = np.stack([cols[c].ravel() for c in CSV_COLUMNS], axis=1)[order]
     _write_csv(out_path, CSV_COLUMNS, rows.tolist())

@@ -771,17 +771,28 @@ def test_additive_di_cap_clears_both_chi_indicators(gaussian_channel):
     assert above.beta == pytest.approx(above.rho / (r_cap + 1e-3), abs=1e-15)
 
 
-def test_outage_inputs_invariants_enforced():
-    with pytest.raises(ic.AnalysisError, match="chi1 implies chi2"):
-        ic.OutageInputs(
-            alpha=1.0, rho=(0.1, 0.1), beta=(0.05, 0.05), kappa=2.0,
-            chi1=(True, False), chi2=(False, False),
-        )
-    with pytest.raises(ic.AnalysisError, match="beta < 1/2"):
-        ic.OutageInputs(
-            alpha=1.0, rho=(0.9, 0.1), beta=(0.6, 0.05), kappa=2.0,
-            chi1=(True, True), chi2=(True, True),
-        )
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
+       st.sampled_from([1, 2]),
+       st.one_of(st.sampled_from([1.0, 2.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0),
+                                  math.nextafter(2.0, 3.0)]),
+                 st.floats(0.2, 4.0)),
+       st.floats(0.05, 1.3))
+def test_chi1_implies_chi2_and_beta_below_half(seed, gaussian, mode, user, r, load):
+    # OutageInputs checks neither fact, since user_outage_inputs guarantees
+    # both: chi1 is rho < min(1, r - 1), so rho < 1 (chi2, under the same DI
+    # cap) and beta = rho/r < 1/2, for r on either side of 1 and of 2.
+    info = _random_info(np.random.default_rng(seed), gaussian)
+    c_star, _, _, ct_star, _ = info.for_user(user)
+    lam = load * max(c_star, ct_star) / r
+    try:
+        inputs = ic.user_outage_inputs(info, user, r, lam, mode)
+    except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
+        assume(False)
+    event(f"chi1={bool(inputs.chi1)}, r {'<' if r < 2.0 else '>='} 2")
+    if inputs.chi1:
+        assert inputs.chi2
+        assert inputs.beta < 0.5
 
 
 def test_scheme_params_validation():
@@ -800,10 +811,43 @@ def test_scheme_params_validation():
         with pytest.raises(ic.AnalysisError, match="number of packets must be an integer"):
             ic.SchemeParams(lam=1.0, r=1.1, n_packets=n_packets, d_max=1.0)
     assert ic.SchemeParams(lam=1.0, r=1.1, n_packets=np.int64(4), d_max=1.0).n_packets == 4
+    # The closed forms compute N in float64, which holds every integer up to 2**53.
+    assert ic.SchemeParams(lam=1.0, r=1.1, n_packets=2**53, d_max=1.0).n_packets == 2**53
+    for n_packets in (2**53 + 1, 10**20):
+        with pytest.raises(ic.AnalysisError,
+                           match=rf"number of packets must be at most 2\*\*53, got {n_packets}"):
+            ic.SchemeParams(lam=1.0, r=1.1, n_packets=n_packets, d_max=1.0)
     s = ic.SchemeParams(lam=0.5, r=1.2, n_packets=2, d_max=2.0, decoder="di")
     assert s.decoder == (ic.DI, ic.DI)
     assert s.code_rate == pytest.approx(0.6)
     assert s.alpha == pytest.approx(1.0)
+
+
+def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channel,
+                                                                 discrete_channel):
+    # Under the suite's error::RuntimeWarning filter any numpy overflow fails
+    # this test.  The values are those the forms gave while they warned.
+    assert BoundValue(*outage_ub_finite_n(1e308, 0.1, 4, True, True)) == (0.0, False)
+    assert BoundValue(*outage_ub_finite_n(1e-320, 0.0, 4, True, True)) == (0.0, False)
+    assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 1.0 - (1.0 - 2.0 * 0.1)
+    assert ic.delta_cdf(1.0, 1e-320) == 1.0
+    assert ic.delta_cdf(-1.0, 1e-320) == 0.0
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    for lam, d_max, finite_n in ((1e-320, 5.0, 0.0), (1.0, 1e308, 0.0), (1.0, 1e-320, 1.0)):
+        bound = ic.closed_form_outage(info, 2, lam, 1.5, 4, d_max, ic.TIN)
+        limit = 1.0 - (1.0 - 2.0 * bound.inputs.beta) if d_max < 1 else 0.0   # kappa*beta
+        assert (bound.finite_n, bound.limit) == (finite_n, limit)
+    # lam * D past the float range, and an additive DI cap C*/lam past it
+    assert ic.closed_form_outage(info, 1, np.array([2.0]), 1.5, 4, 1e308, ic.TIN).limit == [0.0]
+    assert ic.epsilon_bound(info, np.array([1.0, 1e-320]), 1e308, ic.DI).kind.tolist() == [
+        "value", "zero"]
+    assert ic.rho(info, 1, 1.5, 1e-320, ic.DI).r_cap == math.inf
+    # Far beyond the converse threshold beta > 1, so at a tiny alpha the inner
+    # branch is read with m < 0; its chi1 term is off, and the bound is 1.
+    u = ic.InputDistribution(np.array([0.5, 0.5]))
+    info = ic.info_quantities(discrete_channel, u, u)
+    bound = ic.closed_form_outage(info, 1, 1.0, 1.5, 4, 1e-300, ic.TIN)
+    assert (bound.inputs.beta > 1, bound.inputs.chi2, bound.finite_n) == (True, False, 1.0)
 
 
 def test_clamp_flag_only_fires_outside_unit_interval():

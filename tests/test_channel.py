@@ -89,38 +89,42 @@ def test_uniform_independent_outputs_give_zero_information():
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_regression_kernel(discrete_channel):
-    ic.validate(discrete_channel)
+    # Building checks the channel, and it stays valid: it holds read-only
+    # copies of its kernels.
+    k = normalize_rows(KERNEL)
+    ch = ic.DiscreteIC(2, 2, 5, 5, k, k)
+    k[0, 0] = math.nan
+    assert np.array_equal(ch.kernel1, discrete_channel.kernel1)
+    for kern in (ch.kernel1, ch.kernel2):
+        with pytest.raises(ValueError, match="read-only"):
+            kern[0, 0] = math.nan
 
 
 def test_validate_names_bad_row():
     k = normalize_rows(KERNEL).copy()
     k[2] *= 0.9
-    ch = ic.DiscreteIC(2, 2, 5, 5, k, normalize_rows(KERNEL))
     with pytest.raises(ic.ChannelValidationError, match="row 2"):
-        ic.validate(ch)
+        ic.DiscreteIC(2, 2, 5, 5, k, normalize_rows(KERNEL))
 
 
 def test_validate_rejects_out_of_range_idle():
     k = normalize_rows(KERNEL)
-    ch = ic.DiscreteIC(2, 2, 5, 5, k, k, idle1=3)
     with pytest.raises(ic.ChannelValidationError, match="idle index out of range"):
-        ic.validate(ch)
+        ic.DiscreteIC(2, 2, 5, 5, k, k, idle1=3)
 
 
 def test_validate_rejects_wrong_shape():
     k = normalize_rows(KERNEL)
-    ch = ic.DiscreteIC(2, 2, 5, 5, k[:, :4] / k[:, :4].sum(1, keepdims=True), k)
     with pytest.raises(ic.ChannelValidationError, match="shape"):
-        ic.validate(ch)
+        ic.DiscreteIC(2, 2, 5, 5, k[:, :4] / k[:, :4].sum(1, keepdims=True), k)
 
 
 def test_validate_rejects_negative_entry():
     k = normalize_rows(KERNEL).copy()
     k[0, 0] -= 0.5
     k[0, 1] += 0.5
-    ch = ic.DiscreteIC(2, 2, 5, 5, k, normalize_rows(KERNEL))
     with pytest.raises(ic.ChannelValidationError, match="negative"):
-        ic.validate(ch)
+        ic.DiscreteIC(2, 2, 5, 5, k, normalize_rows(KERNEL))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -138,11 +142,11 @@ def test_validate_rejects_non_finite_entry_and_non_integer_size():
     k = normalize_rows(KERNEL).copy()
     k[1, 3] = math.nan
     with pytest.raises(ic.ChannelValidationError, match="kernel2 row 1 has a non-finite entry"):
-        ic.validate(ic.DiscreteIC(2, 2, 5, 5, normalize_rows(KERNEL), k))
+        ic.DiscreteIC(2, 2, 5, 5, normalize_rows(KERNEL), k)
     with pytest.raises(ic.ChannelValidationError, match="y1_size must be a positive integer"):
-        ic.validate(ic.DiscreteIC(2, 2, 5.0, 5, normalize_rows(KERNEL), normalize_rows(KERNEL)))
+        ic.DiscreteIC(2, 2, 5.0, 5, normalize_rows(KERNEL), normalize_rows(KERNEL))
     k = normalize_rows(KERNEL)
-    ic.validate(ic.DiscreteIC(np.int64(2), 2, 5, 5, k, k))
+    ic.DiscreteIC(np.int64(2), 2, 5, 5, k, k)
 
 
 def test_input_distribution_invariants():

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -303,6 +304,94 @@ def test_sweep_channel_fault_spares_points_below_threshold(runner, discrete_file
     assert cells == [("0.01", "0.0")] * 2 + [("0.1", "")] * 2
 
 
+def _count_epsilon_bound(monkeypatch):
+    """The modes epsilon_bound is called with, as the sweep calls it."""
+    modes, epsilon_bound = [], ic.analysis.epsilon_bound
+
+    def counted(*args):
+        modes.append(args[-1])
+        return epsilon_bound(*args)
+    monkeypatch.setattr(ic.analysis, "epsilon_bound", counted)
+    return modes
+
+
+def test_sweep_fault_of_the_channel_takes_one_call_per_mode(runner, discrete_file, tmp_path,
+                                                            monkeypatch):
+    # DI's feasibility interval raises on the discrete channel at every lambda,
+    # so the one grid call decides every point: 0 at or below the DI threshold
+    # (0.052), the fault above it.
+    calls = _count_epsilon_bound(monkeypatch)
+    out = tmp_path / "x.csv"
+    grid = [0.01, 0.03, 0.05, 0.07, 0.09, 0.11]
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", discrete_file, "--variable", "lambda",
+         "--values", ",".join(map(str, grid)), "--d", "5", "--mode", "di", "--mode", "tin",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert calls == [ic.DI, ic.TIN]
+    assert [line.split(", got")[0] for line in result.stderr.splitlines()
+            if "mode di" in line] == [
+        f"no epsilon at lambda={lam}, mode di: need a > b > 0" for lam in grid[3:]]
+    with open(out) as f:
+        di = [r["epsilon"] for r in csv.DictReader(f) if r["mode"] == "di" and r["user"] == "1"]
+    assert di == ["0.0"] * 3 + [""] * 3
+
+
+def test_sweep_fails_only_valued_points_whose_alpha_underflows(runner, gaussian_file, tmp_path,
+                                                               monkeypatch):
+    # lam * D rounds to 0 at lam = 0.4 and D = 5e-324 but not at lam = 1, and
+    # lam = 0.3 is below the TIN threshold, where epsilon is 0 whatever alpha is.
+    calls = _count_epsilon_bound(monkeypatch)
+    out = tmp_path / "x.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "0.3,0.4,1",
+         "--d", "5e-324", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert calls == [ic.TIN]
+    assert result.stderr == "no epsilon at lambda=0.4, mode tin: alpha must be positive\n"
+    with open(out) as f:
+        cells = [(r["epsilon"], r["case_label"]) for r in csv.DictReader(f) if r["user"] == "1"]
+    eps = ic.epsilon_bound(ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5)),
+                           1.0, 5e-324, ic.TIN)
+    assert cells == [("0.0", "outside-ladder"), ("", ""), (repr(eps.epsilon), eps.case_label)]
+
+
+def test_sweep_rows_sort_by_value_n_mode_and_user(runner, gaussian_file, tmp_path):
+    # Unsorted values, repeated --n and --mode: N orders the rows only where
+    # its cell is shown, beside the per-user cells that --r brings.
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "1,0.5",
+            "--d", "5", "--n", "4,1,4", "--mode", "tin", "--mode", "di", "--mode", "tin",
+            "--out", str(out)]
+    layout = (("1.0", "0.5"), ("4", "1", "4"), ("tin", "di", "tin"), ("1", "2"))
+    for extra, n_cells in ((["--r", "1.5"], layout[1]), ([], ("",) * 3)):
+        assert runner.invoke(main, [*args, *extra]).exit_code == 0
+        with open(out) as f:
+            got = [(r["value"], r["N"], r["mode"], r["user"]) for r in csv.DictReader(f)]
+        assert got == sorted(itertools.product(layout[0], n_cells, *layout[2:]))
+
+
+@pytest.mark.parametrize("args", [
+    ["--variable", "lambda", "--values", "0.3,1,2.4", "--d", "1e308"],
+    ["--variable", "lambda", "--values", "0.3,1,2.4", "--d", "1e-320"],
+    ["--variable", "alpha", "--values", "1e308", "--lambda", "1"],
+    ["--variable", "alpha", "--values", "1e-320", "--lambda", "1"],
+    ["--variable", "lambda", "--values", "1e-320,1", "--d", "5"],
+], ids=["d-1e308", "d-1e-320", "alpha-1e308", "alpha-1e-320", "lambda-1e-320"])
+def test_sweep_at_extreme_alpha_lambda_or_d_prints_nothing_on_stderr(runner, gaussian_file,
+                                                                    tmp_path, args):
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, *args, "--r", "1.5", "--n", "4",
+         "--mode", "tin", "--mode", "di", "--out", str(tmp_path / "x.csv")],
+    )
+    assert (result.exit_code, result.stderr) == (0, "")
+
+
 def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tmp_path):
     # At r < 1 the r > 1 forms do not apply: both decoders take the gapless
     # form at finite N, and the limit is its N -> inf value at that r,
@@ -500,6 +589,14 @@ def test_simulate_check_at_a_vanishing_rate_prints_only_the_verdict(runner, gaus
     )
     assert (result.exit_code, result.stderr) == (0, "check passed\n")
     assert json.loads(result.stdout)["outage"] == [0.0, 0.0]
+    # so does a vanishing window, where the r >= 1 forms give 1
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", gaussian_file, "--lambda", "1", "--r", "1.5",
+         "--n-packets", "4", "--d", "1e-300", "--trials", "1000", "--check"],
+    )
+    assert (result.exit_code, result.stderr) == (0, "check passed\n")
+    assert json.loads(result.stdout)["outage"] == [1.0, 1.0]
     result = runner.invoke(
         main,
         ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--lo", "1e-300",
@@ -597,7 +694,8 @@ def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, 
         assert result.exit_code == 0
         assert "wrote 36 rows" in result.output           # values x modes x N x users
         grid = [0.5, 1.0, 2.0]
-        assert calls["epsilon_bound"] == [(grid, 5.0, mode) for mode in (ic.TIN, ic.DI)]
+        # D comes broadcast over the grid, with 1 wherever lam * D underflows
+        assert calls["epsilon_bound"] == [(grid, [5.0] * 3, mode) for mode in (ic.TIN, ic.DI)]
         assert calls["user_outage_inputs"] == [
             (user, r, grid, mode) for mode in (ic.TIN, ic.DI) for user in (1, 2)
         ]
@@ -658,13 +756,23 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "4.7,1e3",
           "--lambda", "1.0", "--d", "5", "--r", "1.5", "--out", "OUT"],
          "error: packet counts must be integers >= 1, got 4.7"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1", "--d", "5",
+          "--r", "1.5", "--n", "10000000000000000000000", "--out", "OUT"],
+         "error: packet counts must be at most 2**53, got 10000000000000000000000"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "1e20,4",
+          "--lambda", "1", "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: packet counts must be at most 2**53, got 1e+20"),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM,
+          "--n-packets", "100000000000000000000"],
+         "error: number of packets must be at most 2**53, got 100000000000000000000"),
     ],
     ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
          "negative-d-analyze", "zero-d-analyze",
          "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",
          "n-outside-stochastic-mode",
-         "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count"],
+         "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count",
+         "sweep-n-beyond-2**53", "packet-grid-beyond-2**53", "simulate-n-beyond-2**53"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,

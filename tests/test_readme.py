@@ -1,9 +1,17 @@
-"""The README's library quick start runs, and its commented numbers hold."""
+"""The README's library quick start and command-line examples run, and the
+quick start's commented numbers hold."""
 
 import re
+import shlex
+import shutil
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from click.testing import CliRunner
+
+from ic_outage.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _quick_start() -> str:
@@ -27,3 +35,30 @@ def test_readme_quick_start_runs_and_its_numbers_hold():
     assert "# 'case3-user2'" in code
     assert res.case_label == "case3-user2"
     assert len(ns["sim"].outage) == 2
+
+
+def _cli_commands() -> list[list[str]]:
+    """The ic-outage commands of the Command line section's sh block, each
+    with its line continuations joined and its program name dropped."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "ic-outage", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = _cli_commands()
+    assert {"analyze", "sweep", "simulate"} <= {c[0] for c in commands}
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        shutil.copytree(ROOT / "configs", "configs")
+        for args in commands:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output, result.stderr)
+            if args[0] == "simulate":
+                assert result.stderr == "check passed\n"
