@@ -48,13 +48,18 @@ NO_FEASIBLE_RATE = "no r > 1 satisfies both users' constraints"
 NONPOSITIVE_ALPHA = "alpha must be positive"
 # The closed forms compute N in float64, which holds every integer up to 2**53.
 MAX_PACKETS = 2**53
+_SMALLEST_ALPHA = math.ulp(0.0)
 
 
 def alpha_of(lam, d_max):
     """alpha = lam * D.  A product past the float range is inf, which every
-    closed form here reads as its alpha -> inf limit, so it is not warned of."""
+    closed form here reads as its alpha -> inf limit, so it is not warned of.
+    A product of a positive lam and D that rounds to 0 is the smallest
+    positive float, where every closed form is at its alpha -> 0 limit."""
     with np.errstate(over="ignore"):
-        return np.multiply(lam, d_max)
+        alpha = np.multiply(lam, d_max)
+    return np.where((alpha == 0) & (np.asarray(lam) > 0) & (np.asarray(d_max) > 0),
+                    _SMALLEST_ALPHA, alpha)
 
 
 def _out(x):
@@ -101,7 +106,7 @@ class SchemeParams:
 
     @property
     def alpha(self) -> float:
-        return self.lam * self.d_max
+        return float(alpha_of(self.lam, self.d_max))
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,8 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
         denom = a - b
         if denom <= 0:
             raise AnalysisError(f"user {user}: nonpositive denominator {name} = {denom:.3e}")
-        values.append((lam * r - b) / denom)
+        with np.errstate(over="ignore"):     # a ratio past the float range is inf
+            values.append((lam * r - b) / denom)
     return RhoValue(_out(functools.reduce(np.maximum, values)),
                     None if cap is None else _out(cap))
 
@@ -257,6 +263,9 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
         raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
+    # Where neither chi1 nor chi2 holds every branch below is 1 whatever beta
+    # is, so beta is read only under them: an infinite beta there makes no nan.
+    beta = np.where(np.logical_or(chi1, chi2), beta, 0.0)
     with np.errstate(over="ignore"):    # N*alpha past the float range is read as inf
         na = n * alpha
     m = np.ceil(na - beta)
@@ -293,6 +302,7 @@ def outage_ub_limit(alpha, beta, chi1, chi2):
         raise AnalysisError(NONPOSITIVE_ALPHA)
     if beta.min() < 0:
         raise AnalysisError("negative beta has no outage limit; use the zero path")
+    beta = np.where(chi1, beta, 0.0)    # read under chi1 only, so an infinite beta makes no nan
     x1 = np.where(chi1, 1.0, 0.0)
     x2 = np.where(chi2, 1.0, 0.0)
     beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha

@@ -3,7 +3,7 @@ Monte Carlo validation runs."""
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import sys
@@ -79,11 +79,12 @@ def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
+    """Write the header and then each row, a sequence of str cells, as one
+    line ending in \r\n.  The cells are numbers and fixed names with no
+    comma, quote or line break, so csv.writer would quote none of them."""
     try:
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
+            f.writelines(",".join(row) + "\r\n" for row in itertools.chain([header], rows))
     except OSError as exc:
         _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
 
@@ -201,10 +202,11 @@ def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
         click.echo("epsilon bound not applicable (no feasible rate)")
 
 
-def _reprs(x) -> np.ndarray:
-    """The repr of each float in x, as CSV cells; nan gives a blank cell."""
-    x = np.asarray(x, dtype=float)
-    cells = ["" if math.isnan(v) else repr(v) for v in x.ravel().tolist()]
+def _cells(x) -> np.ndarray:
+    """The CSV cell of each number (float or int) in x, as its repr; nan gives
+    a blank cell."""
+    x = np.asarray(x)
+    cells = ["" if v == "nan" else v for v in map(repr, x.ravel().tolist())]
     return np.array(cells, dtype=object).reshape(x.shape)
 
 
@@ -213,22 +215,18 @@ def _epsilon_cells(ch, info, lam, d_max, mode, size: int):
     points, and why each point left without epsilon has none ("" if it has one).
 
     epsilon_bound runs once.  A fault of the channel does not depend on lam:
-    it fails every point above the decoder threshold.  The only other fault
-    is an alpha = lam * D that underflowed to 0, which fails the points that
-    would have a value; they are found from lam and D."""
-    underflow = an.alpha_of(lam, d_max) <= 0
+    it fails every point above the decoder threshold."""
     try:
-        eps = an.epsilon_bound(info, lam, np.where(underflow, 1.0, d_max), mode)
-        kind, value, label = np.broadcast_to(eps.kind, size), eps.value, eps.case_label
-        fault = np.where(underflow & (kind == "value"), an.NONPOSITIVE_ALPHA, "")
+        eps = an.epsilon_bound(info, lam, d_max, mode)
+        kind, value, label, fault = np.broadcast_to(eps.kind, size), eps.value, eps.case_label, ""
     except an.AnalysisError as exc:
         zero = np.broadcast_to(lam <= an.lambda_thresholds(info)[mode == an.DI], size)
         kind, value, label = np.where(zero, "zero", ""), None, "outside-ladder"
         fault = np.where(zero, "", str(exc))
-    value = np.where(kind == "zero", 0.0, np.where(fault == "", np.asarray(value, float), np.nan))
+    value = np.where(kind == "zero", 0.0, np.asarray(value, dtype=float))
     label = np.where(fault == "", label if isinstance(ch, chan.GaussianIC) else "", "")
     reasons = np.where(kind == "not-applicable", an.NO_FEASIBLE_RATE, fault)
-    return _reprs(value), label, reasons
+    return _cells(value), label, reasons
 
 
 @main.command()
@@ -282,52 +280,60 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     if big:
         _fail(EXIT_CONFIG, f"packet counts must be at most 2**53, got {big[0]!r}")
     # Each closed form runs once per mode over the whole grid.  Cells are laid
-    # out as (mode, user, N, value) and the rows sorted at the end, by value,
-    # then N, mode name and user.
+    # out as (mode, user, N, value), each column as str over the axes it varies
+    # on; the rows are sorted at the end, by value, then N, mode name and user.
     points = np.array(grid)
     at_lam = points if variable == "lambda" else lam
-    at_d = points / lam if variable == "alpha" else d_max
+    # a D = alpha / lam that rounds to 0 is the smallest positive float
+    at_d = np.maximum(points / lam, math.ulp(0.0)) if variable == "alpha" else d_max
     at_r = points if variable == "r" else r_value
     if variable == "n_packets":
         at_n = points.astype(int)
     else:
         at_n = None if ns == [None] else np.array(ns)[:, None]
     shape = (len(modes), 2, len(ns) if np.ndim(at_n) == 2 else 1, len(grid))
-    cols = {c: np.full(shape, "", dtype=object) for c in CSV_COLUMNS}
-    cols["variable"][...] = variable
-    cols["value"][...] = _reprs(points)
-    cols["user"][...] = np.array([1, 2])[:, None, None]
+    per_mode, per_user = (len(modes), 1, 1, len(grid)), (len(modes), 2, 1, len(grid))
+    cols = dict.fromkeys(CSV_COLUMNS, np.array("", dtype=object))
+    cols.update(variable=np.array(variable, dtype=object), value=_cells(points),
+                user=np.array(["1", "2"], dtype=object)[:, None, None],
+                mode=np.array(modes, dtype=object)[:, None, None, None],
+                epsilon=np.empty(per_mode, dtype=object),
+                case_label=np.empty(per_mode, dtype=object))
     shown_n = None if at_r is None else at_n      # N is shown beside the per-user cells only
     if shown_n is not None:
-        cols["N"][...] = np.broadcast_to(shown_n, shape[2:])
+        cols["N"] = _cells(shown_n)
+    if at_r is not None:
+        cols["kappa"] = _cells(an.kappa(an.alpha_of(at_lam, at_d)))
+        for c in ("rho", "beta", "chi1", "chi2", "p_outage_limit"):
+            cols[c] = np.empty(per_user, dtype=object)
+        if at_n is not None:
+            cols["p_outage_finiteN"] = np.empty(shape, dtype=object)
     skipped = np.full((len(grid), len(modes)), "", dtype=object)
     for m, mode in enumerate(modes):
-        cols["mode"][m] = mode
         cols["epsilon"][m], cols["case_label"][m], skipped[:, m] = _epsilon_cells(
             ch, info, at_lam, at_d, mode, len(grid))
         if at_r is None:
             continue
-        cols["kappa"][m] = _reprs(an.kappa(an.alpha_of(at_lam, at_d)))
         for u, user in enumerate((1, 2)):
             bound = an.closed_form_outage(info, user, at_lam, at_r, at_n, at_d, mode)
             rho_v, beta, chi1, chi2 = bound.inputs
             blank = np.asarray(rho_v) < 0       # zero-outage cells stay blank
-            cols["rho"][m, u], cols["beta"][m, u] = _reprs(rho_v), _reprs(beta)
+            cols["rho"][m, u], cols["beta"][m, u] = _cells(rho_v), _cells(beta)
             cols["chi1"][m, u] = np.where(chi1, "1", "0")
             cols["chi2"][m, u] = np.where(chi2, "1", "0")
-            cols["p_outage_limit"][m, u] = _reprs(np.where(blank, np.nan, bound.limit))
+            cols["p_outage_limit"][m, u] = _cells(np.where(blank, np.nan, bound.limit))
             if at_n is not None:
-                cols["p_outage_finiteN"][m, u] = _reprs(np.where(blank, np.nan, bound.finite_n))
+                cols["p_outage_finiteN"][m, u] = _cells(np.where(blank, np.nan, bound.finite_n))
     mode_rank = np.array([sorted(modes).index(mode) for mode in modes])[:, None, None, None]
     keys = (np.array([1, 2])[:, None, None], mode_rank, -1 if shown_n is None else shown_n, points)
     order = np.lexsort([np.broadcast_to(key, shape).ravel() for key in keys])
-    rows = np.stack([cols[c].ravel() for c in CSV_COLUMNS], axis=1)[order]
-    _write_csv(out_path, CSV_COLUMNS, rows.tolist())
+    columns = [np.broadcast_to(cols[c], shape).ravel()[order].tolist() for c in CSV_COLUMNS]
+    _write_csv(out_path, CSV_COLUMNS, zip(*columns))
     reasons = [f"no epsilon at {variable}={grid[g]!r}, mode {modes[m]}: {skipped[g, m]}"
                for g, m in zip(*np.nonzero(skipped != ""))]
     if reasons:
         click.echo("\n".join(reasons), err=True)
-    click.echo(f"wrote {len(rows)} rows to {out_path}")
+    click.echo(f"wrote {order.size} rows to {out_path}")
 
 
 @main.command()
@@ -358,7 +364,8 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
     click.echo(result.to_json())
     if csv_path:
         _write_csv(csv_path, ["user", "outage", "halfwidth", "rate"],
-                   zip((1, 2), result.outage, result.halfwidth, result.rates))
+                   zip(("1", "2"), *([repr(float(x)) for x in column] for column in
+                                     (result.outage, result.halfwidth, result.rates))))
     if check:
         bounds = [an.closed_form_outage(info, user, lam, r_value, n_packets, d_max,
                                         scheme.decoder[user - 1]) for user in (1, 2)]

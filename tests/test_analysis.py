@@ -850,6 +850,37 @@ def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channe
     assert (bound.inputs.beta > 1, bound.inputs.chi2, bound.finite_n) == (True, False, 1.0)
 
 
+def test_positive_lambda_and_d_whose_product_underflows_take_the_alpha_to_0_limit(
+        gaussian_channel):
+    # 0.4 * 5e-324 rounds to 0: alpha is then the smallest positive float, and
+    # every closed form gives what it gives at D = 1e-300.
+    tiny = math.ulp(0.0)
+    assert ic.analysis.alpha_of(0.4, tiny) == tiny
+    assert ic.analysis.alpha_of(np.array([0.4, 0.0, -1.0]), tiny).tolist() == [tiny, 0.0, -tiny]
+    assert ic.SchemeParams(lam=0.4, r=1.5, n_packets=4, d_max=tiny).alpha == tiny
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    for user in (1, 2):
+        at = [ic.closed_form_outage(info, user, 0.4, 1.5, 4, d, ic.TIN) for d in (tiny, 1e-300)]
+        assert at[0] == at[1]
+    eps = [ic.epsilon_bound(info, 0.4, d, ic.TIN) for d in (tiny, 1e-300)]
+    assert eps[0] == eps[1] and eps[0].kappa == 2.0
+    assert round(eps[0].epsilon, 4) == 0.0149
+
+
+def test_rho_past_the_float_range_gives_outage_1(discrete_channel):
+    # (lam r - b)/(C* - C) overflows to inf at lam = 1e308; beta = inf is read
+    # only under chi1 (and, at finite N, chi2), so no nan is made.  Under the
+    # suite's error::RuntimeWarning filter any numpy warning fails this test.
+    u = ic.InputDistribution(np.array([0.5, 0.5]))
+    info = ic.info_quantities(discrete_channel, u, u)
+    assert ic.rho(info, 1, 1.5, 1e308, ic.TIN).value == math.inf
+    bound = ic.closed_form_outage(info, 1, 1e308, 1.5, 4, 5.0, ic.TIN)
+    assert tuple(bound.inputs) == (math.inf, math.inf, False, False)
+    assert (bound.finite_n, bound.limit) == (1.0, 1.0)
+    assert ic.outage_ub_limit(0.5, math.inf, False, False) == 1.0
+    assert BoundValue(*outage_ub_finite_n(math.inf, math.inf, 4, False, False)) == (1.0, False)
+
+
 def test_clamp_flag_only_fires_outside_unit_interval():
     assert BoundValue(*ic.analysis._clamp(0.5)) == (0.5, False)
     assert ic.analysis._clamp(1.0 + 5e-13).value == 1.0

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import io
 import itertools
 import json
 import math
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 import ic_outage as ic
 from ic_outage.cli import CSV_COLUMNS, main
 from conftest import KERNEL, normalize_rows
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -339,25 +342,54 @@ def test_sweep_fault_of_the_channel_takes_one_call_per_mode(runner, discrete_fil
     assert di == ["0.0"] * 3 + [""] * 3
 
 
-def test_sweep_fails_only_valued_points_whose_alpha_underflows(runner, gaussian_file, tmp_path,
-                                                               monkeypatch):
-    # lam * D rounds to 0 at lam = 0.4 and D = 5e-324 but not at lam = 1, and
-    # lam = 0.3 is below the TIN threshold, where epsilon is 0 whatever alpha is.
+def test_sweep_takes_the_alpha_to_0_limit_where_lambda_d_underflows(runner, gaussian_file,
+                                                                    tmp_path, monkeypatch):
+    # lam * D rounds to 0 at lam = 0.4 and D = 5e-324 but not at lam = 1.  A
+    # positive lam and D give a positive alpha, the smallest float then, where
+    # every closed form is at its alpha -> 0 limit: each cell is that of
+    # D = 1e-300, and no point is named as skipped.
     calls = _count_epsilon_bound(monkeypatch)
+    args = ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "0.3,0.4,1"]
+    for extra in ([], ["--r", "1.5", "--n", "4", "--mode", "tin", "--mode", "di"]):
+        rows = {}
+        for d_max in ("5e-324", "1e-300"):
+            out = tmp_path / f"{d_max}.csv"
+            result = runner.invoke(main, [*args, "--d", d_max, *extra, "--out", str(out)])
+            assert (result.exit_code, result.stderr) == (0, "")
+            with open(out) as f:
+                rows[d_max] = list(csv.DictReader(f))
+        assert rows["5e-324"] == rows["1e-300"]
+    assert calls == [ic.TIN] * 2 + [ic.TIN, ic.DI] * 2
+    eps = ic.epsilon_bound(ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5)),
+                           0.4, 1e-300, ic.TIN)
+    assert [(r["epsilon"], r["kappa"]) for r in rows["5e-324"]
+            if (r["value"], r["mode"]) == ("0.4", "tin")] == [(repr(eps.epsilon), "2.0")] * 2
+
+
+def test_analyze_takes_the_alpha_to_0_limit_where_lambda_d_underflows(runner, gaussian_file):
+    out = {d_max: runner.invoke(main, ["analyze", "--channel", gaussian_file, "--lambda", "0.4",
+                                       "--d", d_max]) for d_max in ("5e-324", "1e-300")}
+    assert [r.exit_code for r in out.values()] == [0, 0]
+    assert out["5e-324"].output == out["1e-300"].output
+    assert "epsilon <= 0.0149 at r0=1.0075, kappa=2.0000" in out["5e-324"].output
+
+
+def test_sweep_rho_past_the_float_range_gives_outage_1(runner, tmp_path):
+    # rho = (lam r - b)/(C* - C) overflows at lam = 1e308 on the discrete
+    # config: rho = beta = inf, chi1 = chi2 = 0, and both bounds are 1.
     out = tmp_path / "x.csv"
     result = runner.invoke(
         main,
-        ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "0.3,0.4,1",
-         "--d", "5e-324", "--out", str(out)],
+        ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
+         "--values", "1e308", "--d", "5", "--r", "1.5", "--n", "4", "--mode", "tin",
+         "--out", str(out)],
     )
-    assert result.exit_code == 0
-    assert calls == [ic.TIN]
-    assert result.stderr == "no epsilon at lambda=0.4, mode tin: alpha must be positive\n"
+    assert (result.exit_code, result.stderr) == (
+        0, f"no epsilon at lambda=1e+308, mode tin: {ic.analysis.NO_FEASIBLE_RATE}\n")
     with open(out) as f:
-        cells = [(r["epsilon"], r["case_label"]) for r in csv.DictReader(f) if r["user"] == "1"]
-    eps = ic.epsilon_bound(ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5)),
-                           1.0, 5e-324, ic.TIN)
-    assert cells == [("0.0", "outside-ladder"), ("", ""), (repr(eps.epsilon), eps.case_label)]
+        cells = [(r["rho"], r["beta"], r["chi1"], r["chi2"], r["p_outage_finiteN"],
+                  r["p_outage_limit"]) for r in csv.DictReader(f)]
+    assert cells == [("inf", "inf", "0", "0", "1.0", "1.0")] * 2
 
 
 def test_sweep_rows_sort_by_value_n_mode_and_user(runner, gaussian_file, tmp_path):
@@ -373,6 +405,59 @@ def test_sweep_rows_sort_by_value_n_mode_and_user(runner, gaussian_file, tmp_pat
         with open(out) as f:
             got = [(r["value"], r["N"], r["mode"], r["user"]) for r in csv.DictReader(f)]
         assert got == sorted(itertools.product(layout[0], n_cells, *layout[2:]))
+
+
+_SWEEP = ["sweep", "--channel", str(CONFIGS / "gaussian.json")]
+_CSV_FILES = {
+    "alpha": [*_SWEEP, "--variable", "alpha", "--values", "2,0.5,7", "--lambda", "1",
+              "--r", "1.5", "--n", "4", "--mode", "di", "--out"],
+    "lambda": [*_SWEEP, "--variable", "lambda", "--lo", "0.3", "--hi", "2.4", "--steps", "8",
+               "--d", "5", "--r", "1.5", "--n", "4,64", "--mode", "tin", "--mode", "di", "--out"],
+    "n_packets": [*_SWEEP, "--variable", "n_packets", "--values", "64,1,4", "--lambda", "1",
+                  "--d", "5", "--r", "1.5", "--out"],
+    "r": [*_SWEEP, "--variable", "r", "--values", "0.5,0.8,1.5,3", "--lambda", "0.9",
+          "--d", "5", "--n", "2,8", "--out"],
+    "unsorted-repeated": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
+                          "--r", "1.5", "--n", "4,1,4", "--mode", "tin", "--mode", "di",
+                          "--mode", "tin", "--out"],
+    "without-r": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
+                  "--n", "4,1", "--mode", "di", "--mode", "tin", "--out"],
+    "blank": ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
+              "--values", "0.01,0.05,0.11,0.3", "--d", "5", "--r", "1.5", "--n", "4", "--out"],
+    "inf": ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
+            "--values", "1e308", "--d", "5", "--r", "1.5", "--n", "4", "--out"],
+    "simulate": ["simulate", "--channel", str(CONFIGS / "gaussian.json"), "--lambda", "1.0",
+                 "--r", "1.5", "--n-packets", "4", "--d", "5", "--trials", "500", "--csv"],
+}
+_TEXT_COLUMNS = {"variable", "mode", "case_label"}
+_INT_COLUMNS = {"user", "N", "chi1", "chi2"}
+
+
+@pytest.mark.parametrize("name", list(_CSV_FILES))
+def test_csv_files_are_what_csv_writer_writes(runner, tmp_path, name):
+    # The writer joins str cells with commas and ends each line in \r\n.
+    # csv.writer (QUOTE_MINIMAL, \r\n) writes the same bytes back from the
+    # parsed rows, so no cell needed quoting; each number is its float repr.
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, [*_CSV_FILES[name], str(out)])
+    assert result.exit_code == 0, result.stderr
+    text = out.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    again = io.StringIO(newline="")
+    csv.writer(again).writerows(rows)
+    assert again.getvalue() == text
+    header, *body = rows
+    assert header == (["user", "outage", "halfwidth", "rate"] if name == "simulate"
+                      else CSV_COLUMNS)
+    assert {len(row) for row in body} == {len(header)}
+    numbers = [(column, cell) for row in body for column, cell in zip(header, row)
+               if column not in _TEXT_COLUMNS]
+    for column, cell in numbers:
+        if cell:
+            assert cell == (str(int(cell)) if column in _INT_COLUMNS else repr(float(cell)))
+    cells = {cell for _, cell in numbers}
+    assert "" in cells or name not in ("without-r", "blank", "inf")
+    assert ("inf" in cells) == (name == "inf")
 
 
 @pytest.mark.parametrize("args", [
@@ -694,8 +779,7 @@ def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, 
         assert result.exit_code == 0
         assert "wrote 36 rows" in result.output           # values x modes x N x users
         grid = [0.5, 1.0, 2.0]
-        # D comes broadcast over the grid, with 1 wherever lam * D underflows
-        assert calls["epsilon_bound"] == [(grid, [5.0] * 3, mode) for mode in (ic.TIN, ic.DI)]
+        assert calls["epsilon_bound"] == [(grid, 5.0, mode) for mode in (ic.TIN, ic.DI)]
         assert calls["user_outage_inputs"] == [
             (user, r, grid, mode) for mode in (ic.TIN, ic.DI) for user in (1, 2)
         ]
