@@ -21,7 +21,6 @@ __all__ = [
     "TIN",
     "DI",
     "SchemeParams",
-    "OutageInputs",
     "Interval",
     "AnalysisError",
     "rho",
@@ -145,13 +144,20 @@ def _ratios(info: InfoQuantities, user: int, mode: str, lam):
     rho_i(r), and the additive DI cap: on an additive channel (C_i* ==
     C_{i,i'}) the ratio of (C*, C_cross) degenerates and the hard cap
     r < C_i*/lam replaces it, so C_i*/lam is returned then (inf where that
-    overflows: a vanishing lam leaves r uncapped), and None otherwise."""
+    overflows: a vanishing lam leaves r uncapped), and None otherwise.
+    A ratio whose denominator a - b is not positive has no finite value,
+    so it is refused here, once for every consumer."""
     pairs = _constraints(info, user, mode)
+    cap = None
     name, a, b = pairs[-1]
     if name == "C*-C_cross" and abs(a - b) < _ADDITIVE_TOL:
+        pairs = pairs[:-1]
         with np.errstate(over="ignore"):
-            return pairs[:-1], a / lam
-    return pairs, None
+            cap = a / lam
+    for name, a, b in pairs:
+        if a - b <= 0:
+            raise AnalysisError(f"user {user}: nonpositive denominator {name} = {a - b:.3e}")
+    return pairs, cap
 
 
 def _zero_threshold(info: InfoQuantities, modes: tuple[str, str]) -> float:
@@ -173,13 +179,8 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
     if np.min(r) <= 0:
         raise AnalysisError("r must be positive")
     pairs, cap = _ratios(info, user, mode, lam)
-    values = []
-    for name, a, b in pairs:
-        denom = a - b
-        if denom <= 0:
-            raise AnalysisError(f"user {user}: nonpositive denominator {name} = {denom:.3e}")
-        with np.errstate(over="ignore"):     # a ratio past the float range is inf
-            values.append((lam * r - b) / denom)
+    with np.errstate(over="ignore"):     # a ratio past the float range is inf
+        values = [(lam * r - b) / (a - b) for _, a, b in pairs]
     return RhoValue(_out(functools.reduce(np.maximum, values)),
                     None if cap is None else _out(cap))
 
@@ -210,9 +211,9 @@ def _feasibility_case(a, b, lam):
 
 
 def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
-    """Solution in r > 1 of (lam*r - b)/(a - b) < min(1, r - 1) for a > b > 0."""
-    if not a > b > 0:
-        raise AnalysisError(f"need a > b > 0, got a={a}, b={b}")
+    """Solution in r > 1 of (lam*r - b)/(a - b) < min(1, r - 1) for a > b >= 0."""
+    if not a > b >= 0:
+        raise AnalysisError(f"need a > b >= 0, got a={a}, b={b}")
     lam = np.asarray(lam, dtype=float)
     case = _feasibility_case(a, b, lam)
     # ratio is read in cases 2 and 3 only; cap is inf where lam vanishes
@@ -252,9 +253,19 @@ def _clamp(p) -> BoundValue:
 def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     """Finite-N closed form for the outage upper bound of one user.
 
-    ``beta`` is rho_i(r)/r; ``alpha`` is lam*D.  ``beta == 0`` is accepted
-    (the formulas are continuous there); negative beta is the caller's
-    zero-outage path and is rejected.
+    ``alpha`` is lam*D*min(r, 1) and ``beta`` is rho_i(r)/s, on the codeword
+    lattice of step s = max(r, 1); chi1 must imply chi2.  ``beta == 0`` is
+    accepted (the formulas are continuous there); negative beta is the
+    caller's zero-outage path and is rejected.
+
+    With g(t) = t(2 - t), the shape of delta_cdf, the bound is
+    (w - u)(2 - w - u) + 2 beta g(u) under chi1, g(min(N - 1 + beta, N alpha)
+    / (N alpha)) under chi2 alone and 1 otherwise.  Here u = K/(N alpha) and
+    w = min(K + beta, N alpha)/(N alpha), where K counts the codewords
+    wholly inside the window: N - 1 when all of them fit (m >= N), else m,
+    or m - 1 when the m-th straddles the window edge, with m = ceil(N alpha -
+    beta).  Every term is nonnegative, so a small bound is not left as the
+    difference of two numbers near 1.
     """
     alpha, beta, n = np.asarray(alpha, dtype=float), np.asarray(beta), np.asarray(n_packets)
     if alpha.min() <= 0:
@@ -263,73 +274,40 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
         raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
-    # Where neither chi1 nor chi2 holds every branch below is 1 whatever beta
-    # is, so beta is read only under them: an infinite beta there makes no nan.
+    # Where neither chi1 nor chi2 holds the bound is 1 whatever beta is, so
+    # beta is read only under them: an infinite beta there makes no nan.
     beta = np.where(np.logical_or(chi1, chi2), beta, 0.0)
-    with np.errstate(over="ignore"):    # N*alpha past the float range is read as inf
+    with np.errstate(over="ignore"):    # an N*alpha past the float range is inf: all N fit
         na = n * alpha
     m = np.ceil(na - beta)
-    is_full = m >= n
-    is_inner = ~is_full & ((m == 0) | (m <= na + beta))
-    is_straddle = ~is_full & ~is_inner
-
-    def per_na(x, cells):
-        """x / (N alpha) in the cells that read it; elsewhere 0, as a tiny or
-        infinite N*alpha there could overflow."""
-        return np.where(cells, x, 0.0) / np.where(cells, na, np.inf)
-
-    # Each fraction is read only in its own branch, and only under the
-    # indicator (chi1 or chi2) of the term it sits in.
-    x1 = np.where(chi1, 1.0, 0.0)
-    x2 = np.where(chi2, 1.0, 0.0)
-    u_full, u_inner, u_straddle = (per_na(n - 1, is_full & chi1), per_na(m, is_inner & chi1),
-                                   per_na(m - 1, is_straddle & chi1))
-    tail = 1.0 - per_na(n - 1 + beta, is_full & chi2)
-    edge = 1.0 - per_na(m - 1 + beta, is_straddle & chi1)
-    full = 1.0 - (1.0 - 2.0 * beta) * (2.0 - u_full) * u_full * x1 - tail * tail * x2
-    inner = 1.0 - (1.0 - 2.0 * beta) * (2.0 - u_inner) * u_inner * x1
-    # The interval straddling the window edge contributes (1 - u_m)^2 to
-    # the success mass, so it is subtracted along with the telescoped sum;
-    # continuity at m = N*alpha + beta pins the sign.
-    straddle = 1.0 - ((1.0 - 2.0 * beta) * (2.0 - u_straddle) * u_straddle + edge * edge) * x1
-    return _clamp(np.where(is_full, full, np.where(is_inner, inner, straddle)))
+    k = np.where(chi1, np.where(m >= n, n - 1, np.where(m <= na + beta, m, m - 1)), 0.0)
+    # Each x/(N alpha) is taken as (x/N)/alpha, which keeps its value where
+    # N*alpha overflows.  w - u and w are clipped before dividing, as
+    # delta_cdf clips, so a tiny alpha cannot overflow; w - u is taken as
+    # min(beta, N alpha - K)/(N alpha), which keeps beta's digits where
+    # K + beta would round them away.
+    u = k / n / alpha
+    d = np.minimum(beta / n, alpha - k / n) / alpha
+    tail = np.minimum((n - 1 + beta) / n, alpha) / alpha
+    return _clamp(np.where(chi1, d * (2.0 - 2.0 * u - d) + 2.0 * beta * u * (2.0 - u),
+                           np.where(chi2, tail * (2.0 - tail), 1.0)))
 
 
 def outage_ub_limit(alpha, beta, chi1, chi2):
-    """N -> infinity limit of the finite-N bound; equals kappa*beta when chi1 holds."""
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta)
-    if alpha.min() <= 0:
-        raise AnalysisError(NONPOSITIVE_ALPHA)
+    """N -> infinity limit of the finite-N bound: kappa*beta under chi1,
+    kappa/2 under chi2 alone and 1 otherwise."""
+    k = np.asarray(kappa(alpha))
+    beta = np.asarray(beta)
     if beta.min() < 0:
         raise AnalysisError("negative beta has no outage limit; use the zero path")
     beta = np.where(chi1, beta, 0.0)    # read under chi1 only, so an infinite beta makes no nan
-    x1 = np.where(chi1, 1.0, 0.0)
-    x2 = np.where(chi2, 1.0, 0.0)
-    beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha
-    tail = 1.0 - 1.0 / beyond
-    return _out(np.where(
-        alpha < 1.0,
-        1.0 - (1.0 - 2.0 * beta) * x1,
-        1.0 - (1.0 / beyond) * (2.0 - 1.0 / beyond) * (1.0 - 2.0 * beta) * x1 - tail * tail * x2,
-    ))
-
-
-@dataclass(frozen=True)
-class OutageInputs:
-    """Derived scalars feeding the finite-N bound and the epsilon bound.
-
-    It checks nothing: user_outage_inputs makes chi1 imply chi2 and
-    beta < 1/2, and kappa refuses alpha <= 0."""
-
-    alpha: float
-    rho: tuple[float, float]
-    beta: tuple[float, float]
-    kappa: float
-    chi1: tuple[bool, bool]
-    chi2: tuple[bool, bool]
+    return _out(np.where(chi1, k * beta, np.where(chi2, k / 2.0, 1.0)))
 
 
 class UserOutageInputs(NamedTuple):
+    """rho_i, beta_i = rho_i/r and the chi indicators: of one user from
+    user_outage_inputs, or (user 1, user 2) pairs from outage_inputs."""
+
     rho: float
     beta: float
     chi1: bool
@@ -353,20 +331,12 @@ def user_outage_inputs(info: InfoQuantities, user: int, r, lam, mode: str) -> Us
     )
 
 
-def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> OutageInputs:
-    """Evaluate rho, beta, kappa and the chi indicators for a parameter point."""
-    users = [
+def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> UserOutageInputs:
+    """rho, beta and the chi indicators of both users at a parameter point,
+    each a (user 1, user 2) pair."""
+    return UserOutageInputs(*zip(*(
         user_outage_inputs(info, user, scheme.r, scheme.lam, scheme.decoder[user - 1])
-        for user in (1, 2)
-    ]
-    return OutageInputs(
-        alpha=scheme.alpha,
-        rho=tuple(u.rho for u in users),
-        beta=tuple(u.beta for u in users),
-        kappa=kappa(scheme.alpha),
-        chi1=tuple(u.chi1 for u in users),
-        chi2=tuple(u.chi2 for u in users),
-    )
+        for user in (1, 2))))
 
 
 @dataclass(frozen=True)
@@ -437,33 +407,27 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     """User i's fluid outage in closed form, at N packets and as N -> inf,
     under either decoder.
 
-    - rho_i < 0: 0, or 1 if r breaks the additive DI cap r < C*/lam;
-    - r >= 1: outage_ub_finite_n and outage_ub_limit, chi1 false included;
-    - r < 1: the gapless delta_cdf((N - 1 + rho_i)/(N r lam), D) where chi2
-      holds, and as N -> inf delta_cdf(1/(r lam), D); 1 where chi2 fails.
+    The codewords start on a lattice of step s = max(r, 1) codeword lengths,
+    so every r takes outage_ub_finite_n and outage_ub_limit at alpha =
+    lam*D*min(r, 1) and beta = rho_i/s, chi1 false included.  Below r = 1
+    chi1 fails wherever rho_i >= 0, which leaves the gapless delta-CDF form
+    there.  rho_i < 0 gives 0, or 1 if r breaks the additive DI cap
+    r < C*/lam.  ``inputs.beta`` stays rho_i/r.
 
     The arguments broadcast; finite_n is None when n_packets is.
     """
     inputs = user_outage_inputs(info, user, r, lam, mode)
     negative = np.asarray(inputs.rho) < 0
-    beta = np.where(negative, 0.0, inputs.beta)
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
     r = np.asarray(r, dtype=float)
-    bursty = r >= 1.0
-    # Cells that read neither r >= 1 form get alpha = 1, and cells that read
-    # neither gapless form (r >= 1, rho < 0 or chi2 false) get r = lam = 1,
-    # where they cannot overflow.
-    alpha = np.where(bursty & ~negative, alpha_of(lam, d_max), 1.0)
-    gap_r, gap_lam = (np.where(~bursty & ~negative & inputs.chi2, x, 1.0) for x in (r, lam))
-    limit = np.where(bursty, outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2),
-                     np.where(inputs.chi2, delta_cdf(1.0 / (gap_r * gap_lam), d_max), 1.0))
+    # lam*min(r, 1) then D, each product floored as alpha_of floors lam*D;
+    # zero-path cells get alpha = 1, where they cannot fail.
+    alpha = np.where(negative, 1.0, alpha_of(alpha_of(lam, np.minimum(r, 1.0)), d_max))
+    beta = np.where(negative, 0.0, inputs.rho / np.maximum(r, 1.0))
+    limit = outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2)
     finite_n = None
     if n_packets is not None:
         finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2).value
-        if not bursty.all():
-            gapless = delta_cdf((n_packets - 1 + inputs.rho) / (n_packets * gap_r * gap_lam),
-                                d_max)
-            finite_n = np.where(bursty, finite_n, np.where(inputs.chi2, gapless, 1.0))
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))
 

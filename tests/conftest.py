@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ic_outage.analysis import (
     delta_cdf,
     kappa,
     rho,
+    user_outage_inputs,
 )
 from ic_outage.simulator import decode_success, overlap_fractions
 
@@ -324,6 +326,56 @@ def gapless_limit_oracle(info: InfoQuantities, user: int, lam, d_max, mode: str)
     limit = np.where(capped | (at_one > 1.0), 1.0,
                      np.where(at_one <= 0.0, 0.0, delta_cdf(1.0 / lam, d_max)))
     return limit.item() if limit.ndim == 0 else limit
+
+
+# ---------------------------------------------------------------------------
+# oracle: the three-branch closed forms in exact rationals
+# ---------------------------------------------------------------------------
+
+def outage_ub_exact_oracle(alpha: float, beta: float, n_packets: int, chi1: bool,
+                           chi2: bool) -> float:
+    """outage_ub_finite_n as the paper writes it, with its full, inner and
+    straddle branches and chi indicator multipliers, evaluated in
+    fractions.Fraction and rounded once: the forms' value at the given
+    floats, free of rounding error."""
+    a, b, n = Fraction(alpha), Fraction(beta), Fraction(n_packets)
+    na = n * a
+    m = math.ceil(na - b)
+    x1, x2 = int(bool(chi1)), int(bool(chi2))
+
+    def g(t):
+        return t * (2 - t)
+    if m >= n:                      # full: every codeword fits in the window
+        p = 1 - (1 - 2 * b) * g((n - 1) / na) * x1 - (1 - (n - 1 + b) / na) ** 2 * x2
+    elif m == 0 or m <= na + b:     # inner
+        p = 1 - (1 - 2 * b) * g(m / na) * x1
+    else:                           # straddle: the m-th codeword crosses the window edge
+        p = 1 - ((1 - 2 * b) * g((m - 1) / na) + (1 - (m - 1 + b) / na) ** 2) * x1
+    return float(p)
+
+
+def outage_ub_limit_exact_oracle(alpha: float, beta: float, chi1: bool, chi2: bool) -> float:
+    """outage_ub_limit as the N -> inf limit of the three-branch forms, in
+    fractions.Fraction and rounded once."""
+    a, b = Fraction(alpha), Fraction(beta)
+    x1, x2 = int(bool(chi1)), int(bool(chi2))
+    if a < 1:
+        return float(1 - (1 - 2 * b) * x1)
+    return float(1 - (1 / a) * (2 - 1 / a) * (1 - 2 * b) * x1 - (1 - 1 / a) ** 2 * x2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the gapless (r < 1) closed form through delta_cdf
+# ---------------------------------------------------------------------------
+
+def gapless_outage_oracle(info: InfoQuantities, user: int, lam, r, n_packets, d_max,
+                          mode: str):
+    """(finite-N, N -> inf) outage of a user at r < 1 and rho_i >= 0 as two
+    delta_cdf calls: delta_cdf((N - 1 + rho_i)/(N r lam), D) and
+    delta_cdf(1/(r lam), D) where chi2 holds, 1 where it fails."""
+    value, _, _, chi2 = user_outage_inputs(info, user, r, lam, mode)
+    finite_n = delta_cdf((n_packets - 1 + value) / (n_packets * r * lam), d_max)
+    return ((finite_n, delta_cdf(1.0 / (r * lam), d_max)) if chi2 else (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

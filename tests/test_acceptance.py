@@ -226,7 +226,7 @@ def test_criterion_07_fluid_simulator_vs_closed_form():
             delta_prime = np.abs(d1 - d2) / theta
             for j, out in enumerate((out1, out2)):
                 p = outage_ub_finite_n(
-                    inputs.alpha, inputs.beta[j], n_packets,
+                    scheme.alpha, inputs.beta[j], n_packets,
                     inputs.chi1[j], inputs.chi2[j],
                 ).value
                 sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)

@@ -8,6 +8,7 @@ labels against the hand-written case ladder in conftest.
 
 import itertools
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +29,10 @@ from conftest import (
     dist,
     fluid_outage_exact_oracle,
     gapless_limit_oracle,
+    gapless_outage_oracle,
     ladder_oracle,
+    outage_ub_exact_oracle,
+    outage_ub_limit_exact_oracle,
     outage_ub_numeric_oracle,
     outage_ub_one_packet,
     outage_ub_two_packets,
@@ -184,8 +188,9 @@ def test_feasibility_interval_cases():
     iv = ic.rate_feasibility_interval(3.0, 2.0, 1.8)
     assert iv.lo == 1.0
     assert iv.hi == pytest.approx((3.0 - 4.0) / (3.0 - 2.0 - 1.8))
-    with pytest.raises(ic.AnalysisError):
-        ic.rate_feasibility_interval(1.0, 2.0, 0.5)
+    for a, b in ((1.0, 2.0), (1.0, -0.1)):
+        with pytest.raises(ic.AnalysisError, match=r"need a > b >= 0"):
+            ic.rate_feasibility_interval(a, b, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,8 +207,10 @@ def test_feasibility_interval_breakpoint_endpoints_lie_in_unit_band(a_scale, b_f
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(0.05, 10.0), st.floats(0.01, 0.99), st.floats(0.01, 5.0))
+@given(st.floats(0.05, 10.0), st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+       st.floats(0.01, 5.0))
 def test_feasibility_interval_agrees_with_pointwise_predicate(a_scale, b_frac, lam):
+    # b = 0 is a channel whose mixed rate is 0, such as y = x1 xor x2 through a BSC.
     a, b = a_scale, a_scale * b_frac
     iv = ic.rate_feasibility_interval(a, b, lam)
     rng = np.random.default_rng(17)
@@ -243,6 +250,24 @@ def test_finite_n_matches_oracle_randomized():
         oracle = outage_ub_numeric_oracle(r, rho_i, n, lam, d_max, True, True)
         assert closed.value == pytest.approx(oracle, abs=1e-9)
         assert not closed.clamped
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(1e-6, 1e300), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
+       st.one_of(st.just(0.0), st.floats(1e-300, 1e-6),
+                 st.floats(0.5 - 1e-6, 0.5, exclude_max=True),
+                 st.floats(0.0, 0.5, exclude_max=True)),
+       st.integers(1, 2**20),
+       st.sampled_from([(True, True), (False, True), (False, False)]))
+def test_closed_forms_equal_their_exact_rational_value(alpha, beta, n_packets, chis):
+    # The three-branch forms leave a small bound as 1 - (~1) - (~0); summed
+    # as nonnegative terms it keeps 12 digits down to the smallest normal float.
+    def close(got, exact):
+        return math.isclose(got, exact, rel_tol=1e-12, abs_tol=sys.float_info.min)
+    assert close(outage_ub_finite_n(alpha, beta, n_packets, *chis).value,
+                 outage_ub_exact_oracle(alpha, beta, n_packets, *chis))
+    assert close(ic.outage_ub_limit(alpha, beta, *chis),
+                 outage_ub_limit_exact_oracle(alpha, beta, *chis))
 
 
 def test_finite_n_matches_oracle_with_chi1_false():
@@ -697,6 +722,28 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, us
     assert bound.finite_n == pytest.approx(exact, abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
+       st.sampled_from([1, 2]), st.floats(1e-3, 1.0, exclude_max=True),
+       st.floats(0.05, 1.3), st.integers(1, 2**20), st.floats(1e-3, 1e3))
+def test_closed_forms_below_unit_rate_equal_the_gapless_delta_cdf_form(
+        seed, gaussian, mode, user, r, load, n_packets, d_max):
+    # Below r = 1 the lattice step is 1, and the forms at (lam D r, rho) are
+    # the gapless delta_cdf form up to rounding.
+    info = _random_info(np.random.default_rng(seed), gaussian)
+    c_star, _, _, ct_star, _ = info.for_user(user)
+    lam = load * max(c_star, ct_star) / r
+    try:
+        bound = ic.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
+    except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
+        assume(False)
+    assume(bound.inputs.rho >= 0)
+    event(f"chi2={bool(bound.inputs.chi2)}")
+    finite_n, limit = gapless_outage_oracle(info, user, lam, r, n_packets, d_max, mode)
+    assert math.isclose(bound.finite_n, finite_n, rel_tol=1e-15)
+    assert math.isclose(bound.limit, limit, rel_tol=1e-15)
+
+
 @pytest.mark.parametrize("lam, r, mode, user, regime", [
     (1.0, 1.5, ic.TIN, 2, "chi1"),
     (0.6, 1.2, ic.DI, 1, "chi1"),
@@ -752,7 +799,7 @@ def test_outage_inputs_regression():
     info = reference_point()
     scheme = ic.SchemeParams(lam=0.1, r=1.1, n_packets=4, d_max=15.0, decoder=ic.TIN)
     inputs = ic.outage_inputs(info, scheme)
-    assert inputs.alpha == pytest.approx(1.5, abs=1e-12)
+    assert scheme.alpha == pytest.approx(1.5, abs=1e-12)
     assert inputs.rho[0] == pytest.approx(0.016, abs=1e-12)
     assert inputs.rho[1] == pytest.approx(0.0501, abs=1e-12)
     assert inputs.chi1 == (True, True) and inputs.chi2 == (True, True)
@@ -779,9 +826,9 @@ def test_additive_di_cap_clears_both_chi_indicators(gaussian_channel):
                  st.floats(0.2, 4.0)),
        st.floats(0.05, 1.3))
 def test_chi1_implies_chi2_and_beta_below_half(seed, gaussian, mode, user, r, load):
-    # OutageInputs checks neither fact, since user_outage_inputs guarantees
-    # both: chi1 is rho < min(1, r - 1), so rho < 1 (chi2, under the same DI
-    # cap) and beta = rho/r < 1/2, for r on either side of 1 and of 2.
+    # The closed forms take both facts as given, since user_outage_inputs
+    # guarantees them: chi1 is rho < min(1, r - 1), so rho < 1 (chi2, under
+    # the same DI cap) and beta = rho/r < 1/2, for r on either side of 1 and of 2.
     info = _random_info(np.random.default_rng(seed), gaussian)
     c_star, _, _, ct_star, _ = info.for_user(user)
     lam = load * max(c_star, ct_star) / r
@@ -826,17 +873,26 @@ def test_scheme_params_validation():
 def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channel,
                                                                  discrete_channel):
     # Under the suite's error::RuntimeWarning filter any numpy overflow fails
-    # this test.  The values are those the forms gave while they warned.
-    assert BoundValue(*outage_ub_finite_n(1e308, 0.1, 4, True, True)) == (0.0, False)
+    # this test.  At alpha < 1 the limit is kappa*beta = 2 beta, and an N*alpha
+    # past the float range leaves the bound its (subnormal) value.
+    bound = outage_ub_finite_n(1e308, 0.1, 4, True, True)
+    assert not bound.clamped
+    assert math.isclose(bound.value, outage_ub_exact_oracle(1e308, 0.1, 4, True, True),
+                        rel_tol=1e-14)
     assert BoundValue(*outage_ub_finite_n(1e-320, 0.0, 4, True, True)) == (0.0, False)
-    assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 1.0 - (1.0 - 2.0 * 0.1)
+    assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 2.0 * 0.1
     assert ic.delta_cdf(1.0, 1e-320) == 1.0
     assert ic.delta_cdf(-1.0, 1e-320) == 0.0
     info = ic.gaussian_info_quantities(gaussian_channel)
-    for lam, d_max, finite_n in ((1e-320, 5.0, 0.0), (1.0, 1e308, 0.0), (1.0, 1e-320, 1.0)):
+    # The limit is kappa*beta, with kappa = 0 standing for the zero path at
+    # rho < 0.  At D = 1e308 the finite-N value is the exact rational one.
+    for lam, d_max, finite_n, kappa in (
+            (1e-320, 5.0, 0.0, 0.0),
+            (1.0, 1e308, 5.72149693767404e-309, (2.0 / 1e308) * (2.0 - 1.0 / 1e308)),
+            (1.0, 1e-320, 1.0, 2.0)):
         bound = ic.closed_form_outage(info, 2, lam, 1.5, 4, d_max, ic.TIN)
-        limit = 1.0 - (1.0 - 2.0 * bound.inputs.beta) if d_max < 1 else 0.0   # kappa*beta
-        assert (bound.finite_n, bound.limit) == (finite_n, limit)
+        assert math.isclose(bound.finite_n, finite_n, rel_tol=1e-14)
+        assert bound.limit == kappa * bound.inputs.beta
     # lam * D past the float range, and an additive DI cap C*/lam past it
     assert ic.closed_form_outage(info, 1, np.array([2.0]), 1.5, 4, 1e308, ic.TIN).limit == [0.0]
     assert ic.epsilon_bound(info, np.array([1.0, 1e-320]), 1e308, ic.DI).kind.tolist() == [

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,26 @@ def test_analyze_zero_epsilon_below_threshold(runner, discrete_file):
     )
     assert result.exit_code == 0
     assert "epsilon = 0" in result.output
+
+
+def test_analyze_answers_a_channel_whose_mixed_rates_are_zero(runner, tmp_path):
+    # y = x1 xor x2 through a BSC(0.05) at both receivers: C = C~ = 0 exactly,
+    # and the feasibility interval's formula holds at b = 0.  With alpha < 1,
+    # r0 = C*/(C* - lam) and epsilon = kappa*beta(r0) = 2 lam/C*.
+    bsc = [[0.95, 0.05], [0.05, 0.95], [0.05, 0.95], [0.95, 0.05]]
+    path = tmp_path / "xor.json"
+    path.write_text(json.dumps({"type": "discrete", "x1": 2, "x2": 2, "y1": 2, "y2": 2,
+                                "kernel1": bsc, "kernel2": bsc, "idle1": 0, "idle2": 0}))
+    for mode in (ic.TIN, ic.DI):
+        result = runner.invoke(main, ["analyze", "--channel", str(path), "--lambda", "0.2",
+                                      "--mode", mode, "--json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["info"]["c"] == payload["info"]["c_tilde"] == [0.0, 0.0]
+        c_star, eps = payload["info"]["c_star"][0], payload["epsilon"]
+        assert (eps["value"], eps["r0"]) == (0.5605357263940335, 1.3894057926077241)
+        assert eps["r0"] == pytest.approx(c_star / (c_star - 0.2), rel=1e-15)
+        assert eps["value"] == pytest.approx(2.0 * 0.2 / c_star, rel=1e-15)
 
 
 def test_analyze_converse_violation_exits_3(runner, gaussian_file):
@@ -286,11 +307,12 @@ def test_sweep_names_points_without_epsilon(runner, gaussian_file, discrete_file
          "--d", "5", "--mode", "di", "--out", str(out)],
     )
     assert result.exit_code == 0
-    assert result.stderr.startswith("no epsilon at lambda=0.1, mode di: need a > b > 0")
+    assert result.stderr.startswith(
+        "no epsilon at lambda=0.1, mode di: user 2: nonpositive denominator C*-C_cross")
 
 
 def test_sweep_channel_fault_spares_points_below_threshold(runner, discrete_file, tmp_path):
-    # DI's feasibility interval raises on the discrete channel, but only points
+    # DI refuses user 2 of the discrete channel (C* < C_cross), but only points
     # above the decoder threshold (0.052) reach it: evaluating the grid at once
     # must still write epsilon = 0 below the threshold.
     out = tmp_path / "x.csv"
@@ -301,7 +323,8 @@ def test_sweep_channel_fault_spares_points_below_threshold(runner, discrete_file
     )
     assert result.exit_code == 0
     [line] = result.stderr.splitlines()
-    assert line.startswith("no epsilon at lambda=0.1, mode di: need a > b > 0")
+    assert line.startswith(
+        "no epsilon at lambda=0.1, mode di: user 2: nonpositive denominator C*-C_cross")
     with open(out) as f:
         cells = [(r["value"], r["epsilon"]) for r in csv.DictReader(f)]
     assert cells == [("0.01", "0.0")] * 2 + [("0.1", "")] * 2
@@ -320,7 +343,7 @@ def _count_epsilon_bound(monkeypatch):
 
 def test_sweep_fault_of_the_channel_takes_one_call_per_mode(runner, discrete_file, tmp_path,
                                                             monkeypatch):
-    # DI's feasibility interval raises on the discrete channel at every lambda,
+    # DI refuses user 2 of the discrete channel (C* < C_cross) at every lambda,
     # so the one grid call decides every point: 0 at or below the DI threshold
     # (0.052), the fault above it.
     calls = _count_epsilon_bound(monkeypatch)
@@ -334,9 +357,9 @@ def test_sweep_fault_of_the_channel_takes_one_call_per_mode(runner, discrete_fil
     )
     assert result.exit_code == 0
     assert calls == [ic.DI, ic.TIN]
-    assert [line.split(", got")[0] for line in result.stderr.splitlines()
-            if "mode di" in line] == [
-        f"no epsilon at lambda={lam}, mode di: need a > b > 0" for lam in grid[3:]]
+    assert [line for line in result.stderr.splitlines() if "mode di" in line] == [
+        f"no epsilon at lambda={lam}, mode di: user 2: nonpositive denominator "
+        "C*-C_cross = -3.395e-02" for lam in grid[3:]]
     with open(out) as f:
         di = [r["epsilon"] for r in csv.DictReader(f) if r["mode"] == "di" and r["user"] == "1"]
     assert di == ["0.0"] * 3 + [""] * 3
@@ -478,7 +501,7 @@ def test_sweep_at_extreme_alpha_lambda_or_d_prints_nothing_on_stderr(runner, gau
 
 
 def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tmp_path):
-    # At r < 1 the r > 1 forms do not apply: both decoders take the gapless
+    # At r < 1 chi1 fails wherever rho >= 0: both decoders take the gapless
     # form at finite N, and the limit is its N -> inf value at that r,
     # delta_cdf(1/(r lam), D).  Cells at rho < 0 stay blank.
     info = ic.gaussian_info_quantities(ic.GaussianIC(1000.0, 1000.0, 0.8, 1.5))
@@ -500,12 +523,36 @@ def test_sweep_below_unit_rate_writes_the_gapless_form(runner, gaussian_file, tm
     di = [ic.closed_form_outage(info, user, 0.9, 0.8, 4, 5.0, ic.DI).finite_n
           for user in (1, 2)]
     assert di == pytest.approx([0.38065, 0.37468], abs=1e-5)
+    limits = [ic.closed_form_outage(info, user, lam, r, None, 5.0, mode).limit
+              for user, lam, r, mode in ((2, 0.6, 0.7, ic.TIN), (1, 0.9, 0.8, ic.DI),
+                                         (2, 0.9, 0.8, ic.DI))]
     assert cells == {
         ("tin", 1): (True, "", ""),                  # rho < 0
-        ("tin", 2): (True, repr(gapless), repr(ic.delta_cdf(1.0 / (0.7 * 0.6), 5.0))),
-        ("di", 1): (True, repr(di[0]), repr(ic.delta_cdf(1.0 / (0.8 * 0.9), 5.0))),
-        ("di", 2): (True, repr(di[1]), repr(ic.delta_cdf(1.0 / (0.8 * 0.9), 5.0))),
+        ("tin", 2): (True, repr(gapless), repr(limits[0])),
+        ("di", 1): (True, repr(di[0]), repr(limits[1])),
+        ("di", 2): (True, repr(di[1]), repr(limits[2])),
     }
+    # delta_cdf(1/(r lam), D) is g(10/21) = 320/441 at (0.6, 0.7) and
+    # g(5/18) = 155/324 at (0.9, 0.8), with g(t) = t(2 - t).
+    for limit, exact in zip(limits, (Fraction(320, 441), *[Fraction(155, 324)] * 2)):
+        assert abs(Fraction(limit) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
+def test_sweep_keeps_a_small_outage_at_a_huge_window(runner, tmp_path):
+    # At D = 1e20, kappa = 4e-20: taken as 1 - (~1) - (~0), both outage
+    # cells read 0.0.  The bounds' exact rational values round to these.
+    out = tmp_path / "d.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", str(CONFIGS / "gaussian.json"), "--variable", "lambda",
+         "--values", "1", "--d", "1e20", "--r", "1.5", "--n", "4", "--out", str(out)],
+    )
+    assert (result.exit_code, result.stderr) == (0, "")
+    with open(out) as f:
+        [row] = [r for r in csv.DictReader(f) if r["user"] == "2"]
+    for column, exact in (("p_outage_limit", 6.538853643056043e-21),
+                          ("p_outage_finiteN", 5.721496937674038e-21)):
+        assert abs(float(row[column]) - exact) <= math.ulp(exact), column
 
 
 def test_sweep_rejects_bad_grid(runner, gaussian_file, tmp_path):
@@ -798,6 +845,8 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["simulate", "--channel", "DISCRETE", "--lambda", "0.1", *_SIM,
           "--decoder", "di", "--check"],
          "error: user 2: nonpositive denominator"),
+        (["analyze", "--channel", "DISCRETE", "--lambda", "0.1", "--mode", "di"],
+         "error: user 2: nonpositive denominator C*-C_cross = -3.395e-02"),
         (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM, "--seed", "-1"],
          "error: seed must be in [0, 2**128), got -1"),
         (["analyze", "--channel", "GAUSSIAN", "--lambda", "nan"],
@@ -850,7 +899,8 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
           "--n-packets", "100000000000000000000"],
          "error: number of packets must be at most 2**53, got 100000000000000000000"),
     ],
-    ids=["discrete-di-check", "negative-seed", "nan-lambda", "nan-r", "nan-d", "inf-d",
+    ids=["discrete-di-check", "discrete-di-epsilon", "negative-seed", "nan-lambda", "nan-r",
+         "nan-d", "inf-d",
          "nan-in-values", "zero-lambda-analyze", "negative-lambda-analyze",
          "negative-d-analyze", "zero-d-analyze",
          "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",

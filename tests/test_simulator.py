@@ -336,7 +336,7 @@ def test_fluid_outage_matches_closed_form_band():
     res = ic.run_trials(config, info)
     for j in range(2):
         p = ic.analysis.outage_ub_finite_n(
-            inputs.alpha, inputs.beta[j], scheme.n_packets,
+            scheme.alpha, inputs.beta[j], scheme.n_packets,
             inputs.chi1[j], inputs.chi2[j],
         ).value
         sigma = math.sqrt(p * (1.0 - p) / config.trials)
@@ -707,7 +707,7 @@ def test_stochastic_outage_gap_shrinks_as_inverse_sqrt_n():
     runs = [ic.run_trials(ic.SimConfig(scheme=scheme, trials=trials, seed=0,
                                        mode="stochastic", n=n), info) for n in ns]
     for j in (0, 1):
-        p_limit = ic.outage_ub_finite_n(inputs.alpha, inputs.beta[j], scheme.n_packets,
+        p_limit = ic.outage_ub_finite_n(scheme.alpha, inputs.beta[j], scheme.n_packets,
                                         inputs.chi1[j], inputs.chi2[j]).value
         gaps = [res.outage[j] - p_limit for res in runs]
         ses = [math.sqrt(res.outage[j] * (1.0 - res.outage[j]) / trials) for res in runs]
