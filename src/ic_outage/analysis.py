@@ -250,13 +250,20 @@ def _clamp(p) -> BoundValue:
                       _out(~inside))
 
 
+def _check_chi(chi1, chi2):
+    # Both forms read chi2 only where chi1 is false, which is sound because
+    # user_outage_inputs makes chi1 imply chi2; any other pair is refused.
+    if np.any(np.logical_and(chi1, np.logical_not(chi2))):
+        raise AnalysisError("chi1 implies chi2, got chi1 true and chi2 false")
+
+
 def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     """Finite-N closed form for the outage upper bound of one user.
 
     ``alpha`` is lam*D*min(r, 1) and ``beta`` is rho_i(r)/s, on the codeword
-    lattice of step s = max(r, 1); chi1 must imply chi2.  ``beta == 0`` is
-    accepted (the formulas are continuous there); negative beta is the
-    caller's zero-outage path and is rejected.
+    lattice of step s = max(r, 1); chi1 must imply chi2, and chi1 without
+    chi2 is refused.  ``beta == 0`` is accepted (the formulas are continuous
+    there); negative beta is the caller's zero-outage path and is rejected.
 
     With g(t) = t(2 - t), the shape of delta_cdf, the bound is
     (w - u)(2 - w - u) + 2 beta g(u) under chi1, g(min(N - 1 + beta, N alpha)
@@ -274,6 +281,7 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
         raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
+    _check_chi(chi1, chi2)
     # Where neither chi1 nor chi2 holds the bound is 1 whatever beta is, so
     # beta is read only under them: an infinite beta there makes no nan.
     beta = np.where(np.logical_or(chi1, chi2), beta, 0.0)
@@ -295,11 +303,12 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
 
 def outage_ub_limit(alpha, beta, chi1, chi2):
     """N -> infinity limit of the finite-N bound: kappa*beta under chi1,
-    kappa/2 under chi2 alone and 1 otherwise."""
+    kappa/2 under chi2 alone and 1 otherwise; chi1 without chi2 is refused."""
     k = np.asarray(kappa(alpha))
     beta = np.asarray(beta)
     if beta.min() < 0:
         raise AnalysisError("negative beta has no outage limit; use the zero path")
+    _check_chi(chi1, chi2)
     beta = np.where(chi1, beta, 0.0)    # read under chi1 only, so an infinite beta makes no nan
     return _out(np.where(chi1, k * beta, np.where(chi2, k / 2.0, 1.0)))
 

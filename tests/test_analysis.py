@@ -303,6 +303,13 @@ def test_finite_n_rejects_bad_inputs():
         outage_ub_finite_n(-1.0, 0.1, 5, True, True)
     with pytest.raises(ic.AnalysisError):
         outage_ub_finite_n(1.0, 0.1, 0, True, True)
+    # Both forms read chi2 only where chi1 is false, so chi1 without chi2,
+    # which user_outage_inputs never makes, is refused.
+    for chi1, chi2 in ((True, False), (np.array([False, True]), np.array([True, False]))):
+        with pytest.raises(ic.AnalysisError, match="chi1 implies chi2"):
+            outage_ub_finite_n(1.0, 0.1, 5, chi1, chi2)
+        with pytest.raises(ic.AnalysisError, match="chi1 implies chi2"):
+            ic.outage_ub_limit(1.0, 0.1, chi1, chi2)
 
 
 def test_limit_consistency_large_n():
@@ -874,32 +881,33 @@ def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channe
                                                                  discrete_channel):
     # Under the suite's error::RuntimeWarning filter any numpy overflow fails
     # this test.  At alpha < 1 the limit is kappa*beta = 2 beta, and an N*alpha
-    # past the float range leaves the bound its (subnormal) value.
+    # past the float range leaves the bound its (subnormal) value, 1 ulp above
+    # the exact rational one.
     bound = outage_ub_finite_n(1e308, 0.1, 4, True, True)
-    assert not bound.clamped
-    assert math.isclose(bound.value, outage_ub_exact_oracle(1e308, 0.1, 4, True, True),
-                        rel_tol=1e-14)
+    assert BoundValue(*bound) == (3.500000000000004e-309, False)
+    exact = outage_ub_exact_oracle(1e308, 0.1, 4, True, True)
+    assert abs(bound.value - exact) <= math.ulp(exact)
     assert BoundValue(*outage_ub_finite_n(1e-320, 0.0, 4, True, True)) == (0.0, False)
     assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 2.0 * 0.1
     assert ic.delta_cdf(1.0, 1e-320) == 1.0
     assert ic.delta_cdf(-1.0, 1e-320) == 0.0
     info = ic.gaussian_info_quantities(gaussian_channel)
-    # The limit is kappa*beta, with kappa = 0 standing for the zero path at
-    # rho < 0.  At D = 1e308 the finite-N value is the exact rational one.
-    for lam, d_max, finite_n, kappa in (
+    # rho < 0 at lam = 1e-320 takes the zero path; at D = 1e308 both forms are
+    # subnormal, and at D = 1e-320 the limit is kappa*beta = 2 beta.
+    for lam, d_max, finite_n, limit in (
             (1e-320, 5.0, 0.0, 0.0),
-            (1.0, 1e308, 5.72149693767404e-309, (2.0 / 1e308) * (2.0 - 1.0 / 1e308)),
-            (1.0, 1e-320, 1.0, 2.0)):
+            (1.0, 1e308, 5.721496937674045e-309, 6.538853643056043e-309),
+            (1.0, 1e-320, 1.0, 0.32694268215280214)):
         bound = ic.closed_form_outage(info, 2, lam, 1.5, 4, d_max, ic.TIN)
-        assert math.isclose(bound.finite_n, finite_n, rel_tol=1e-14)
-        assert bound.limit == kappa * bound.inputs.beta
+        assert (bound.finite_n, bound.limit) == (finite_n, limit)
+    assert bound.limit == 2.0 * bound.inputs.beta    # the D = 1e-320 row
     # lam * D past the float range, and an additive DI cap C*/lam past it
     assert ic.closed_form_outage(info, 1, np.array([2.0]), 1.5, 4, 1e308, ic.TIN).limit == [0.0]
     assert ic.epsilon_bound(info, np.array([1.0, 1e-320]), 1e308, ic.DI).kind.tolist() == [
         "value", "zero"]
     assert ic.rho(info, 1, 1.5, 1e-320, ic.DI).r_cap == math.inf
-    # Far beyond the converse threshold beta > 1, so at a tiny alpha the inner
-    # branch is read with m < 0; its chi1 term is off, and the bound is 1.
+    # Far beyond the converse threshold beta > 1, so chi1 and chi2 are both
+    # false and the bound is 1 at every alpha.
     u = ic.InputDistribution(np.array([0.5, 0.5]))
     info = ic.info_quantities(discrete_channel, u, u)
     bound = ic.closed_form_outage(info, 1, 1.0, 1.5, 4, 1e-300, ic.TIN)
