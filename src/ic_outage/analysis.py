@@ -238,32 +238,29 @@ def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Inter
                     functools.reduce(np.minimum, [w.hi for w in windows]))
 
 
-class BoundValue(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def _clamp(p) -> BoundValue:
-    p = np.asarray(p, dtype=float)
-    inside = (-1e-12 <= p) & (p <= 1.0 + 1e-12)
-    return BoundValue(_out(np.where(inside, np.minimum(np.maximum(p, 0.0), 1.0), p)),
-                      _out(~inside))
-
-
-def _check_chi(chi1, chi2):
-    # Both forms read chi2 only where chi1 is false, which is sound because
-    # user_outage_inputs makes chi1 imply chi2; any other pair is refused.
+def _check_form_inputs(alpha, beta, chi1, chi2):
+    """Refuse what neither outage form is a probability of: alpha <= 0,
+    negative beta (the caller's zero-outage path), chi1 without chi2 (both
+    forms read chi2 only where chi1 is false) and beta >= 1/2 under chi1.
+    user_outage_inputs makes none of them: chi1 implies chi2, and chi1's
+    rho_i < min(1, r - 1) puts beta = rho_i/r below 1/2."""
+    if np.min(alpha) <= 0:
+        raise AnalysisError(NONPOSITIVE_ALPHA)
+    if np.min(beta) < 0:
+        raise AnalysisError("beta < 0 means zero outage; the closed forms do not apply")
     if np.any(np.logical_and(chi1, np.logical_not(chi2))):
         raise AnalysisError("chi1 implies chi2, got chi1 true and chi2 false")
+    if np.any(np.logical_and(chi1, np.asarray(beta) >= 0.5)):
+        raise AnalysisError("chi1 needs beta < 1/2, got beta >= 1/2")
 
 
-def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
+def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
     """Finite-N closed form for the outage upper bound of one user.
 
     ``alpha`` is lam*D*min(r, 1) and ``beta`` is rho_i(r)/s, on the codeword
-    lattice of step s = max(r, 1); chi1 must imply chi2, and chi1 without
-    chi2 is refused.  ``beta == 0`` is accepted (the formulas are continuous
-    there); negative beta is the caller's zero-outage path and is rejected.
+    lattice of step s = max(r, 1).  ``beta == 0`` is accepted (the formulas
+    are continuous there); alpha <= 0, beta < 0, chi1 without chi2 and
+    beta >= 1/2 under chi1 are refused, as outage_ub_limit refuses them.
 
     With g(t) = t(2 - t), the shape of delta_cdf, the bound is
     (w - u)(2 - w - u) + 2 beta g(u) under chi1, g(min(N - 1 + beta, N alpha)
@@ -272,19 +269,17 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     wholly inside the window: N - 1 when all of them fit (m >= N), else m,
     or m - 1 when the m-th straddles the window edge, with m = ceil(N alpha -
     beta).  Every term is nonnegative, so a small bound is not left as the
-    difference of two numbers near 1.
+    difference of two numbers near 1, and with 0 <= u <= w <= 1 and beta < 1/2
+    the bound is g(w) - (1 - 2 beta) g(u), in [0, 1].
     """
-    alpha, beta, n = np.asarray(alpha, dtype=float), np.asarray(beta), np.asarray(n_packets)
-    if alpha.min() <= 0:
-        raise AnalysisError(NONPOSITIVE_ALPHA)
-    if beta.min() < 0:
-        raise AnalysisError("rho_i <= 0 means zero outage; closed form not applicable")
+    _check_form_inputs(alpha, beta, chi1, chi2)
+    alpha, n = np.asarray(alpha, dtype=float), np.asarray(n_packets)
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
-    _check_chi(chi1, chi2)
-    # Where neither chi1 nor chi2 holds the bound is 1 whatever beta is, so
-    # beta is read only under them: an infinite beta there makes no nan.
-    beta = np.where(np.logical_or(chi1, chi2), beta, 0.0)
+    # Each branch reads beta only where it is taken, so a beta past the float
+    # range under chi2 alone, or under neither, makes no overflow or nan.
+    tail_beta = np.where(chi2, beta, 0.0)
+    beta = np.where(chi1, beta, 0.0)
     with np.errstate(over="ignore"):    # an N*alpha past the float range is inf: all N fit
         na = n * alpha
     m = np.ceil(na - beta)
@@ -296,19 +291,17 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2) -> BoundValue:
     # K + beta would round them away.
     u = k / n / alpha
     d = np.minimum(beta / n, alpha - k / n) / alpha
-    tail = np.minimum((n - 1 + beta) / n, alpha) / alpha
-    return _clamp(np.where(chi1, d * (2.0 - 2.0 * u - d) + 2.0 * beta * u * (2.0 - u),
-                           np.where(chi2, tail * (2.0 - tail), 1.0)))
+    tail = np.minimum((n - 1 + tail_beta) / n, alpha) / alpha
+    return _out(np.where(chi1, d * (2.0 - 2.0 * u - d) + 2.0 * beta * u * (2.0 - u),
+                         np.where(chi2, tail * (2.0 - tail), 1.0)))
 
 
 def outage_ub_limit(alpha, beta, chi1, chi2):
     """N -> infinity limit of the finite-N bound: kappa*beta under chi1,
-    kappa/2 under chi2 alone and 1 otherwise; chi1 without chi2 is refused."""
-    k = np.asarray(kappa(alpha))
-    beta = np.asarray(beta)
-    if beta.min() < 0:
-        raise AnalysisError("negative beta has no outage limit; use the zero path")
-    _check_chi(chi1, chi2)
+    kappa/2 under chi2 alone and 1 otherwise, on the inputs the finite-N
+    bound takes."""
+    _check_form_inputs(alpha, beta, chi1, chi2)
+    k = kappa(alpha)
     beta = np.where(chi1, beta, 0.0)    # read under chi1 only, so an infinite beta makes no nan
     return _out(np.where(chi1, k * beta, np.where(chi2, k / 2.0, 1.0)))
 
@@ -436,7 +429,7 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     limit = outage_ub_limit(alpha, beta, inputs.chi1, inputs.chi2)
     finite_n = None
     if n_packets is not None:
-        finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2).value
+        finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2)
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))
 

@@ -191,7 +191,9 @@ class InfoQuantities:
 def _mutual_information(pi: np.ndarray, cond: np.ndarray) -> float:
     """I(X; Y) in bits for X ~ pi and conditional law cond[x, y].
 
-    Uses the 0 log 0 = 0 convention; zero output columns are allowed.
+    Uses the 0 log 0 = 0 convention; zero output columns are allowed.  The
+    sum is floored at 0: where Y ignores X it is 0 up to rounding, which a pi
+    summing to 1 only within tolerance can leave just below 0.
     """
     joint = pi[:, None] * cond
     py = joint.sum(axis=0)
@@ -199,7 +201,7 @@ def _mutual_information(pi: np.ndarray, cond: np.ndarray) -> float:
     ratio = np.ones_like(joint)
     denom = (pi[:, None] * py[None, :])[mask]
     ratio[mask] = joint[mask] / denom
-    return float(np.sum(joint[mask] * np.log2(ratio[mask])))
+    return max(0.0, float(np.sum(joint[mask] * np.log2(ratio[mask]))))
 
 
 def _receiver_quantities(

@@ -253,16 +253,26 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     """Grid-evaluate the closed forms and write one CSV row per point."""
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
-    if values is not None:
-        grid = _parse_list(values, FINITE, "--values")
-    else:
+    grid = None if values is None else _parse_list(values, FINITE, "--values")
+    ns = _parse_list(n_list, int, "--n") if n_list else [None]
+    # An option given where the sweep would not read it is refused, not ignored.
+    for unread, message in (
+            (lam is not None and variable == "lambda", "--lambda is not read by a lambda sweep"),
+            (d_max is not None and variable == "alpha", "--d is not read by an alpha sweep"),
+            (r_value is not None and variable == "r", "--r is not read by an r sweep"),
+            (n_list and variable == "n_packets", "--n is not read by an n_packets sweep"),
+            (n_list and r_value is None and variable != "r", "--n is not read without --r"),
+            ((lo, hi, steps) != (None,) * 3 and grid is not None,
+             "give either --values or --lo/--hi/--steps")):
+        if unread:
+            _fail(EXIT_CONFIG, message)
+    if grid is None:
         if lo is None or hi is None or steps is None:
             _fail(EXIT_CONFIG, "give either --values or --lo/--hi/--steps")
         if not (lo < hi and steps >= 2):
             _fail(EXIT_CONFIG, "need lo < hi and steps >= 2")
         grid = [float(v) for v in np.linspace(lo, hi, steps)]
     modes = list(modes) or [an.TIN]
-    ns = _parse_list(n_list, int, "--n") if n_list else [None]
     if variable == "alpha" and lam is None:
         _fail(EXIT_CONFIG, "alpha sweeps need a fixed --lambda")
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):

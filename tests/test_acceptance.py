@@ -123,7 +123,7 @@ def test_criterion_03_closed_form_equals_interval_oracle():
         n = int(rng.integers(1, 501))
         alpha = 0.05 + rng.random() * 4.95
         lam = 0.2 + rng.random() * 0.8
-        closed = outage_ub_finite_n(alpha, rho_i / r, n, True, True).value
+        closed = outage_ub_finite_n(alpha, rho_i / r, n, True, True)
         oracle = outage_ub_numeric_oracle(r, rho_i, n, lam, alpha / lam, True, True)
         worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - t0
@@ -139,7 +139,7 @@ def test_criterion_04_limit_consistency():
     for _ in range(100):
         alpha = 0.05 + rng.random() * 4.95
         beta = rng.random() * 0.499
-        finite = outage_ub_finite_n(alpha, beta, 10**5, True, True).value
+        finite = outage_ub_finite_n(alpha, beta, 10**5, True, True)
         limit = ic.kappa(alpha) * beta
         assert limit == pytest.approx(
             ic.outage_ub_limit(alpha, beta, True, True), abs=1e-12
@@ -157,12 +157,12 @@ def test_criterion_05_phase_transition():
     ]
     mono_ok = True
     for beta in betas:
-        values = [outage_ub_finite_n(1.5, beta, n, True, True).value for n in range(1, 201)]
+        values = [outage_ub_finite_n(1.5, beta, n, True, True) for n in range(1, 201)]
         mono_ok &= all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     small_ok = True
     gaps = []
     for beta in betas:
-        values = [outage_ub_finite_n(0.5, beta, n, True, True).value for n in range(1, 201)]
+        values = [outage_ub_finite_n(0.5, beta, n, True, True) for n in range(1, 201)]
         limit = ic.outage_ub_limit(0.5, beta, True, True)
         small_ok &= min(values) >= limit - 1e-9
         gaps.append(values[-1] - limit)
@@ -228,7 +228,7 @@ def test_criterion_07_fluid_simulator_vs_closed_form():
                 p = outage_ub_finite_n(
                     scheme.alpha, inputs.beta[j], n_packets,
                     inputs.chi1[j], inputs.chi2[j],
-                ).value
+                )
                 sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
                 worst_sigma = max(worst_sigma, abs(out.mean() - p) / sigma)
                 # per-trial equivalence with the admissible-interval test

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import ic_outage as ic
 from ic_outage.analysis import (
-    BoundValue,
     EpsilonResult,
     _feasible_window,
     outage_ub_finite_n,
@@ -248,8 +247,7 @@ def test_finite_n_matches_oracle_randomized():
         beta = rho_i / r
         closed = outage_ub_finite_n(alpha, beta, n, True, True)
         oracle = outage_ub_numeric_oracle(r, rho_i, n, lam, d_max, True, True)
-        assert closed.value == pytest.approx(oracle, abs=1e-9)
-        assert not closed.clamped
+        assert closed == pytest.approx(oracle, abs=1e-9)
 
 
 @settings(max_examples=500, deadline=None)
@@ -264,10 +262,40 @@ def test_closed_forms_equal_their_exact_rational_value(alpha, beta, n_packets, c
     # as nonnegative terms it keeps 12 digits down to the smallest normal float.
     def close(got, exact):
         return math.isclose(got, exact, rel_tol=1e-12, abs_tol=sys.float_info.min)
-    assert close(outage_ub_finite_n(alpha, beta, n_packets, *chis).value,
+    assert close(outage_ub_finite_n(alpha, beta, n_packets, *chis),
                  outage_ub_exact_oracle(alpha, beta, n_packets, *chis))
     assert close(ic.outage_ub_limit(alpha, beta, *chis),
                  outage_ub_limit_exact_oracle(alpha, beta, *chis))
+
+
+@st.composite
+def _form_cell(draw):
+    """(alpha, beta, N, chi1, chi2) as outage_ub_finite_n takes them: under
+    chi1 beta < 1/2, else any beta >= 0."""
+    chis = draw(st.sampled_from([(True, True), (False, True), (False, False)]))
+    beta = draw(st.one_of(st.just(0.0), st.floats(5e-324, 1e-6),
+                          st.floats(0.5 - 1e-6, 0.5, exclude_max=True),
+                          st.floats(0.0, 0.5, exclude_max=True))
+                if chis[0] else st.floats(0.0, math.inf))
+    alpha = draw(st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                           st.floats(1e-300, 1e300)))
+    return alpha, beta, draw(st.one_of(st.integers(1, 64), st.integers(1, 2**53))), *chis
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_form_cell(), min_size=1, max_size=6))
+def test_both_forms_are_probabilities(cells):
+    # On the inputs the forms accept, each is g(w) - (1 - 2 beta) g(u) or
+    # g(tail) with 0 <= u <= w <= 1 and g(t) = t(2 - t): a probability with
+    # no clamp, in a scalar call and in a grid call alike.
+    for alpha, beta, n_packets, chi1, chi2 in cells:
+        for p in (outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2),
+                  ic.outage_ub_limit(alpha, beta, chi1, chi2)):
+            assert type(p) is float and 0.0 <= p <= 1.0
+    alpha, beta, n_packets, chi1, chi2 = (np.array(column) for column in zip(*cells))
+    for p in (outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2),
+              ic.outage_ub_limit(alpha, beta, chi1, chi2)):
+        assert p.shape == alpha.shape and ((0.0 <= p) & (p <= 1.0)).all()
 
 
 def test_finite_n_matches_oracle_with_chi1_false():
@@ -281,17 +309,17 @@ def test_finite_n_matches_oracle_with_chi1_false():
         alpha = 0.05 + rng.random() * 4.95
         closed = outage_ub_finite_n(alpha, rho_i / r, n, False, True)
         oracle = outage_ub_numeric_oracle(r, rho_i, n, 0.5, alpha / 0.5, False, True)
-        assert closed.value == pytest.approx(oracle, abs=1e-9)
+        assert closed == pytest.approx(oracle, abs=1e-9)
 
 
 def test_finite_n_small_cases():
     # N=1: beta >= alpha saturates at 1
-    assert outage_ub_finite_n(0.3, 0.4, 1, True, True).value == 1.0
+    assert outage_ub_finite_n(0.3, 0.4, 1, True, True) == 1.0
     # N=1, alpha=1, beta=0.1 -> 0.1 * (2 - 0.1)
-    assert outage_ub_finite_n(1.0, 0.1, 1, True, True).value == pytest.approx(
+    assert outage_ub_finite_n(1.0, 0.1, 1, True, True) == pytest.approx(
         0.19, abs=1e-12
     )
-    assert outage_ub_finite_n(1.0, 0.0, 1, True, True).value == pytest.approx(
+    assert outage_ub_finite_n(1.0, 0.0, 1, True, True) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -310,6 +338,13 @@ def test_finite_n_rejects_bad_inputs():
             outage_ub_finite_n(1.0, 0.1, 5, chi1, chi2)
         with pytest.raises(ic.AnalysisError, match="chi1 implies chi2"):
             ic.outage_ub_limit(1.0, 0.1, chi1, chi2)
+    # Under chi1 user_outage_inputs puts beta below 1/2; beyond it neither form
+    # is a probability (the limit kappa*beta would be 1.8 here), so it is refused.
+    for beta, chi1 in ((0.9, True), (0.5, True), (np.array([0.9, 0.5]), np.array([False, True]))):
+        with pytest.raises(ic.AnalysisError, match="chi1 needs beta < 1/2"):
+            outage_ub_finite_n(0.5, beta, 5, chi1, True)
+        with pytest.raises(ic.AnalysisError, match="chi1 needs beta < 1/2"):
+            ic.outage_ub_limit(0.5, beta, chi1, True)
 
 
 def test_limit_consistency_large_n():
@@ -317,7 +352,7 @@ def test_limit_consistency_large_n():
     for _ in range(30):
         alpha = 0.05 + rng.random() * 4.95
         beta = rng.random() * 0.499
-        finite = outage_ub_finite_n(alpha, beta, 10**5, True, True).value
+        finite = outage_ub_finite_n(alpha, beta, 10**5, True, True)
         limit = ic.outage_ub_limit(alpha, beta, True, True)
         assert abs(finite - limit) < 1e-3
         assert limit == pytest.approx(ic.kappa(alpha) * beta, abs=1e-12)
@@ -326,14 +361,14 @@ def test_limit_consistency_large_n():
 def test_limit_small_alpha_is_absolute_minimum():
     alpha, beta = 0.5, 0.12
     limit = ic.outage_ub_limit(alpha, beta, True, True)
-    values = [outage_ub_finite_n(alpha, beta, n, True, True).value for n in range(1, 501)]
+    values = [outage_ub_finite_n(alpha, beta, n, True, True) for n in range(1, 501)]
     assert min(values) >= limit - 1e-9
 
 
 def test_finite_n_nondecreasing_for_large_alpha():
     for beta in (0.05, 0.2, 0.4):
         values = [
-            outage_ub_finite_n(1.5, beta, n, True, True).value for n in range(1, 201)
+            outage_ub_finite_n(1.5, beta, n, True, True) for n in range(1, 201)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -354,10 +389,10 @@ def test_example_formulas_match_general_bound():
         alpha = 0.05 + rng.random() * 3.0
         beta = rng.random() * 0.499
         assert outage_ub_one_packet(alpha, beta) == pytest.approx(
-            outage_ub_finite_n(alpha, beta, 1, True, True).value, abs=1e-12
+            outage_ub_finite_n(alpha, beta, 1, True, True), abs=1e-12
         )
         assert outage_ub_two_packets(alpha, beta) == pytest.approx(
-            outage_ub_finite_n(alpha, beta, 2, True, True).value, abs=1e-12
+            outage_ub_finite_n(alpha, beta, 2, True, True), abs=1e-12
         )
 
 
@@ -884,10 +919,10 @@ def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channe
     # past the float range leaves the bound its (subnormal) value, 1 ulp above
     # the exact rational one.
     bound = outage_ub_finite_n(1e308, 0.1, 4, True, True)
-    assert BoundValue(*bound) == (3.500000000000004e-309, False)
+    assert bound == 3.500000000000004e-309
     exact = outage_ub_exact_oracle(1e308, 0.1, 4, True, True)
-    assert abs(bound.value - exact) <= math.ulp(exact)
-    assert BoundValue(*outage_ub_finite_n(1e-320, 0.0, 4, True, True)) == (0.0, False)
+    assert abs(bound - exact) <= math.ulp(exact)
+    assert outage_ub_finite_n(1e-320, 0.0, 4, True, True) == 0.0
     assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 2.0 * 0.1
     assert ic.delta_cdf(1.0, 1e-320) == 1.0
     assert ic.delta_cdf(-1.0, 1e-320) == 0.0
@@ -942,14 +977,7 @@ def test_rho_past_the_float_range_gives_outage_1(discrete_channel):
     assert tuple(bound.inputs) == (math.inf, math.inf, False, False)
     assert (bound.finite_n, bound.limit) == (1.0, 1.0)
     assert ic.outage_ub_limit(0.5, math.inf, False, False) == 1.0
-    assert BoundValue(*outage_ub_finite_n(math.inf, math.inf, 4, False, False)) == (1.0, False)
-
-
-def test_clamp_flag_only_fires_outside_unit_interval():
-    assert BoundValue(*ic.analysis._clamp(0.5)) == (0.5, False)
-    assert ic.analysis._clamp(1.0 + 5e-13).value == 1.0
-    assert ic.analysis._clamp(-5e-13).value == 0.0
-    assert ic.analysis._clamp(1.1).clamped
+    assert outage_ub_finite_n(math.inf, math.inf, 4, False, False) == 1.0
 
 
 def test_avg_rate():

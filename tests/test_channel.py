@@ -84,6 +84,20 @@ def test_uniform_independent_outputs_give_zero_information():
         assert getattr(info, name) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
+def test_information_is_never_negative_where_a_receiver_ignores_an_input():
+    # Receiver 2 reads x2 only.  The float sum of this pi1 is 1 within
+    # tolerance, not exactly, which left its C~* and C~ at about -1e-16.
+    k1 = np.array([[0.9, 0.1], [0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.2, 0.8], [0.1, 0.9]])
+    k2 = np.array([[0.9, 0.1], [0.2, 0.8]] * 3)
+    ch = ic.DiscreteIC(3, 2, 2, 2, k1, k2)
+    pi1 = ic.InputDistribution(np.array([0.01, 0.06, 0.93]))
+    info = ic.info_quantities(ch, pi1, ic.InputDistribution(np.array([0.5, 0.5])))
+    constants = [v for name in ("c_star", "c", "c_cross", "c_tilde_star", "c_tilde")
+                 for v in getattr(info, name)]
+    assert len(constants) == 10 and min(constants) >= 0.0
+    assert (info.c_tilde_star[1], info.c_tilde[1]) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ def test_sweep_finite_n_columns(runner, discrete_file, tmp_path):
         chi1, chi2 = bool(int(row["chi1"])), bool(int(row["chi2"]))
         expect = ic.analysis.outage_ub_finite_n(
             float(row["value"]), float(row["beta"]), int(row["N"]), chi1, chi2
-        ).value
+        )
         assert float(row["p_outage_finiteN"]) == expect
 
 
@@ -416,14 +416,13 @@ def test_sweep_rho_past_the_float_range_gives_outage_1(runner, tmp_path):
 
 
 def test_sweep_rows_sort_by_value_n_mode_and_user(runner, gaussian_file, tmp_path):
-    # Unsorted values, repeated --n and --mode: N orders the rows only where
-    # its cell is shown, beside the per-user cells that --r brings.
+    # Unsorted values, repeated --n and --mode: N orders the rows beside the
+    # per-user cells that --r brings; without --r, which refuses --n, N is blank.
     out = tmp_path / "x.csv"
     args = ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "1,0.5",
-            "--d", "5", "--n", "4,1,4", "--mode", "tin", "--mode", "di", "--mode", "tin",
-            "--out", str(out)]
+            "--d", "5", "--mode", "tin", "--mode", "di", "--mode", "tin", "--out", str(out)]
     layout = (("1.0", "0.5"), ("4", "1", "4"), ("tin", "di", "tin"), ("1", "2"))
-    for extra, n_cells in ((["--r", "1.5"], layout[1]), ([], ("",) * 3)):
+    for extra, n_cells in ((["--r", "1.5", "--n", "4,1,4"], layout[1]), ([], ("",))):
         assert runner.invoke(main, [*args, *extra]).exit_code == 0
         with open(out) as f:
             got = [(r["value"], r["N"], r["mode"], r["user"]) for r in csv.DictReader(f)]
@@ -444,7 +443,7 @@ _CSV_FILES = {
                           "--r", "1.5", "--n", "4,1,4", "--mode", "tin", "--mode", "di",
                           "--mode", "tin", "--out"],
     "without-r": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
-                  "--n", "4,1", "--mode", "di", "--mode", "tin", "--out"],
+                  "--mode", "di", "--mode", "tin", "--out"],
     "blank": ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
               "--values", "0.01,0.05,0.11,0.3", "--d", "5", "--r", "1.5", "--n", "4", "--out"],
     "inf": ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
@@ -898,6 +897,24 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM,
           "--n-packets", "100000000000000000000"],
          "error: number of packets must be at most 2**53, got 100000000000000000000"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
+          "--lambda", "0.5", "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: --lambda is not read by a lambda sweep"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "alpha", "--values", "1.5",
+          "--lambda", "1", "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: --d is not read by an alpha sweep"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "r", "--values", "0.5,1.5",
+          "--lambda", "1", "--d", "5", "--r", "1.5", "--out", "OUT"],
+         "error: --r is not read by an r sweep"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "4",
+          "--lambda", "1", "--d", "5", "--r", "1.5", "--n", "0", "--out", "OUT"],
+         "error: --n is not read by an n_packets sweep"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
+          "--d", "5", "--n", "4,64", "--out", "OUT"],
+         "error: --n is not read without --r"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
+          "--steps", "8", "--d", "5", "--out", "OUT"],
+         "error: give either --values or --lo/--hi/--steps"),
     ],
     ids=["discrete-di-check", "discrete-di-epsilon", "negative-seed", "nan-lambda", "nan-r",
          "nan-d", "inf-d",
@@ -906,7 +923,9 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "zero-lambda-alpha-sweep", "negative-lambda-in-values", "stochastic-slots-beyond-2**53",
          "n-outside-stochastic-mode",
          "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count",
-         "sweep-n-beyond-2**53", "packet-grid-beyond-2**53", "simulate-n-beyond-2**53"],
+         "sweep-n-beyond-2**53", "packet-grid-beyond-2**53", "simulate-n-beyond-2**53",
+         "lambda-in-lambda-sweep", "d-in-alpha-sweep", "r-in-r-sweep",
+         "n-in-n_packets-sweep", "n-without-r", "grid-beside-values"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,

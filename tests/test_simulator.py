@@ -338,7 +338,7 @@ def test_fluid_outage_matches_closed_form_band():
         p = ic.analysis.outage_ub_finite_n(
             scheme.alpha, inputs.beta[j], scheme.n_packets,
             inputs.chi1[j], inputs.chi2[j],
-        ).value
+        )
         sigma = math.sqrt(p * (1.0 - p) / config.trials)
         assert abs(res.outage[j] - p) < 3.0 * sigma
 
@@ -708,7 +708,7 @@ def test_stochastic_outage_gap_shrinks_as_inverse_sqrt_n():
                                        mode="stochastic", n=n), info) for n in ns]
     for j in (0, 1):
         p_limit = ic.outage_ub_finite_n(scheme.alpha, inputs.beta[j], scheme.n_packets,
-                                        inputs.chi1[j], inputs.chi2[j]).value
+                                        inputs.chi1[j], inputs.chi2[j])
         gaps = [res.outage[j] - p_limit for res in runs]
         ses = [math.sqrt(res.outage[j] * (1.0 - res.outage[j]) / trials) for res in runs]
         assert gaps[-1] > 4.0 * ses[-1], gaps
