@@ -21,12 +21,9 @@ __all__ = [
     "TIN",
     "DI",
     "SchemeParams",
-    "Interval",
     "AnalysisError",
     "rho",
     "kappa",
-    "delta_cdf",
-    "rate_feasibility_interval",
     "outage_ub_finite_n",
     "outage_ub_limit",
     "user_outage_inputs",
@@ -108,19 +105,6 @@ class SchemeParams:
         return float(alpha_of(self.lam, self.d_max))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Open interval (lo, hi) on the real line.  lo and hi may be arrays, one
-    interval per element."""
-
-    lo: float
-    hi: float
-
-    @property
-    def is_empty(self):
-        return self.lo >= self.hi
-
-
 class RhoValue(NamedTuple):
     value: float
     r_cap: float | None   # extra feasibility cap r < r_cap (additive DI case)
@@ -194,24 +178,17 @@ def kappa(alpha):
     return _out(np.where(alpha < 1.0, 2.0, (2.0 / beyond) * (2.0 - 1.0 / beyond)))
 
 
-def delta_cdf(delta, d_max):
-    """CDF of the asynchrony |d1 - d2| for d_i ~ U[0, D]."""
-    if np.min(d_max) <= 0:
-        raise AnalysisError("d_max must be positive")
-    # delta is clipped to [0, D] before the division, which then cannot overflow
-    u = np.minimum(np.maximum(delta, 0.0), d_max) / np.asarray(d_max)
-    return _out(u * (2.0 - u))
-
-
 def _feasibility_case(a, b, lam):
-    """Branch of rate_feasibility_interval: 1 when lam < min(b, a/2), 2 when
+    """Branch of _rate_feasibility_interval: 1 when lam < min(b, a/2), 2 when
     a/2 <= lam < b, 3 when b <= lam < a/2, 0 (no solution) otherwise."""
     below_half = lam < a / 2.0
     return np.where(lam < b, np.where(below_half, 1, 2), np.where(below_half, 3, 0))
 
 
-def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
-    """Solution in r > 1 of (lam*r - b)/(a - b) < min(1, r - 1) for a > b >= 0."""
+def _rate_feasibility_interval(a: float, b: float, lam):
+    """The open interval (lo, hi) of r > 1 that solve (lam*r - b)/(a - b) <
+    min(1, r - 1) for a > b >= 0; (0, 0) where none does.  lo and hi
+    broadcast with lam."""
     if not a > b >= 0:
         raise AnalysisError(f"need a > b >= 0, got a={a}, b={b}")
     lam = np.asarray(lam, dtype=float)
@@ -220,30 +197,33 @@ def rate_feasibility_interval(a: float, b: float, lam) -> Interval:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = (a - 2.0 * b) / (a - b - lam)
         cap = a / lam
-    return Interval(_out(np.where(case == 3, ratio, np.where(case > 0, 1.0, 0.0))),
-                    _out(np.where(case == 2, ratio, np.where(case > 0, cap, 0.0))))
+    return (_out(np.where(case == 3, ratio, np.where(case > 0, 1.0, 0.0))),
+            _out(np.where(case == 2, ratio, np.where(case > 0, cap, 0.0))))
 
 
-def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]) -> Interval:
+def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]):
     """The r > 1 where rho_i(r) < min(1, r - 1) for both users and r is below
-    any additive DI cap: rate_feasibility_interval of every ratio of both
-    users, intersected.  The window is empty where lo >= hi."""
+    any additive DI cap, as (lo, hi): _rate_feasibility_interval of every
+    ratio of both users, intersected.  The window is empty where lo >= hi."""
     windows = []
     for user, mode in zip((1, 2), modes):
         pairs, cap = _ratios(info, user, mode, lam)
-        windows += [rate_feasibility_interval(a, b, lam) for _, a, b in pairs]
+        windows += [_rate_feasibility_interval(a, b, lam) for _, a, b in pairs]
         if cap is not None:
-            windows.append(Interval(1.0, cap))
-    return Interval(functools.reduce(np.maximum, [w.lo for w in windows]),
-                    functools.reduce(np.minimum, [w.hi for w in windows]))
+            windows.append((1.0, cap))
+    los, his = zip(*windows)
+    return functools.reduce(np.maximum, los), functools.reduce(np.minimum, his)
 
 
 def _check_form_inputs(alpha, beta, chi1, chi2):
-    """Refuse what neither outage form is a probability of: alpha <= 0,
-    negative beta (the caller's zero-outage path), chi1 without chi2 (both
-    forms read chi2 only where chi1 is false) and beta >= 1/2 under chi1.
-    user_outage_inputs makes none of them: chi1 implies chi2, and chi1's
-    rho_i < min(1, r - 1) puts beta = rho_i/r below 1/2."""
+    """Refuse what neither outage form is a probability of: a nan alpha or
+    beta, alpha <= 0, negative beta (the caller's zero-outage path), chi1
+    without chi2 (both forms read chi2 only where chi1 is false) and
+    beta >= 1/2 under chi1.  user_outage_inputs makes none of the last
+    two: chi1 implies chi2, and chi1's rho_i < min(1, r - 1) puts
+    beta = rho_i/r below 1/2."""
+    if np.isnan(alpha).any() or np.isnan(beta).any():
+        raise AnalysisError("alpha and beta must not be nan")
     if np.min(alpha) <= 0:
         raise AnalysisError(NONPOSITIVE_ALPHA)
     if np.min(beta) < 0:
@@ -259,10 +239,13 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
 
     ``alpha`` is lam*D*min(r, 1) and ``beta`` is rho_i(r)/s, on the codeword
     lattice of step s = max(r, 1).  ``beta == 0`` is accepted (the formulas
-    are continuous there); alpha <= 0, beta < 0, chi1 without chi2 and
-    beta >= 1/2 under chi1 are refused, as outage_ub_limit refuses them.
+    are continuous there); a nan alpha or beta, alpha <= 0, beta < 0, chi1
+    without chi2 and beta >= 1/2 under chi1 are refused, as outage_ub_limit
+    refuses them, and so is an N that is not an integer from 1 to 2**53
+    (an integer-valued float such as 4.0 is taken).
 
-    With g(t) = t(2 - t), the shape of delta_cdf, the bound is
+    With g(t) = t(2 - t), the probability that |d1 - d2| <= tD for offsets
+    d_i ~ U[0, D] and 0 <= t <= 1, the bound is
     (w - u)(2 - w - u) + 2 beta g(u) under chi1, g(min(N - 1 + beta, N alpha)
     / (N alpha)) under chi2 alone and 1 otherwise.  Here u = K/(N alpha) and
     w = min(K + beta, N alpha)/(N alpha), where K counts the codewords
@@ -276,6 +259,10 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
     alpha, n = np.asarray(alpha, dtype=float), np.asarray(n_packets)
     if n.min() < 1:
         raise AnalysisError("need at least one packet")
+    if n.max() > MAX_PACKETS:
+        raise AnalysisError("number of packets must be at most 2**53")
+    if np.any(n != np.floor(n)):
+        raise AnalysisError("number of packets must be an integer")
     # Each branch reads beta only where it is taken, so a beta past the float
     # range under chi2 alone, or under neither, makes no overflow or nan.
     tail_beta = np.where(chi2, beta, 0.0)
@@ -285,8 +272,8 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
     m = np.ceil(na - beta)
     k = np.where(chi1, np.where(m >= n, n - 1, np.where(m <= na + beta, m, m - 1)), 0.0)
     # Each x/(N alpha) is taken as (x/N)/alpha, which keeps its value where
-    # N*alpha overflows.  w - u and w are clipped before dividing, as
-    # delta_cdf clips, so a tiny alpha cannot overflow; w - u is taken as
+    # N*alpha overflows.  w - u and w are clipped to at most alpha before
+    # dividing, so a tiny alpha cannot overflow; w - u is taken as
     # min(beta, N alpha - K)/(N alpha), which keeps beta's digits where
     # K + beta would round them away.
     u = k / n / alpha
@@ -346,7 +333,7 @@ class EpsilonResult:
     """One bound, or arrays of them: then value, r0 and kappa are nan and
     user is 0 where kind is not "value".  A value's case_label is
     case{k}-user{j}: j is the binding user and k the branch of
-    rate_feasibility_interval that the other user's first constraint is on,
+    _feasibility_case that the other user's first constraint is on,
     under its own mode; any other kind is labelled outside-ladder."""
 
     kind: str             # "zero", "value" or "not-applicable"
@@ -379,10 +366,10 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     user = np.zeros(lam.shape, dtype=int)
     label = np.full(lam.shape, "outside-ladder")
     if not zero.all():      # a grid all below the threshold never reads the window
-        window = _feasible_window(info, lam, modes)
-        valued = ~zero & ~window.is_empty
+        lo, hi = _feasible_window(info, lam, modes)
+        valued = ~zero & (lo < hi)
         kind = np.where(valued, "value", kind)
-        r_inf = np.where(valued, window.lo, np.nan)
+        r_inf = np.where(valued, lo, np.nan)
         k = np.where(valued, kappa(np.where(valued, alpha_of(lam, d_max), 1.0)), np.nan)
         betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in users]
         eps = k * np.maximum(*betas)

@@ -262,6 +262,8 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
             (r_value is not None and variable == "r", "--r is not read by an r sweep"),
             (n_list and variable == "n_packets", "--n is not read by an n_packets sweep"),
             (n_list and r_value is None and variable != "r", "--n is not read without --r"),
+            (variable == "n_packets" and r_value is None,
+             "an n_packets grid is not read without --r"),
             ((lo, hi, steps) != (None,) * 3 and grid is not None,
              "give either --values or --lo/--hi/--steps")):
         if unread:

@@ -273,9 +273,9 @@ class SimResult:
     mode: str
     per_codeword_failures: list[list[int]] = field(default_factory=list)
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         # Shallow: dataclasses.asdict would deep-copy all 2N failure counts.
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=indent)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _halfwidth(p_hat: float, trials: int) -> float:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from ic_outage.analysis import (
     TIN,
     AnalysisError,
     EpsilonResult,
-    Interval,
     _feasible_window,
-    delta_cdf,
     kappa,
     rho,
     user_outage_inputs,
@@ -223,8 +222,7 @@ def r0_bisection_residual(
     """|r0 - bisected r0|, or None where the bisection does not apply (r0 at
     the r > 1 edge, or no feasible point just above r0)."""
     m1, m2 = mode
-    window = _feasible_window(info, lam, mode)
-    analytic = window.lo
+    analytic, window_hi = _feasible_window(info, lam, mode)
 
     def predicate(r: float) -> bool:
         for user, m in ((1, m1), (2, m2)):
@@ -235,7 +233,7 @@ def r0_bisection_residual(
                 return False
         return True
 
-    hi = window.hi if window.hi != math.inf else window.lo + 10.0
+    hi = window_hi if window_hi != math.inf else analytic + 10.0
     probe = min(analytic + 1e-6, (analytic + hi) / 2.0) if hi > analytic else analytic
     if analytic > 1.0 and predicate(probe):
         lo_b, hi_b = 1.0, probe
@@ -262,8 +260,32 @@ def tau_bar(j: int, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# oracle: the asynchrony CDF
+# ---------------------------------------------------------------------------
+
+def delta_cdf(delta, d_max):
+    """CDF of the asynchrony |d1 - d2| for d_i ~ U[0, D]; delta and d_max
+    broadcast, and a 0-d result is a Python float."""
+    # delta is clipped to [0, D] before the division, which then cannot overflow
+    u = np.minimum(np.maximum(delta, 0.0), d_max) / np.asarray(d_max)
+    cdf = u * (2.0 - u)
+    return cdf.item() if cdf.ndim == 0 else cdf
+
+
+# ---------------------------------------------------------------------------
 # oracle: the finite-N outage bound as a sum over the admissible intervals
 # ---------------------------------------------------------------------------
+
+class Interval(NamedTuple):
+    """Open interval (lo, hi) on the real line, empty where lo >= hi."""
+
+    lo: float
+    hi: float
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lo >= self.hi
+
 
 def admissible_intervals(r: float, rho_i: float, n_packets: int) -> list[Interval]:
     """Per-packet ranges of normalized asynchrony that keep every codeword clean.

@@ -21,10 +21,12 @@ import ic_outage as ic
 from ic_outage.analysis import (
     EpsilonResult,
     _feasible_window,
+    _rate_feasibility_interval,
     outage_ub_finite_n,
 )
 from conftest import (
     admissible_intervals,
+    delta_cdf,
     dist,
     fluid_outage_exact_oracle,
     gapless_limit_oracle,
@@ -122,18 +124,18 @@ def test_kappa_bounded_and_decreasing_above_one(alpha):
 
 
 def test_delta_cdf_values():
-    assert ic.delta_cdf(0.0, 2.0) == 0.0
-    assert ic.delta_cdf(2.0, 2.0) == 1.0
-    assert ic.delta_cdf(1.0, 2.0) == 0.75
-    assert ic.delta_cdf(-0.5, 2.0) == 0.0
-    assert ic.delta_cdf(5.0, 2.0) == 1.0
+    assert delta_cdf(0.0, 2.0) == 0.0
+    assert delta_cdf(2.0, 2.0) == 1.0
+    assert delta_cdf(1.0, 2.0) == 0.75
+    assert delta_cdf(-0.5, 2.0) == 0.0
+    assert delta_cdf(5.0, 2.0) == 1.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.1, 5.0))
 def test_delta_cdf_monotone(d1, d2, d_max):
     lo, hi = sorted((d1, d2))
-    assert ic.delta_cdf(lo, d_max) <= ic.delta_cdf(hi, d_max) + 1e-15
+    assert delta_cdf(lo, d_max) <= delta_cdf(hi, d_max) + 1e-15
 
 
 def test_delta_cdf_matches_uniform_difference_distribution():
@@ -141,7 +143,7 @@ def test_delta_cdf_matches_uniform_difference_distribution():
     d = rng.uniform(0, 3.0, size=(200000, 2))
     delta = np.abs(d[:, 0] - d[:, 1])
     for q in (0.3, 1.0, 2.2):
-        assert np.mean(delta <= q) == pytest.approx(ic.delta_cdf(q, 3.0), abs=5e-3)
+        assert np.mean(delta <= q) == pytest.approx(delta_cdf(q, 3.0), abs=5e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +179,19 @@ def test_admissible_intervals_invert_to_empty():
 
 
 def test_feasibility_interval_cases():
-    iv = ic.rate_feasibility_interval(4.0, 1.0, 0.5)
-    assert (iv.lo, iv.hi) == (1.0, 8.0)
-    iv = ic.rate_feasibility_interval(4.0, 1.0, 1.5)
-    assert iv.lo == pytest.approx(4.0 / 3.0)
-    assert iv.hi == pytest.approx(8.0 / 3.0)
-    assert ic.rate_feasibility_interval(4.0, 1.0, 2.5).is_empty
+    assert _rate_feasibility_interval(4.0, 1.0, 0.5) == (1.0, 8.0)
+    lo, hi = _rate_feasibility_interval(4.0, 1.0, 1.5)
+    assert lo == pytest.approx(4.0 / 3.0)
+    assert hi == pytest.approx(8.0 / 3.0)
+    lo, hi = _rate_feasibility_interval(4.0, 1.0, 2.5)
+    assert lo >= hi
     # a/2 <= lam < b case needs b > a/2
-    iv = ic.rate_feasibility_interval(3.0, 2.0, 1.8)
-    assert iv.lo == 1.0
-    assert iv.hi == pytest.approx((3.0 - 4.0) / (3.0 - 2.0 - 1.8))
+    lo, hi = _rate_feasibility_interval(3.0, 2.0, 1.8)
+    assert lo == 1.0
+    assert hi == pytest.approx((3.0 - 4.0) / (3.0 - 2.0 - 1.8))
     for a, b in ((1.0, 2.0), (1.0, -0.1)):
         with pytest.raises(ic.AnalysisError, match=r"need a > b >= 0"):
-            ic.rate_feasibility_interval(a, b, 0.5)
+            _rate_feasibility_interval(a, b, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,12 +199,11 @@ def test_feasibility_interval_cases():
 def test_feasibility_interval_breakpoint_endpoints_lie_in_unit_band(a_scale, b_frac, lam):
     a = a_scale
     b = a * b_frac
-    iv = ic.rate_feasibility_interval(a, b, lam)
-    mid = (a - 2.0 * b) / (a - b - lam) if abs(a - b - lam) > 1e-12 else None
+    lo, hi = _rate_feasibility_interval(a, b, lam)
     if a / 2.0 <= lam < b:          # case (ii): upper endpoint in (1, 2]
-        assert 1.0 < iv.hi <= 2.0 + 1e-9
+        assert 1.0 < hi <= 2.0 + 1e-9
     if b <= lam < a / 2.0:          # case (iii): lower endpoint in [1, 2)
-        assert 1.0 - 1e-9 <= iv.lo < 2.0
+        assert 1.0 - 1e-9 <= lo < 2.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,18 +212,18 @@ def test_feasibility_interval_breakpoint_endpoints_lie_in_unit_band(a_scale, b_f
 def test_feasibility_interval_agrees_with_pointwise_predicate(a_scale, b_frac, lam):
     # b = 0 is a channel whose mixed rate is 0, such as y = x1 xor x2 through a BSC.
     a, b = a_scale, a_scale * b_frac
-    iv = ic.rate_feasibility_interval(a, b, lam)
+    lo, hi = _rate_feasibility_interval(a, b, lam)
     rng = np.random.default_rng(17)
     for r in 1.0 + rng.random(25) * 4.0:
         inside = (lam * r - b) / (a - b) < min(1.0, r - 1.0)
-        if iv.lo < r < iv.hi:
+        if lo < r < hi:
             assert inside
         # avoid boundary ties when checking the converse direction
-        elif not iv.is_empty and (
-            min(abs(r - iv.lo), abs(r - (iv.hi if iv.hi != math.inf else r + 1))) > 1e-9
+        elif lo < hi and (
+            min(abs(r - lo), abs(r - (hi if hi != math.inf else r + 1))) > 1e-9
         ):
             assert not inside
-        elif iv.is_empty:
+        elif lo >= hi:
             assert not inside
 
 
@@ -324,13 +325,30 @@ def test_finite_n_small_cases():
     )
 
 
-def test_finite_n_rejects_bad_inputs():
+def test_finite_n_rejects_bad_inputs(gaussian_channel):
     with pytest.raises(ic.AnalysisError):
         outage_ub_finite_n(1.0, -0.1, 5, True, True)
     with pytest.raises(ic.AnalysisError):
         outage_ub_finite_n(-1.0, 0.1, 5, True, True)
     with pytest.raises(ic.AnalysisError):
         outage_ub_finite_n(1.0, 0.1, 0, True, True)
+    # A nan alpha or beta has no outage; both forms refuse it, under any chi.
+    for alpha, beta, chi1 in ((math.nan, 0.1, True), (1.0, math.nan, True),
+                              (1.0, math.nan, False), (np.array([1.0, math.nan]), 0.1, True)):
+        with pytest.raises(ic.AnalysisError, match="alpha and beta must not be nan"):
+            outage_ub_finite_n(alpha, beta, 4, chi1, True)
+        with pytest.raises(ic.AnalysisError, match="alpha and beta must not be nan"):
+            ic.outage_ub_limit(alpha, beta, chi1, True)
+    # As SchemeParams does, the finite-N form takes N an integer up to 2**53.
+    for n, message in ((2.5, "must be an integer"), (math.nan, "must be an integer"),
+                       (np.array([4.0, 2.5]), "must be an integer"),
+                       (math.inf, "at most 2[*][*]53"), (2**53 + 1, "at most 2[*][*]53"),
+                       (np.array([4, 10**20], dtype=object), "at most 2[*][*]53")):
+        with pytest.raises(ic.AnalysisError, match=message):
+            outage_ub_finite_n(1.0, 0.1, n, True, True)
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    with pytest.raises(ic.AnalysisError, match="must be an integer"):
+        ic.closed_form_outage(info, 1, 1.0, 1.5, 2.5, 1.0, ic.TIN)
     # Both forms read chi2 only where chi1 is false, so chi1 without chi2,
     # which user_outage_inputs never makes, is refused.
     for chi1, chi2 in ((True, False), (np.array([False, True]), np.array([True, False]))):
@@ -345,6 +363,17 @@ def test_finite_n_rejects_bad_inputs():
             outage_ub_finite_n(0.5, beta, 5, chi1, True)
         with pytest.raises(ic.AnalysisError, match="chi1 needs beta < 1/2"):
             ic.outage_ub_limit(0.5, beta, chi1, True)
+
+
+def test_finite_n_takes_integer_valued_packet_counts(gaussian_channel):
+    # An integer-valued float or an integer array is read as the integer.
+    info = ic.gaussian_info_quantities(gaussian_channel)
+    ns = [1, 4, 64, 2**53]
+    scalars = [outage_ub_finite_n(0.7, 0.1, n, True, True) for n in ns]
+    assert [outage_ub_finite_n(0.7, 0.1, float(n), True, True) for n in ns] == scalars
+    assert outage_ub_finite_n(0.7, 0.1, np.array(ns), True, True).tolist() == scalars
+    assert ic.closed_form_outage(info, 1, 1.0, 1.5, 4.0, 1.0, ic.TIN) == \
+        ic.closed_form_outage(info, 1, 1.0, 1.5, 4, 1.0, ic.TIN)
 
 
 def test_limit_consistency_large_n():
@@ -446,7 +475,8 @@ def test_r0_gaussian_regression(gaussian_channel):
 def test_r0_infeasible_when_both_users_saturate():
     info = ic.InfoQuantities((1.0, 1.0), (0.6, 0.6), (1.0, 1.0), (2.0, 2.0), (1.5, 1.5))
     # lam >= max{b, a/2} for both users
-    assert _feasible_window(info, 0.9, (ic.TIN, ic.TIN)).is_empty
+    lo, hi = _feasible_window(info, 0.9, (ic.TIN, ic.TIN))
+    assert lo >= hi
 
 
 def test_epsilon_zero_below_threshold(gaussian_channel):
@@ -518,8 +548,8 @@ def test_epsilon_not_applicable_when_no_feasible_rate():
 
 def test_beta_is_increasing_in_r(gaussian_channel):
     info = ic.gaussian_info_quantities(gaussian_channel)
-    window = ic.rate_feasibility_interval(info.c_star[1], info.c[1], 1.0)
-    rs = np.linspace(window.lo + 1e-6, min(window.hi, window.lo + 2.0), 50)
+    lo, hi = _rate_feasibility_interval(info.c_star[1], info.c[1], 1.0)
+    rs = np.linspace(lo + 1e-6, min(hi, lo + 2.0), 50)
     betas = [ic.analysis.rho(info, 2, r, 1.0, ic.TIN).value / r for r in rs]
     assert all(b > a for a, b in zip(betas, betas[1:]))
 
@@ -924,8 +954,8 @@ def test_extreme_alpha_and_window_evaluate_no_overflowing_branch(gaussian_channe
     assert abs(bound - exact) <= math.ulp(exact)
     assert outage_ub_finite_n(1e-320, 0.0, 4, True, True) == 0.0
     assert ic.outage_ub_limit(1e-320, 0.1, True, True) == 2.0 * 0.1
-    assert ic.delta_cdf(1.0, 1e-320) == 1.0
-    assert ic.delta_cdf(-1.0, 1e-320) == 0.0
+    assert delta_cdf(1.0, 1e-320) == 1.0
+    assert delta_cdf(-1.0, 1e-320) == 0.0
     info = ic.gaussian_info_quantities(gaussian_channel)
     # rho < 0 at lam = 1e-320 takes the zero path; at D = 1e308 both forms are
     # subnormal, and at D = 1e-320 the limit is kappa*beta = 2 beta.
@@ -1027,8 +1057,8 @@ def _closed_forms(info, mode):
         "rho": lambda lam, r, d, n: an.rho(info, 1, r, lam, mode),
         "user_outage_inputs": lambda lam, r, d, n: an.user_outage_inputs(info, 2, r, lam, mode),
         "kappa": lambda lam, r, d, n: an.kappa(lam * d),
-        "rate_feasibility_interval":
-            lambda lam, r, d, n: an.rate_feasibility_interval(*info.for_user(1)[:2], lam),
+        "_rate_feasibility_interval":
+            lambda lam, r, d, n: an._rate_feasibility_interval(*info.for_user(1)[:2], lam),
         "epsilon_bound": labelled,
         "outage_ub_finite_n": finite_n,
         "outage_ub_limit": limit,
@@ -1046,8 +1076,6 @@ def _leaves(res) -> list:
             return empty if v is None else v
         return [res.kind, fill(res.value, math.nan), fill(res.r0, math.nan),
                 fill(res.kappa, math.nan), fill(res.user, 0), res.case_label]
-    if isinstance(res, ic.Interval):
-        return [res.lo, res.hi]
     if isinstance(res, tuple):
         return [leaf for field in res for leaf in _leaves(field)]
     return [res]

@@ -912,6 +912,9 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
           "--d", "5", "--n", "4,64", "--out", "OUT"],
          "error: --n is not read without --r"),
+        (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "4,64",
+          "--lambda", "1", "--d", "5", "--out", "OUT"],
+         "error: an n_packets grid is not read without --r"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
           "--steps", "8", "--d", "5", "--out", "OUT"],
          "error: give either --values or --lo/--hi/--steps"),
@@ -925,7 +928,8 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "negative-d-sweep", "nonpositive-alpha-in-values", "fractional-packet-count",
          "sweep-n-beyond-2**53", "packet-grid-beyond-2**53", "simulate-n-beyond-2**53",
          "lambda-in-lambda-sweep", "d-in-alpha-sweep", "r-in-r-sweep",
-         "n-in-n_packets-sweep", "n-without-r", "grid-beside-values"],
+         "n-in-n_packets-sweep", "n-without-r", "n_packets-grid-without-r",
+         "grid-beside-values"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
     paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,
