@@ -41,10 +41,29 @@ DI = "di"
 _ADDITIVE_TOL = 1e-9
 
 NO_FEASIBLE_RATE = "no r > 1 satisfies both users' constraints"
-NONPOSITIVE_ALPHA = "alpha must be positive"
 # The closed forms compute N in float64, which holds every integer up to 2**53.
 MAX_PACKETS = 2**53
 _SMALLEST_ALPHA = math.ulp(0.0)
+
+
+def _check_scheme(lam=None, r=None, d_max=None, alpha=None, n_packets=None):
+    """The scheme's input rules, which every public entry checks first: lam,
+    D and alpha positive (inf is their limit), r positive and finite, and N an
+    integer (4.0 is taken) from 1 to 2**53.  A rule written as x > 0 refuses
+    nan too.  The error names the quantity and its first offending value."""
+    for message, value, holds in (
+            ("arrival rate must be positive", lam, lambda x: x > 0),
+            ("normalized code rate must be finite", r, np.isfinite),
+            ("normalized code rate must be positive", r, lambda x: x > 0),
+            ("asynchrony window must be positive", d_max, lambda x: x > 0),
+            ("alpha must be positive", alpha, lambda x: x > 0),
+            ("number of packets must be an integer", n_packets, lambda x: x == np.floor(x)),
+            ("number of packets must be at least 1", n_packets, lambda x: x >= 1),
+            ("number of packets must be at most 2**53", n_packets, lambda x: x <= MAX_PACKETS)):
+        bad = value is not None and ~np.asarray(holds(np.asarray(value)), dtype=bool)
+        if np.any(bad):
+            first = np.ravel(value)[[np.argmax(np.ravel(bad))]].tolist()[0]
+            raise AnalysisError(f"{message}, got {first!r}")
 
 
 def alpha_of(lam, d_max):
@@ -67,6 +86,8 @@ def _out(x):
 
 @dataclass(frozen=True)
 class SchemeParams:
+    """A point of the scheme: _check_scheme's rules, lam <= 1, an int N and a finite D."""
+
     lam: float            # arrival rate, bits/slot
     r: float              # normalized code rate R_c / lam
     n_packets: int
@@ -74,21 +95,14 @@ class SchemeParams:
     decoder: tuple[str, str] = (TIN, TIN)
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= 1.0:
-            raise AnalysisError("arrival rate must be in (0, 1]")
-        if self.r <= 0:
-            raise AnalysisError("normalized code rate must be positive")
         if not _is_int(self.n_packets):
-            raise AnalysisError(f"number of packets must be an integer, got {self.n_packets!r}")
-        if self.n_packets < 1:
-            raise AnalysisError("need at least one packet")
-        if self.n_packets > MAX_PACKETS:
-            raise AnalysisError(f"number of packets must be at most 2**53, got {self.n_packets!r}")
-        if self.d_max <= 0:
-            raise AnalysisError("asynchrony window must be positive")
-        for what, value in (("normalized code rate", self.r), ("asynchrony window", self.d_max)):
-            if not math.isfinite(value):
-                raise AnalysisError(f"{what} must be finite, got {value!r}")
+            raise AnalysisError(
+                f"number of packets must be an integer type, got {self.n_packets!r}")
+        if not math.isfinite(self.d_max):
+            raise AnalysisError(f"asynchrony window must be finite, got {self.d_max!r}")
+        _check_scheme(lam=self.lam, r=self.r, d_max=self.d_max, n_packets=self.n_packets)
+        if not self.lam <= 1.0:
+            raise AnalysisError(f"arrival rate must be at most 1, got {self.lam!r}")
         dec = self.decoder
         if isinstance(dec, str):
             dec = (dec, dec)
@@ -160,8 +174,7 @@ def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
 def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
     """Interference-exposure fraction rho_i(r), the largest of the user's
     decoding ratios, plus the additive DI rate cap C_i*/lam (else None)."""
-    if np.min(r) <= 0:
-        raise AnalysisError("r must be positive")
+    _check_scheme(lam=lam, r=r)
     pairs, cap = _ratios(info, user, mode, lam)
     with np.errstate(over="ignore"):     # a ratio past the float range is inf
         values = [(lam * r - b) / (a - b) for _, a, b in pairs]
@@ -171,9 +184,8 @@ def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> Rho
 
 def kappa(alpha):
     """Asynchrony-window factor: 2 for alpha < 1, else (2/alpha)(2 - 1/alpha)."""
+    _check_scheme(alpha=alpha)
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.min() <= 0:
-        raise AnalysisError(NONPOSITIVE_ALPHA)
     beyond = np.maximum(alpha, 1.0)     # read at alpha >= 1 only; no overflow at tiny alpha
     return _out(np.where(alpha < 1.0, 2.0, (2.0 / beyond) * (2.0 - 1.0 / beyond)))
 
@@ -217,15 +229,14 @@ def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]):
 
 def _check_form_inputs(alpha, beta, chi1, chi2):
     """Refuse what neither outage form is a probability of: a nan alpha or
-    beta, alpha <= 0, negative beta (the caller's zero-outage path), chi1
-    without chi2 (both forms read chi2 only where chi1 is false) and
-    beta >= 1/2 under chi1.  user_outage_inputs makes none of the last
-    two: chi1 implies chi2, and chi1's rho_i < min(1, r - 1) puts
-    beta = rho_i/r below 1/2."""
+    beta, an alpha that _check_scheme refuses, negative beta (the caller's
+    zero-outage path), chi1 without chi2 (both forms read chi2 only where
+    chi1 is false) and beta >= 1/2 under chi1.  user_outage_inputs makes
+    none of the last two: chi1 implies chi2, and chi1's rho_i < min(1, r - 1)
+    puts beta = rho_i/r below 1/2."""
     if np.isnan(alpha).any() or np.isnan(beta).any():
         raise AnalysisError("alpha and beta must not be nan")
-    if np.min(alpha) <= 0:
-        raise AnalysisError(NONPOSITIVE_ALPHA)
+    _check_scheme(alpha=alpha)
     if np.min(beta) < 0:
         raise AnalysisError("beta < 0 means zero outage; the closed forms do not apply")
     if np.any(np.logical_and(chi1, np.logical_not(chi2))):
@@ -239,10 +250,8 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
 
     ``alpha`` is lam*D*min(r, 1) and ``beta`` is rho_i(r)/s, on the codeword
     lattice of step s = max(r, 1).  ``beta == 0`` is accepted (the formulas
-    are continuous there); a nan alpha or beta, alpha <= 0, beta < 0, chi1
-    without chi2 and beta >= 1/2 under chi1 are refused, as outage_ub_limit
-    refuses them, and so is an N that is not an integer from 1 to 2**53
-    (an integer-valued float such as 4.0 is taken).
+    are continuous there); the inputs are checked by _check_form_inputs, as
+    outage_ub_limit's are, and N by _check_scheme.
 
     With g(t) = t(2 - t), the probability that |d1 - d2| <= tD for offsets
     d_i ~ U[0, D] and 0 <= t <= 1, the bound is
@@ -256,13 +265,10 @@ def outage_ub_finite_n(alpha, beta, n_packets, chi1, chi2):
     the bound is g(w) - (1 - 2 beta) g(u), in [0, 1].
     """
     _check_form_inputs(alpha, beta, chi1, chi2)
+    _check_scheme(n_packets=n_packets)
+    if np.any(np.logical_and(chi2, np.isinf(alpha) & np.isinf(beta))):
+        raise AnalysisError("under chi2 the bound has no limit at alpha = beta = inf")
     alpha, n = np.asarray(alpha, dtype=float), np.asarray(n_packets)
-    if n.min() < 1:
-        raise AnalysisError("need at least one packet")
-    if n.max() > MAX_PACKETS:
-        raise AnalysisError("number of packets must be at most 2**53")
-    if np.any(n != np.floor(n)):
-        raise AnalysisError("number of packets must be an integer")
     # Each branch reads beta only where it is taken, so a beta past the float
     # range under chi2 alone, or under neither, makes no overflow or nan.
     tail_beta = np.where(chi2, beta, 0.0)
@@ -312,12 +318,13 @@ def user_outage_inputs(info: InfoQuantities, user: int, r, lam, mode: str) -> Us
     """
     value, cap = rho(info, user, r, lam, mode)
     cap_ok = True if cap is None else np.asarray(r) < cap
-    return UserOutageInputs(
-        rho=value,
-        beta=_out(value / np.asarray(r)),
-        chi1=_out((value < np.minimum(1.0, r - 1.0)) & cap_ok),
-        chi2=_out((np.asarray(value) < 1.0) & cap_ok),
-    )
+    with np.errstate(over="ignore"):    # as rho, a beta past the float range is inf
+        return UserOutageInputs(
+            rho=value,
+            beta=_out(value / np.asarray(r)),
+            chi1=_out((value < np.minimum(1.0, r - 1.0)) & cap_ok),
+            chi2=_out((np.asarray(value) < 1.0) & cap_ok),
+        )
 
 
 def outage_inputs(info: InfoQuantities, scheme: SchemeParams) -> UserOutageInputs:
@@ -357,6 +364,7 @@ _CASE_LABELS = np.array([[f"case{k}-user{j}" for j in (1, 2)] for k in range(4)]
 def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     """Outage-level bound: zero below the decoder threshold, else
     kappa * max_i beta_i(r0), with its case label.  lam and d_max broadcast."""
+    _check_scheme(lam=lam, d_max=d_max)
     modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
     users = tuple(zip((1, 2), modes))
     lam, d_max = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(d_max, dtype=float))
@@ -371,7 +379,8 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
         kind = np.where(valued, "value", kind)
         r_inf = np.where(valued, lo, np.nan)
         k = np.where(valued, kappa(np.where(valued, alpha_of(lam, d_max), 1.0)), np.nan)
-        betas = [rho(info, u, r_inf, lam, m).value / r_inf for u, m in users]
+        at_r = np.where(valued, lo, 2.0)     # a placeholder r where kappa is nan
+        betas = [rho(info, u, at_r, lam, m).value / at_r for u, m in users]
         eps = k * np.maximum(*betas)
         user = np.where(valued, 1 + (betas[1] > betas[0]), 0)
         first = np.array([_constraints(info, u, m)[0][1:] for u, m in users])
@@ -405,6 +414,7 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
 
     The arguments broadcast; finite_n is None when n_packets is.
     """
+    _check_scheme(lam=lam, r=r, d_max=d_max, n_packets=n_packets)
     inputs = user_outage_inputs(info, user, r, lam, mode)
     negative = np.asarray(inputs.rho) < 0
     zero_path = np.where(inputs.chi2, 0.0, 1.0)
@@ -422,10 +432,9 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
 
 
 def avg_rate(n_packets: int, r: float, lam: float) -> float:
-    """Long-run average transmission rate of the scheme."""
-    if n_packets < 1 or r <= 0:
-        raise AnalysisError("need n_packets >= 1 and r > 0")
-    n = n_packets
+    """Long-run average transmission rate of the scheme (lam where N r overflows)."""
+    _check_scheme(lam=lam, r=r, n_packets=n_packets)
     if r > 1.0:
-        return n * r / (n * r + 1.0) * lam
-    return n * r / (n + r) * lam
+        nr = n_packets * r
+        return lam if math.isinf(nr) else nr / (nr + 1.0) * lam
+    return n_packets * r / (n_packets + r) * lam

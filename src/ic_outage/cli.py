@@ -62,11 +62,6 @@ def _parse_list(text: str, convert, what: str) -> list:
         _fail(EXIT_CONFIG, f"cannot parse {what} {text!r}")
 
 
-def _check_positive(value: float, what: str) -> None:
-    if value <= 0:
-        _fail(EXIT_CONFIG, f"{what} must be positive, got {value!r}")
-
-
 def _parse_dist(text: str | None, size: int) -> chan.InputDistribution:
     if text is None:
         return chan.InputDistribution(np.full(size, 1.0 / size))
@@ -132,8 +127,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def analyze(channel_path, lam, r_value, d_max, mode, pi1, pi2, as_json):
     """Report information constants, thresholds and the outage bound."""
-    _check_positive(lam, "arrival rate")
-    _check_positive(d_max, "asynchrony window")
+    an._check_scheme(lam=lam, d_max=d_max)
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
     lbar, _ = chan.lambda_bar(ch)
@@ -255,7 +249,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     info = _resolve_info(ch, pi1, pi2)
     grid = None if values is None else _parse_list(values, FINITE, "--values")
     ns = _parse_list(n_list, int, "--n") if n_list else [None]
-    # An option given where the sweep would not read it is refused, not ignored.
+    # Options the sweep would not read, and a grid given twice or not at all, are refused.
     for unread, message in (
             (lam is not None and variable == "lambda", "--lambda is not read by a lambda sweep"),
             (d_max is not None and variable == "alpha", "--d is not read by an alpha sweep"),
@@ -264,40 +258,29 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
             (n_list and r_value is None and variable != "r", "--n is not read without --r"),
             (variable == "n_packets" and r_value is None,
              "an n_packets grid is not read without --r"),
-            ((lo, hi, steps) != (None,) * 3 and grid is not None,
+            ((lo, hi, steps) != (None,) * 3 if grid is not None else None in (lo, hi, steps),
              "give either --values or --lo/--hi/--steps")):
         if unread:
             _fail(EXIT_CONFIG, message)
     if grid is None:
-        if lo is None or hi is None or steps is None:
-            _fail(EXIT_CONFIG, "give either --values or --lo/--hi/--steps")
         if not (lo < hi and steps >= 2):
             _fail(EXIT_CONFIG, "need lo < hi and steps >= 2")
         grid = [float(v) for v in np.linspace(lo, hi, steps)]
     modes = list(modes) or [an.TIN]
-    if variable == "alpha" and lam is None:
-        _fail(EXIT_CONFIG, "alpha sweeps need a fixed --lambda")
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
-        _fail(EXIT_CONFIG, "sweep needs --lambda and --d (or alpha variable)")
-    _check_positive(min(grid) if variable == "lambda" else lam, "arrival rate")
-    if variable == "alpha":
-        _check_positive(min(grid), "alpha")
-    else:
-        _check_positive(d_max, "asynchrony window")
+        _fail(EXIT_CONFIG, "sweep needs --lambda (or a lambda grid) and --d (or an alpha grid)")
     counts = grid if variable == "n_packets" else [n for n in ns if n is not None]
-    bad = [n for n in counts if n < 1 or n != int(n)]
-    if bad:
-        _fail(EXIT_CONFIG, f"packet counts must be integers >= 1, got {bad[0]!r}")
-    big = [n for n in counts if n > an.MAX_PACKETS]
-    if big:
-        _fail(EXIT_CONFIG, f"packet counts must be at most 2**53, got {big[0]!r}")
+    an._check_scheme(lam=grid if variable == "lambda" else lam, n_packets=counts,
+                     **({"alpha": grid} if variable == "alpha" else {"d_max": d_max}))
     # Each closed form runs once per mode over the whole grid.  Cells are laid
     # out as (mode, user, N, value), each column as str over the axes it varies
     # on; the rows are sorted at the end, by value, then N, mode name and user.
     points = np.array(grid)
     at_lam = points if variable == "lambda" else lam
-    # a D = alpha / lam that rounds to 0 is the smallest positive float
-    at_d = np.maximum(points / lam, math.ulp(0.0)) if variable == "alpha" else d_max
+    # a D = alpha / lam that rounds to 0 is the smallest positive float, and one past the
+    # float range is inf, as alpha_of takes an alpha past it
+    with np.errstate(over="ignore"):
+        at_d = np.maximum(points / lam, math.ulp(0.0)) if variable == "alpha" else d_max
     at_r = points if variable == "r" else r_value
     if variable == "n_packets":
         at_n = points.astype(int)

@@ -34,6 +34,8 @@ __all__ = [
 
 _CHUNK = 16384           # trials per chunk, at most; a fluid chunk peaks near 1 MB
 _CHUNK_ELEMS = 2**20     # codeword starts per user per chunk, at most
+# The largest N a run takes: at about 130 bytes a packet, well within 1 GB.
+MAX_SIM_PACKETS = 4 * 10**6
 
 
 def _arrival_slots(lam: float, n: int, n_packets: int, rng: np.random.Generator,
@@ -247,6 +249,9 @@ class SimConfig:
     n: int | None = None         # bits per source, stochastic mode only
 
     def __post_init__(self):
+        if self.scheme.n_packets > MAX_SIM_PACKETS:
+            raise AnalysisError(f"simulation takes at most {MAX_SIM_PACKETS} packets, "
+                                f"got {self.scheme.n_packets!r}")
         if self.trials < 1:
             raise AnalysisError("need at least one trial")
         if not 0 <= self.seed < 2**128:
@@ -257,8 +262,10 @@ class SimConfig:
             raise AnalysisError("stochastic mode needs the bits-per-source count n")
         if self.mode != "stochastic" and self.n is not None:
             raise AnalysisError("the bits-per-source count n applies to stochastic mode only")
-        theta = 1.0 / (self.scheme.n_packets * self.scheme.code_rate)   # as the kernels take it
-        if not (theta > 0 and math.isfinite(self.scheme.d_max / theta)):
+        rate = self.scheme.n_packets * self.scheme.code_rate    # 1/theta, as the kernels take it
+        if rate == 0:
+            raise AnalysisError("codeword length 1/(N r lambda) is infinite: N r lambda is 0")
+        if not (rate < math.inf and math.isfinite(self.scheme.d_max / (1.0 / rate))):
             raise AnalysisError(f"asynchrony window D = {self.scheme.d_max!r} is not a finite "
                                 "number of codeword lengths 1/(N r lambda)")
 

@@ -887,13 +887,13 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "error: alpha must be positive, got -1.0"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "4.7,1e3",
           "--lambda", "1.0", "--d", "5", "--r", "1.5", "--out", "OUT"],
-         "error: packet counts must be integers >= 1, got 4.7"),
+         "error: number of packets must be an integer, got 4.7"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1", "--d", "5",
           "--r", "1.5", "--n", "10000000000000000000000", "--out", "OUT"],
-         "error: packet counts must be at most 2**53, got 10000000000000000000000"),
+         "error: number of packets must be at most 2**53, got 10000000000000000000000"),
         (["sweep", "--channel", "GAUSSIAN", "--variable", "n_packets", "--values", "1e20,4",
           "--lambda", "1", "--d", "5", "--r", "1.5", "--out", "OUT"],
-         "error: packet counts must be at most 2**53, got 1e+20"),
+         "error: number of packets must be at most 2**53, got 1e+20"),
         (["simulate", "--channel", "GAUSSIAN", "--lambda", "0.6", *_SIM,
           "--n-packets", "100000000000000000000"],
          "error: number of packets must be at most 2**53, got 100000000000000000000"),
