@@ -9,6 +9,7 @@ broadcast them; a call with scalars returns Python scalars.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,6 +32,7 @@ __all__ = [
     "epsilon_bound",
     "lambda_thresholds",
     "closed_form_outage",
+    "sweep_table",
     "avg_rate",
 ]
 
@@ -429,6 +431,51 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
         finite_n = outage_ub_finite_n(alpha, beta, n_packets, inputs.chi1, inputs.chi2)
         finite_n = _out(np.where(negative, zero_path, finite_n))
     return ClosedForm(inputs, finite_n, _out(np.where(negative, zero_path, limit)))
+
+
+def sweep_table(info: InfoQuantities, lam, r, n_packets, d_max, modes):
+    """The closed forms over a grid, the last axis of the broadcast arguments:
+    epsilon_bound once per mode and, unless r is None, closed_form_outage
+    once per (mode, user).  Returns (columns, skipped): each CSV column
+    evaluated, in (mode, user, N, point) layout over the axes it varies on,
+    with nan for a blank cell (outages at rho < 0), and (point, mode, reason)
+    for each point left without epsilon.  A fault of the channel fails every
+    point above the mode's zero threshold; epsilon is 0 at or below it."""
+    _check_scheme(lam=lam, r=r, d_max=d_max, n_packets=n_packets)
+    size = (np.broadcast(lam, r, n_packets, d_max).shape or (1,))[-1]
+
+    def grid(x):    # x as it varies over the points
+        return np.broadcast_to(x, np.broadcast_shapes(np.shape(x), (size,)))
+
+    columns, skipped = {"epsilon": [], "case_label": []}, []
+    for m, mode in enumerate(modes):
+        try:
+            eps = epsilon_bound(info, lam, d_max, mode)
+            kind, value, label, fault = grid(eps.kind), eps.value, eps.case_label, ""
+        except AnalysisError as exc:
+            zero = grid(np.asarray(lam) <= _zero_threshold(info, (mode, mode)))
+            kind, value, label = np.where(zero, "zero", ""), None, "outside-ladder"
+            fault = np.where(zero, "", str(exc))
+        columns["epsilon"].append(np.where(kind == "zero", 0.0, np.asarray(value, dtype=float)))
+        columns["case_label"].append(grid(np.where(fault == "", label, "")))
+        reasons = np.where(kind == "not-applicable", NO_FEASIBLE_RATE, fault)
+        skipped += [(int(g), m, str(reasons[g])) for g in np.flatnonzero(reasons != "")]
+    if r is not None:
+        columns["kappa"] = kappa(alpha_of(lam, d_max))
+    for mode, user in itertools.product(modes if r is not None else (), (1, 2)):
+        bound = closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
+        rho_v, beta, chi1, chi2 = bound.inputs
+        blank = np.asarray(rho_v) < 0
+        cells = {"rho": rho_v, "beta": beta, "chi1": np.multiply(chi1, 1),    # chi as 0 or 1
+                 "chi2": np.multiply(chi2, 1),
+                 "p_outage_limit": np.where(blank, np.nan, bound.limit)}
+        if n_packets is not None:
+            cells["p_outage_finiteN"] = np.where(blank, np.nan, bound.finite_n)
+        for c, x in cells.items():
+            columns.setdefault(c, []).append(grid(x))
+    return ({c: x if c == "kappa" else np.reshape(x, (len(modes), len(x) // len(modes), -1, size))
+             for c, x in columns.items()},
+            [(g, modes[m], why) for g, m, why in sorted(skipped)])
 
 
 def avg_rate(n_packets: int, r: float, lam: float) -> float:

@@ -204,25 +204,6 @@ def _cells(x) -> np.ndarray:
     return np.array(cells, dtype=object).reshape(x.shape)
 
 
-def _epsilon_cells(ch, info, lam, d_max, mode, size: int):
-    """The epsilon and case_label cells of one mode over a grid of ``size``
-    points, and why each point left without epsilon has none ("" if it has one).
-
-    epsilon_bound runs once.  A fault of the channel does not depend on lam:
-    it fails every point above the decoder threshold."""
-    try:
-        eps = an.epsilon_bound(info, lam, d_max, mode)
-        kind, value, label, fault = np.broadcast_to(eps.kind, size), eps.value, eps.case_label, ""
-    except an.AnalysisError as exc:
-        zero = np.broadcast_to(lam <= an.lambda_thresholds(info)[mode == an.DI], size)
-        kind, value, label = np.where(zero, "zero", ""), None, "outside-ladder"
-        fault = np.where(zero, "", str(exc))
-    value = np.where(kind == "zero", 0.0, np.asarray(value, dtype=float))
-    label = np.where(fault == "", label if isinstance(ch, chan.GaussianIC) else "", "")
-    reasons = np.where(kind == "not-applicable", an.NO_FEASIBLE_RATE, fault)
-    return _cells(value), label, reasons
-
-
 @main.command()
 @click.option("--channel", "channel_path", required=True, type=click.Path())
 @click.option(
@@ -272,9 +253,6 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     counts = grid if variable == "n_packets" else [n for n in ns if n is not None]
     an._check_scheme(lam=grid if variable == "lambda" else lam, n_packets=counts,
                      **({"alpha": grid} if variable == "alpha" else {"d_max": d_max}))
-    # Each closed form runs once per mode over the whole grid.  Cells are laid
-    # out as (mode, user, N, value), each column as str over the axes it varies
-    # on; the rows are sorted at the end, by value, then N, mode name and user.
     points = np.array(grid)
     at_lam = points if variable == "lambda" else lam
     # a D = alpha / lam that rounds to 0 is the smallest positive float, and one past the
@@ -286,46 +264,28 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         at_n = points.astype(int)
     else:
         at_n = None if ns == [None] else np.array(ns)[:, None]
-    shape = (len(modes), 2, len(ns) if np.ndim(at_n) == 2 else 1, len(grid))
-    per_mode, per_user = (len(modes), 1, 1, len(grid)), (len(modes), 2, 1, len(grid))
+    # Cells are laid out as sweep_table's columns are, (mode, user, N, value), each
+    # column as str over the axes it varies on; the rows are sorted at the end, by
+    # value, then N, mode name and user.  Case labels are shown for Gaussian channels.
+    table, skipped = an.sweep_table(info, at_lam, at_r, at_n, at_d, modes)
+    labels = table.pop("case_label")
     cols = dict.fromkeys(CSV_COLUMNS, np.array("", dtype=object))
-    cols.update(variable=np.array(variable, dtype=object), value=_cells(points),
-                user=np.array(["1", "2"], dtype=object)[:, None, None],
-                mode=np.array(modes, dtype=object)[:, None, None, None],
-                epsilon=np.empty(per_mode, dtype=object),
-                case_label=np.empty(per_mode, dtype=object))
+    cols.update({c: _cells(x) for c, x in table.items()}, variable=np.array(variable, dtype=object),
+                value=_cells(points), user=np.array(["1", "2"], dtype=object)[:, None, None],
+                mode=np.array(modes, dtype=object)[:, None, None, None])
+    if isinstance(ch, chan.GaussianIC):
+        cols["case_label"] = labels
+    shape = (len(modes), 2, len(ns) if np.ndim(at_n) == 2 else 1, len(grid))
     shown_n = None if at_r is None else at_n      # N is shown beside the per-user cells only
     if shown_n is not None:
         cols["N"] = _cells(shown_n)
-    if at_r is not None:
-        cols["kappa"] = _cells(an.kappa(an.alpha_of(at_lam, at_d)))
-        for c in ("rho", "beta", "chi1", "chi2", "p_outage_limit"):
-            cols[c] = np.empty(per_user, dtype=object)
-        if at_n is not None:
-            cols["p_outage_finiteN"] = np.empty(shape, dtype=object)
-    skipped = np.full((len(grid), len(modes)), "", dtype=object)
-    for m, mode in enumerate(modes):
-        cols["epsilon"][m], cols["case_label"][m], skipped[:, m] = _epsilon_cells(
-            ch, info, at_lam, at_d, mode, len(grid))
-        if at_r is None:
-            continue
-        for u, user in enumerate((1, 2)):
-            bound = an.closed_form_outage(info, user, at_lam, at_r, at_n, at_d, mode)
-            rho_v, beta, chi1, chi2 = bound.inputs
-            blank = np.asarray(rho_v) < 0       # zero-outage cells stay blank
-            cols["rho"][m, u], cols["beta"][m, u] = _cells(rho_v), _cells(beta)
-            cols["chi1"][m, u] = np.where(chi1, "1", "0")
-            cols["chi2"][m, u] = np.where(chi2, "1", "0")
-            cols["p_outage_limit"][m, u] = _cells(np.where(blank, np.nan, bound.limit))
-            if at_n is not None:
-                cols["p_outage_finiteN"][m, u] = _cells(np.where(blank, np.nan, bound.finite_n))
     mode_rank = np.array([sorted(modes).index(mode) for mode in modes])[:, None, None, None]
     keys = (np.array([1, 2])[:, None, None], mode_rank, -1 if shown_n is None else shown_n, points)
     order = np.lexsort([np.broadcast_to(key, shape).ravel() for key in keys])
     columns = [np.broadcast_to(cols[c], shape).ravel()[order].tolist() for c in CSV_COLUMNS]
     _write_csv(out_path, CSV_COLUMNS, zip(*columns))
-    reasons = [f"no epsilon at {variable}={grid[g]!r}, mode {modes[m]}: {skipped[g, m]}"
-               for g, m in zip(*np.nonzero(skipped != ""))]
+    reasons = [f"no epsilon at {variable}={grid[g]!r}, mode {mode}: {why}"
+               for g, mode, why in skipped]
     if reasons:
         click.echo("\n".join(reasons), err=True)
     click.echo(f"wrote {order.size} rows to {out_path}")
@@ -362,21 +322,14 @@ def simulate(channel_path, lam, r_value, n_packets, d_max, decoder, trials, seed
                    zip(("1", "2"), *([repr(float(x)) for x in column] for column in
                                      (result.outage, result.halfwidth, result.rates))))
     if check:
-        bounds = [an.closed_form_outage(info, user, lam, r_value, n_packets, d_max,
-                                        scheme.decoder[user - 1]) for user in (1, 2)]
-        compared = 0
-        for user, bound, p_hat in zip((1, 2), bounds, result.outage):
-            # Stochastic outage has a finite-n bias: compare it only at rho >= 0 with chi1.
-            if mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1):
-                continue
-            compared += 1
-            p = bound.finite_n
-            if abs(p_hat - p) > 4.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / trials):
-                _fail(EXIT_CHECK, f"user {user}: empirical outage {p_hat:.5f} deviates "
-                      f"from closed form {p:.5f} by more than 4 sigma")
-        if not compared:
-            _fail(EXIT_CONFIG, "--check compared no user: "
-                  "stochastic mode compares only users with rho >= 0 and chi1")
+        report = sim.check_report(result, info, scheme)
+        for record in report:
+            if record.passed is False:
+                _fail(EXIT_CHECK, f"user {record.user}: empirical outage "
+                      f"{result.outage[record.user - 1]:.5f} deviates from closed form "
+                      f"{record.closed_form:.5f} by more than 4 sigma")
+        if all(record.skipped for record in report):
+            _fail(EXIT_CONFIG, f"--check compared no user: {report[0].skipped}")
         click.echo("check passed", err=True)
 
 

@@ -15,11 +15,12 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .channel import InfoQuantities
+from .channel import InfoQuantities, _is_int
 from .analysis import AnalysisError, SchemeParams, avg_rate
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "decode_success",
     "fluid_outage_flags",
     "run_trials",
+    "check_report",
 ]
 
 _CHUNK = 16384           # trials per chunk, at most; a fluid chunk peaks near 1 MB
@@ -48,13 +50,10 @@ def _arrival_slots(lam: float, n: int, n_packets: int, rng: np.random.Generator,
     m_j + NegBinomial(m_j, lam) slots after packet j-1's last bit, so N draws
     give the slots exactly in distribution, whatever n is.
     """
-    if n < n_packets:
-        raise AnalysisError("packet size rounds to zero bits")
-    if n / lam > 2.0**53:
-        raise AnalysisError(f"n / lambda = {n / lam:.3g} slots exceeds 2**53, "
-                            "beyond which slot times are not exact floats")
-    last_bit = np.array([-(-j * n // n_packets) for j in range(n_packets + 1)])
-    m = np.diff(last_bit)
+    # ceil(j n/N) = j q + ceil(j p/N) for n = q N + p: no product passes n or N**2 in int64
+    q, p = divmod(n, n_packets)
+    j = np.arange(n_packets + 1)
+    m = np.diff(j * q - (-j * p // n_packets))
     gaps = m + rng.negative_binomial(m, lam, size=size + (n_packets,))
     return np.cumsum(gaps, axis=-1).astype(float)
 
@@ -67,8 +66,10 @@ def simulate_tau(lam: float, n: int, n_packets: int, r: float, rng: np.random.Ge
     Packet j goes out when j packets' worth of bits have arrived and the
     previous transmission has finished.  The recursion runs over j on whole
     columns, so a batch equals consecutive one-transmitter calls on the same
-    generator bit for bit.
+    generator bit for bit.  The arguments must meet SimConfig's rules, which
+    are checked before anything is allocated.
     """
+    _check_run(SchemeParams(lam, r, n_packets, 1.0), "stochastic", n)   # D is not read
     n_theta = n / (n_packets * (r * lam))   # codeword length in slots
     tau = _arrival_slots(lam, n, n_packets, rng, size)
     for j in range(1, n_packets):
@@ -84,23 +85,25 @@ def overlap_fractions(starts1, starts2) -> tuple[np.ndarray, np.ndarray]:
     covered by user 2's intervals, and vice versa.  Unit intervals overlap by
     max(0, 1 - |start difference|).
 
-    Precondition: rows sorted, consecutive starts at least 1 apart up to
-    rounding (stochastic mode's release times comply; clear violations raise
-    ``AnalysisError``).  So a codeword meets at most two of the other user's,
+    Precondition: rows finite and sorted, consecutive starts at least 1
+    apart up to rounding (stochastic mode's release times comply; clear
+    violations raise ``AnalysisError``).  So a codeword meets at most two of the other user's,
     the nearest start at or before its own and the next.  Every other
     overlap is 0, or a sliver of the rounding, so the two-term sum equals
     the full pairwise sum (bit for bit when the gaps are at least 1).
     """
     a, b = np.broadcast_arrays(np.asarray(starts1, dtype=float),
                                np.asarray(starts2, dtype=float))
-    for x in (a, b):
-        if not (np.diff(x, axis=-1) >= 1.0 - 1e-12 * max(1.0, np.abs(x).max())).all():
-            raise AnalysisError("codeword starts must be sorted and at least 1 apart")
+    with np.errstate(over="ignore"):    # starts too far apart to subtract never overlap
+        for x in (a, b):
+            if not (np.isfinite(x).all() and (np.diff(x, axis=-1) >= 1.0 - 1e-12
+                                              * max(1.0, np.abs(x).max())).all()):
+                raise AnalysisError("codeword starts must be finite, sorted and at least 1 apart")
     # Stable merge, b first on ties: k1 = b's at or before each a_j, k2 = a's before each b_j.
-    from_a = np.argsort(np.concatenate([b, a], axis=-1), axis=-1, kind="stable") >= a.shape[-1]
-    k1 = np.cumsum(~from_a, axis=-1)[from_a].reshape(a.shape)
-    k2 = np.cumsum(from_a, axis=-1)[~from_a].reshape(b.shape)
-    return _partner_overlap(a, b, k1), _partner_overlap(b, a, k2)
+        from_a = np.argsort(np.concatenate([b, a], axis=-1), axis=-1, kind="stable") >= a.shape[-1]
+        k1 = np.cumsum(~from_a, axis=-1)[from_a].reshape(a.shape)
+        k2 = np.cumsum(from_a, axis=-1)[~from_a].reshape(b.shape)
+        return _partner_overlap(a, b, k1), _partner_overlap(b, a, k2)
 
 
 def _partner_overlap(a, b, k):
@@ -118,6 +121,8 @@ def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str
     interferer's codeword decodable over the same overlap.  Strict
     inequalities: a rate exactly at threshold fails."""
     mu = np.asarray(mu, dtype=float)
+    if not (r_code > 0 and ((mu >= 0.0) & (mu <= 2.0)).all()):
+        raise AnalysisError("need a code rate above 0 and interfered fractions in [0, 2]")
 
     def clears(full, mixed):
         # r_code < (1 - mu) * full + mu * mixed, holding one temporary beside the sum
@@ -169,6 +174,9 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     integer m and the decode temporaries are alive at once, under 48 bytes a
     trial; ``run_trials`` passes one chunk at a time.
     """
+    _check_run(scheme, "fluid", d_max=scheme.d_max)
+    if not all(((d >= 0) & (d <= scheme.d_max)).all() for d in (d1, d2)):
+        raise AnalysisError("offsets must lie in [0, D]")
     n = scheme.n_packets
     s = max(scheme.r, 1.0)   # exact; the gapless step (r + 1) - r can round off 1
     r_code = scheme.code_rate
@@ -249,25 +257,45 @@ class SimConfig:
     n: int | None = None         # bits per source, stochastic mode only
 
     def __post_init__(self):
-        if self.scheme.n_packets > MAX_SIM_PACKETS:
-            raise AnalysisError(f"simulation takes at most {MAX_SIM_PACKETS} packets, "
-                                f"got {self.scheme.n_packets!r}")
-        if self.trials < 1:
-            raise AnalysisError("need at least one trial")
-        if not 0 <= self.seed < 2**128:
-            raise AnalysisError(f"seed must be in [0, 2**128), got {self.seed}")
-        if self.mode not in ("fluid", "stochastic"):
-            raise AnalysisError(f"unknown simulation mode {self.mode!r}")
-        if self.mode == "stochastic" and not self.n:
-            raise AnalysisError("stochastic mode needs the bits-per-source count n")
-        if self.mode != "stochastic" and self.n is not None:
-            raise AnalysisError("the bits-per-source count n applies to stochastic mode only")
-        rate = self.scheme.n_packets * self.scheme.code_rate    # 1/theta, as the kernels take it
-        if rate == 0:
-            raise AnalysisError("codeword length 1/(N r lambda) is infinite: N r lambda is 0")
-        if not (rate < math.inf and math.isfinite(self.scheme.d_max / (1.0 / rate))):
-            raise AnalysisError(f"asynchrony window D = {self.scheme.d_max!r} is not a finite "
-                                "number of codeword lengths 1/(N r lambda)")
+        _check_run(self.scheme, self.mode, self.n, self.trials, self.seed, self.scheme.d_max)
+
+
+def _check_run(scheme: SchemeParams, mode: str, n=None, trials=1, seed=0, d_max=None):
+    """A run's rules beyond SchemeParams', in this order, before anything is
+    allocated: N; integer trials, seed and n; the mode; a codeword length
+    1/(N r lam) that is positive and, given D, fits finitely often in it; n."""
+    if scheme.n_packets > MAX_SIM_PACKETS:
+        raise AnalysisError(f"simulation takes at most {MAX_SIM_PACKETS} packets, "
+                            f"got {scheme.n_packets!r}")
+    for name, value in (("trial count", trials), ("seed", seed), ("bits-per-source count n", n)):
+        if value is not None and not _is_int(value):
+            raise AnalysisError(f"{name} must be an integer, got {value!r}")
+    if trials < 1:
+        raise AnalysisError("need at least one trial")
+    if not 0 <= seed < 2**128:
+        raise AnalysisError(f"seed must be in [0, 2**128), got {seed}")
+    if mode not in ("fluid", "stochastic"):
+        raise AnalysisError(f"unknown simulation mode {mode!r}")
+    if mode == "stochastic" and not n:
+        raise AnalysisError("stochastic mode needs the bits-per-source count n")
+    if mode != "stochastic" and n is not None:
+        raise AnalysisError("the bits-per-source count n applies to stochastic mode only")
+    rate = scheme.n_packets * scheme.code_rate    # 1/theta, as the kernels take it
+    if rate == 0:
+        raise AnalysisError("codeword length 1/(N r lambda) is infinite: N r lambda is 0")
+    if d_max is not None and not (rate < math.inf and math.isfinite(d_max / (1.0 / rate))):
+        raise AnalysisError(f"asynchrony window D = {d_max!r} is not a finite "
+                            "number of codeword lengths 1/(N r lambda)")
+    if mode == "fluid":
+        return
+    if n < scheme.n_packets:
+        raise AnalysisError("packet size rounds to zero bits")
+    slots = n / scheme.lam if n < 2**1023 else math.inf    # n past the float range overflows
+    if slots > 2.0**53:
+        raise AnalysisError(f"n / lambda = {slots:.3g} slots exceeds 2**53, "
+                            "beyond which slot times are not exact floats")
+    if not math.isfinite(n / rate):
+        raise AnalysisError(f"codeword length n/(N r lambda) is infinite: {n} / {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -337,3 +365,33 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
         mode=config.mode,
         per_codeword_failures=fails.tolist(),
     )
+
+
+class CheckRecord(NamedTuple):
+    """A user's entry of check_report: the closed form compared with and the
+    verdict, or (None, None) and the reason the user is skipped."""
+
+    user: int
+    closed_form: float | None
+    passed: bool | None
+    skipped: str = ""
+
+
+def check_report(result: SimResult, info: InfoQuantities,
+                 scheme: SchemeParams) -> list[CheckRecord]:
+    """One CheckRecord per user.  A user's outage p_hat in ``result`` passes
+    when |p_hat - p| <= 4 sqrt(max(p(1 - p), 1e-12)/trials), with p its
+    analysis.closed_form_outage at ``scheme``.  Stochastic outage has a
+    finite-n bias, so stochastic mode compares only users with rho >= 0 and chi1."""
+    records = []
+    for user, p_hat in zip((1, 2), result.outage):
+        bound = analysis.closed_form_outage(info, user, scheme.lam, scheme.r, scheme.n_packets,
+                                            scheme.d_max, scheme.decoder[user - 1])
+        if result.mode != "fluid" and (bound.inputs.rho < 0 or not bound.inputs.chi1):
+            why = "stochastic mode compares only users with rho >= 0 and chi1"
+            records.append(CheckRecord(user, None, None, why))
+        else:
+            p = bound.finite_n
+            sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / result.trials)
+            records.append(CheckRecord(user, p, bool(abs(p_hat - p) <= 4.0 * sigma)))
+    return records

@@ -1012,3 +1012,108 @@ def test_fluid_benchmark_operations_reproduce_references(runner, monkeypatch, th
         result = runner.invoke(main, list(op.args))
         assert result.exit_code == 0, f"{op.name}: {result.stderr}"
         assert result.stdout == wl.reference_text(op), op.name
+
+
+# ---------------------------------------------------------------------------
+# the library owners of the sweep's numbers and the --check verdicts
+# ---------------------------------------------------------------------------
+
+def test_sweep_writes_the_cells_of_sweep_table(runner, gaussian_file, tmp_path):
+    # analysis.sweep_table evaluates the grid; the CSV shows its numbers as repr
+    # cells, blank where the table holds nan, in (mode, user, N, value) order.
+    out = tmp_path / "t.csv"
+    grid, ns, modes = [0.3, 1.0, 2.0, 5.5], [1, 4], ["tin", "di"]
+    result = runner.invoke(
+        main,
+        ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+         "--values", ",".join(map(str, grid)), "--d", "5", "--r", "1.5",
+         "--n", ",".join(map(str, ns)), "--mode", "tin", "--mode", "di", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    info = ic.gaussian_info_quantities(ic.load_channel(gaussian_file))
+    columns, skipped = ic.sweep_table(info, np.array(grid), 1.5, np.array(ns)[:, None], 5.0,
+                                      modes)
+    assert skipped == [(3, "tin", ic.analysis.NO_FEASIBLE_RATE),
+                       (3, "di", ic.analysis.NO_FEASIBLE_RATE)]
+    assert columns["p_outage_finiteN"].shape == (2, 2, 2, 4)
+    assert columns["epsilon"].shape == columns["case_label"].shape == (2, 1, 1, 4)
+    with open(out) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 32
+    for row in rows:
+        m, u, g = modes.index(row["mode"]), int(row["user"]) - 1, grid.index(float(row["value"]))
+        k = ns.index(int(row["N"]))
+        for c in ("rho", "beta", "chi1", "chi2", "p_outage_limit", "p_outage_finiteN",
+                  "epsilon", "kappa", "case_label"):
+            x = np.broadcast_to(columns[c], (2, 2, 2, 4))[m, u, k, g]
+            cell = str(x) if c == "case_label" else "" if x != x else repr(x.item())
+            assert row[c] == cell, (c, row)
+
+
+def test_sweep_table_blanks_outage_below_zero_rho_and_names_channel_faults(discrete_file):
+    info = ic.info_quantities(ic.load_channel(discrete_file), *[ic.InputDistribution(
+        np.full(2, 0.5))] * 2)
+    lam = np.array([0.01, 0.03, 0.1])
+    columns, skipped = ic.sweep_table(info, lam, None, None, 5.0, ["di"])
+    assert sorted(columns) == ["case_label", "epsilon"]
+    assert columns["epsilon"][0, 0, 0, :2].tolist() == [0.0, 0.0]
+    assert np.isnan(columns["epsilon"][0, 0, 0, 2])
+    [(point, mode, reason)] = skipped
+    assert (point, mode) == (2, "di") and reason.startswith("user 2: nonpositive denominator")
+    columns, skipped = ic.sweep_table(info, lam, 1.5, 4, 5.0, ["tin"])
+    blank = columns["rho"] < 0
+    assert blank.any() and (np.isnan(columns["p_outage_finiteN"]) == blank).all()
+    assert columns["chi1"].dtype.kind == "i"
+    assert skipped == [(2, "tin", ic.analysis.NO_FEASIBLE_RATE)]
+
+
+def test_sweep_table_refuses_what_the_closed_forms_refuse(discrete_file):
+    info = ic.gaussian_info_quantities(ic.load_channel(str(CONFIGS / "gaussian.json")))
+    with pytest.raises(ic.AnalysisError, match="normalized code rate must be finite, got nan"):
+        ic.sweep_table(info, np.array([1.0, 2.0]), math.nan, None, 5.0, ["tin"])
+
+
+def _simulate(runner, channel, *args):
+    return runner.invoke(main, ["simulate", "--channel", channel, *args])
+
+
+@pytest.mark.parametrize("args, exit_code", [
+    (["--lambda", "1.0", "--r", "1.5", "--n-packets", "4", "--d", "5", "--trials", "20000",
+      "--seed", "3"], 0),
+    (["--lambda", "0.4", "--r", "3.0", "--n-packets", "4", "--d", "5", "--trials", "2",
+      "--seed", "90"], 4),
+    (["--lambda", "0.9", "--r", "0.8", "--n-packets", "4", "--d", "1", "--mode", "stochastic",
+      "--n", "2000", "--trials", "200"], 2),
+    (["--lambda", "0.9", "--r", "1.5", "--n-packets", "4", "--d", "1", "--mode", "stochastic",
+      "--n", "2000", "--trials", "200"], 0),
+])
+def test_simulate_check_reads_check_report(runner, gaussian_file, args, exit_code):
+    # The exit code and the stderr line follow simulator.check_report's records.
+    result = _simulate(runner, gaussian_file, *args, "--check")
+    assert result.exit_code == exit_code
+    info = ic.gaussian_info_quantities(ic.load_channel(gaussian_file))
+    value = dict(zip(args[::2], args[1::2]))
+    scheme = ic.SchemeParams(float(value["--lambda"]), float(value["--r"]),
+                             int(value["--n-packets"]), float(value["--d"]))
+    sim_result = ic.SimResult(**json.loads(result.stdout))
+    report = ic.check_report(sim_result, info, scheme)
+    assert [record.user for record in report] == [1, 2]
+    for record, p_hat in zip(report, sim_result.outage):
+        if record.skipped:
+            assert (record.closed_form, record.passed) == (None, None)
+            continue
+        p = ic.closed_form_outage(info, record.user, scheme.lam, scheme.r, scheme.n_packets,
+                                  scheme.d_max, "tin").finite_n
+        sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / sim_result.trials)
+        assert (record.closed_form, record.passed) == (p, abs(p_hat - p) <= 4.0 * sigma)
+    if exit_code == 4:
+        failed = next(record for record in report if record.passed is False)
+        assert result.stderr == (f"error: user {failed.user}: empirical outage "
+                                 f"{sim_result.outage[failed.user - 1]:.5f} deviates from "
+                                 f"closed form {failed.closed_form:.5f} by more than 4 sigma\n")
+    elif exit_code == 2:
+        assert all(record.skipped for record in report)
+        assert result.stderr == f"error: --check compared no user: {report[0].skipped}\n"
+    else:
+        assert all(record.passed for record in report if not record.skipped)
+        assert result.stderr == "check passed\n"

@@ -1,12 +1,15 @@
-"""The scheme's input rules: one check owns them, every public analysis entry
-answers or refuses on any input, and no command ends in a traceback.
+"""The scheme's input rules: one check owns them, every public analysis and
+simulator entry answers or refuses on any input, and no command ends in a
+traceback.
 
-Each callable of ``analysis.__all__`` has a row in ``ENTRIES``: a strategy for
-its arguments, drawn from extremes (nan, +-inf, 0, negatives, subnormals,
-1e308, non-integer and huge N) as well as ordinary values, and a check of its
-answer.  A call either refuses with ``AnalysisError`` or answers with no nan,
-every probability in [0, 1], and no numpy warning.  A callable with no row
-fails, as tests/test_exports.py fails an unlisted name.
+Each callable of ``analysis.__all__`` and ``simulator.__all__`` (but the plain
+record ``SimResult``) has a row in ``ENTRIES``: a strategy for its arguments,
+drawn from extremes (nan, +-inf, 0, negatives, subnormals, 1e308, non-integer,
+bool and huge counts) as well as ordinary values, and a check of its answer.
+A call either refuses with ``AnalysisError`` or answers with no nan, every
+probability in [0, 1], and no numpy warning.  A callable with no row fails, as
+tests/test_exports.py fails an unlisted name.  Simulation rows stay small: N
+<= 64, at most 200 trials and n <= 10**4 wherever a run would be made.
 """
 
 import math
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import ic_outage as ic
 from ic_outage import analysis as an
+from ic_outage import cli
 from ic_outage import simulator as sim
 from ic_outage.cli import main
 
@@ -95,6 +99,126 @@ def _outage_inputs(info, lam, r, n, d, mode):
     return an.outage_inputs(info, an.SchemeParams(lam, r, n, d, mode))
 
 
+def _sweep_table(info, lam, r, n_packets, d_max, modes):
+    return modes, an.sweep_table(info, lam, r, n_packets, d_max, modes)
+
+
+def _check_sweep_table(res):
+    modes, (columns, skipped) = res
+    assert set(columns) <= set(cli.CSV_COLUMNS) and {"epsilon", "case_label"} <= set(columns)
+    eps = columns["epsilon"]
+    assert eps.shape[:3] == (len(modes), 1, 1)
+    _probability(eps[~np.isnan(eps)])
+    for point, mode, reason in skipped:
+        assert reason and np.isnan(eps[modes.index(mode), 0, 0, point])
+    if "rho" in columns:
+        _probability(np.asarray(columns["kappa"]) / 2.0)
+        _no_nan(columns["rho"], columns["beta"])
+        assert set(np.unique(columns["chi1"])) | set(np.unique(columns["chi2"])) <= {0, 1}
+        for c in ("p_outage_limit", "p_outage_finiteN"):
+            if c in columns:
+                blank = np.broadcast_to(columns["rho"] < 0, columns[c].shape)
+                assert (np.isnan(columns[c]) == blank).all()
+                _probability(columns[c][~blank])
+
+
+def _check_decoded(ok):
+    assert np.asarray(ok).dtype == bool
+
+
+# Simulation arguments: an ordinary value about three draws in four, so that
+# many runs are made, else an extreme.  Counts that pass their rules are small;
+# the huge ones are refused before anything is allocated.
+def _mostly(ordinary, extreme):
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda usual: ordinary if usual else extreme)
+
+
+SIM_PACKETS = _mostly(st.integers(1, 64),
+                      st.sampled_from([0, -3, 2.5, 4.0, True, 2**53, 10**22]))
+TRIALS = _mostly(st.integers(1, 200), st.sampled_from([0, -1, 2.5, math.nan, True]))
+SEED = _mostly(st.integers(0, 2**64), st.sampled_from([-1, 1.5, True, 2**128, 2**128 - 1]))
+BITS = _mostly(st.integers(64, 10**4),
+               st.sampled_from([None, 0, -5, 2.5, 100.5, math.nan, True, 2**53, 10**400]))
+# mode and n: no n in fluid mode, as a rule
+MODE_BITS = _mostly(st.one_of(st.just(("fluid", None)), st.tuples(st.just("stochastic"), BITS)),
+                    st.tuples(st.sampled_from(["fluid", "stochastic", "exact"]), BITS))
+LAM, RATE, WINDOW = (_mostly(st.floats(lo, hi), REAL) for lo, hi in ((0.01, 1.0), (0.2, 5.0),
+                                                                      (0.01, 10.0)))
+SCHEME_ARGS = st.tuples(LAM, RATE, SIM_PACKETS, WINDOW, MODE)
+CONFIG_ARGS = st.tuples(SCHEME_ARGS, TRIALS, SEED, MODE_BITS).map(lambda a: (*a[:3], *a[3]))
+RNG = st.integers(0, 2**32).map(np.random.default_rng)
+
+
+def _config(scheme_args, trials, seed, mode, n):
+    return sim.SimConfig(an.SchemeParams(*scheme_args), trials, seed, mode, n)
+
+
+def _run(info, config_args):
+    config = _config(*config_args)
+    return config, sim.run_trials(config, info)
+
+
+def _check_result(res):
+    config, result = res
+    _probability(result.outage, np.array(result.per_codeword_failures) / config.trials)
+    _no_nan(result.halfwidth, result.rates)
+    assert np.shape(result.per_codeword_failures) == (2, config.scheme.n_packets)
+    assert min(result.halfwidth) >= 0.0 and min(result.rates) >= 0.0
+
+
+def _check_report(info, config_args):
+    config, result = _run(info, config_args)
+    return result, sim.check_report(result, info, config.scheme)
+
+
+def _check_check_report(res):
+    result, report = res
+    assert [record.user for record in report] == [1, 2]
+    for record in report:
+        if record.skipped:
+            assert result.mode == "stochastic" and record[1:3] == (None, None)
+        else:
+            _probability(record.closed_form)
+            assert isinstance(record.passed, bool)
+
+
+def _check_tau(tau):
+    _no_nan(tau)
+    assert (np.diff(tau) >= 0).all() and tau[0] >= 1.0
+
+
+# Schedules: gaps of at least one codeword length, or sorted extremes.
+STARTS = st.integers(1, 8).flatmap(lambda k: st.tuples(*[_mostly(
+    st.lists(st.floats(1.0, 4.0), min_size=k, max_size=k).map(np.cumsum),
+    st.lists(REAL, min_size=k, max_size=k).map(sorted).map(np.array))] * 2))
+
+
+def _check_overlap(res):
+    _no_nan(*res)
+    assert all(((mu >= 0.0) & (mu <= 2.0)).all() for mu in res)
+
+
+def _fluid_flags(offsets, scheme_args, info):
+    # offsets are drawn as fractions of D, and some extremes as they are
+    scheme = an.SchemeParams(*scheme_args)
+    return sim.fluid_outage_flags(*(d * scheme.d_max if usual else d for usual, d in offsets),
+                                  scheme, info)
+
+
+def _check_flags(res):
+    out1, out2, fails = res
+    assert out1.dtype == out2.dtype == bool and fails.shape[0] == 2
+    assert (fails >= 0).all() and (fails <= len(out1)).all()
+
+
+OFFSETS = st.integers(1, 8).flatmap(lambda k: st.tuples(*[_mostly(
+    st.tuples(st.just(True), st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)),
+    st.tuples(st.just(False), st.lists(REAL, min_size=k, max_size=k)))
+    .map(lambda x: (x[0], np.array(x[1])))] * 2))
+MODES = st.lists(MODE, min_size=1, max_size=2, unique=True)
+
+
 # name -> (argument strategy, call, check of the answer)
 ENTRIES = {
     "SchemeParams": (st.tuples(REAL, REAL, PACKETS, REAL, MODE),
@@ -119,12 +243,28 @@ ENTRIES = {
                                      st.one_of(st.none(), PACKETS), REAL, MODE),
                            an.closed_form_outage, _check_closed_form),
     "avg_rate": (st.tuples(PACKETS, REAL, REAL), an.avg_rate, _check_rate),
+    "sweep_table": (st.tuples(INFO, _mostly(st.lists(st.floats(0.01, 5.0), min_size=1,
+                                                     max_size=4).map(np.array), REAL_OR_ARRAY),
+                              st.one_of(st.none(), RATE), st.one_of(st.none(), SIM_PACKETS),
+                              WINDOW, MODES),
+                    _sweep_table, _check_sweep_table),
+    # simulator
+    "SimConfig": (CONFIG_ARGS, _config, lambda config: _check_scheme_params(config.scheme)),
+    "run_trials": (st.tuples(INFO, CONFIG_ARGS), _run, _check_result),
+    "check_report": (st.tuples(INFO, CONFIG_ARGS), _check_report, _check_check_report),
+    "simulate_tau": (st.tuples(LAM, BITS, SIM_PACKETS, RATE, RNG), sim.simulate_tau, _check_tau),
+    "overlap_fractions": (STARTS, sim.overlap_fractions, _check_overlap),
+    "decode_success": (st.tuples(_mostly(st.floats(0.0, 1.0), REAL_OR_ARRAY), INFO, USER,
+                                 RATE, MODE), sim.decode_success,
+                       _check_decoded),
+    "fluid_outage_flags": (st.tuples(OFFSETS, SCHEME_ARGS, INFO), _fluid_flags, _check_flags),
 }
 
 
 def _entries() -> list[str]:
-    return sorted(name for name in an.__all__
-                  if callable(getattr(an, name)) and getattr(an, name) is not an.AnalysisError)
+    return sorted(name for module in (an, sim) for name in module.__all__
+                  if callable(getattr(module, name))
+                  and getattr(module, name) not in (an.AnalysisError, sim.SimResult))
 
 
 def test_every_public_entry_has_a_row():
@@ -246,6 +386,71 @@ def test_sim_config_refuses_n_above_the_ceiling(mode, n):
             ic.SimConfig(scheme=above, trials=10, seed=0, mode=mode, n=n)
 
 
+def test_simulate_tau_meets_the_rules_of_sim_config():
+    # simulate_tau checked none of its arguments: nan lam raised a numpy ValueError,
+    # N = 0 a ZeroDivisionError, and r = nan answered nan release times.
+    rng = np.random.default_rng(0)
+    calls = [
+        ((math.nan, 100, 4, 1.5), "arrival rate must be positive, got nan"),
+        ((0.5, 100, 0, 1.5), "number of packets must be at least 1, got 0"),
+        ((0.5, 100, 2.5, 1.5), "number of packets must be an integer type, got 2.5"),
+        ((0.5, 100, 4, math.nan), "normalized code rate must be finite, got nan"),
+        ((2.0, 100, 4, 1.5), "arrival rate must be at most 1, got 2.0"),
+        ((1.0, 2**53, sim.MAX_SIM_PACKETS + 1, 1.5),
+         "simulation takes at most 4000000 packets, got 4000001"),
+        ((0.5, 100.5, 4, 1.5), "bits-per-source count n must be an integer, got 100.5"),
+        ((0.5, True, 4, 1.5), "bits-per-source count n must be an integer, got True"),
+        ((0.5, 3, 4, 1.5), "packet size rounds to zero bits"),
+        ((0.5, 10**400, 4, 1.5), "n / lambda = inf slots exceeds 2[*][*]53"),
+        ((0.5, 100, 4, 5e-324), "codeword length 1/[(]N r lambda[)] is infinite"),
+        ((0.5, 100, 4, 1e-310), "codeword length n/[(]N r lambda[)] is infinite"),
+    ]
+    for args, message in calls:
+        with pytest.raises(ic.AnalysisError, match=message):
+            sim.simulate_tau(*args, rng)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 2.5}, "trial count must be an integer, got 2.5"),
+    ({"trials": True}, "trial count must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"mode": "stochastic", "n": 100.5}, "bits-per-source count n must be an integer, got 100.5"),
+    ({"mode": "stochastic", "n": True}, "bits-per-source count n must be an integer, got True"),
+])
+def test_sim_config_refuses_a_count_that_is_not_an_integer(kwargs, message):
+    # trials = 2.5 ended in a TypeError in run_trials; seed = 1.5 and n = 100.5 ran.
+    scheme = ic.SchemeParams(lam=0.5, r=1.5, n_packets=4, d_max=1.0)
+    with pytest.raises(ic.AnalysisError, match=message):
+        ic.SimConfig(**{"scheme": scheme, "trials": 10, "seed": 0, **kwargs})
+
+
+def test_kernels_refuse_inputs_outside_their_domain():
+    info = INFOS["gaussian"]
+    scheme = ic.SchemeParams(lam=0.5, r=1.5, n_packets=4, d_max=1.0)
+    calls = [
+        (lambda: sim.decode_success(np.array([0.5, math.inf]), info, 1, 0.75, an.TIN),
+         "interfered fractions in \\[0, 2\\]"),
+        (lambda: sim.decode_success(0.5, info, 1, math.nan, an.TIN), "code rate above 0"),
+        (lambda: sim.overlap_fractions([0.0, math.inf], [0.0, 2.0]),
+         "codeword starts must be finite, sorted and at least 1 apart"),
+        (lambda: sim.fluid_outage_flags(np.array([0.5]), np.array([1.5]), scheme, info),
+         "offsets must lie in \\[0, D\\]"),
+        (lambda: sim.fluid_outage_flags(np.array([math.nan]), np.array([0.5]), scheme, info),
+         "offsets must lie in \\[0, D\\]"),
+        (lambda: sim.fluid_outage_flags(np.zeros(1), np.zeros(1), ic.SchemeParams(
+            lam=1.0, r=1.5, n_packets=2**53, d_max=1.0), info), "at most 4000000 packets"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ic.AnalysisError, match=message):
+            call()
+    # Starts too far apart to subtract do not overlap, without an overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu1, mu2 = sim.overlap_fractions([-1e308, 1e308], [-1e308, 1e308])
+    assert mu1.tolist() == mu2.tolist() == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("n_packets", [sim.MAX_SIM_PACKETS + 1, 2**53])
 def test_fluid_simulate_refuses_n_above_the_ceiling(n_packets):
     result = CliRunner().invoke(main, [
@@ -266,6 +471,22 @@ def test_simulate_refuses_a_code_rate_that_underflows():
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == ("error: codeword length 1/(N r lambda) is infinite: "
                              "N r lambda is 0\n")
+
+
+@pytest.mark.parametrize("r, n, message", [
+    # n past the float range ended in an OverflowError traceback (exit 1)
+    ("1.5", "1" + "0" * 400,
+     "n / lambda = inf slots exceeds 2**53, beyond which slot times are not exact floats"),
+    # a codeword of n/(N r lambda) = inf slots printed numpy warnings before its error
+    ("1e-310", "1000", "codeword length n/(N r lambda) is infinite: 1000 / 2.0000000000001e-310"),
+])
+def test_stochastic_simulate_refuses_n_it_cannot_time(r, n, message):
+    result = CliRunner().invoke(main, [
+        "simulate", "--channel", str(CONFIGS / "gaussian.json"), "--lambda", "0.5", "--r", r,
+        "--n-packets", "4", "--d", "1", "--mode", "stochastic", "--n", n, "--trials", "5"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_alpha_sweep_takes_a_window_past_the_float_range_without_a_warning(tmp_path):

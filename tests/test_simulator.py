@@ -124,6 +124,17 @@ def test_arrival_slots_at_full_rate_are_the_bits_read(n, n_packets):
     assert (xi == _bits_read(n, n_packets).astype(float)).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(n_packets=st.integers(1, 3000), data=st.data())
+def test_arrival_slot_boundaries_equal_the_exact_integer_list(n_packets, data):
+    # The bits read, ceil(j n/N), are built with numpy as j q + ceil(j p/N) for
+    # n = q N + p; j n itself would pass 2**63 for n near 2**53.
+    n = data.draw(st.one_of(st.integers(n_packets, 10**6),
+                            st.integers(max(n_packets, 2**53 - 10**6), 2**53)))
+    xi = simulator._arrival_slots(1.0, n, n_packets, np.random.default_rng(0))
+    assert xi.tolist() == _bits_read(n, n_packets).tolist()
+
+
 @pytest.mark.parametrize("lam, n, n_packets", [(0.3, 997, 7), (0.3, 1000, 8), (0.05, 10**6, 5)])
 def test_arrival_slots_match_negative_binomial_moments(lam, n, n_packets):
     # xi_j = k_j + NegBinomial(k_j, lam): mean k_j/lam, variance k_j(1-lam)/lam^2 and
