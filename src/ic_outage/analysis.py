@@ -442,6 +442,8 @@ def sweep_table(info: InfoQuantities, lam, r, n_packets, d_max, modes):
     for each point left without epsilon.  A fault of the channel fails every
     point above the mode's zero threshold; epsilon is 0 at or below it."""
     _check_scheme(lam=lam, r=r, d_max=d_max, n_packets=n_packets)
+    if not modes:
+        raise AnalysisError("a sweep needs at least one decoder mode")
     size = (np.broadcast(lam, r, n_packets, d_max).shape or (1,))[-1]
 
     def grid(x):    # x as it varies over the points

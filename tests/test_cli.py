@@ -1067,7 +1067,7 @@ def test_sweep_table_blanks_outage_below_zero_rho_and_names_channel_faults(discr
     assert skipped == [(2, "tin", ic.analysis.NO_FEASIBLE_RATE)]
 
 
-def test_sweep_table_refuses_what_the_closed_forms_refuse(discrete_file):
+def test_sweep_table_refuses_what_the_closed_forms_refuse():
     info = ic.gaussian_info_quantities(ic.load_channel(str(CONFIGS / "gaussian.json")))
     with pytest.raises(ic.AnalysisError, match="normalized code rate must be finite, got nan"):
         ic.sweep_table(info, np.array([1.0, 2.0]), math.nan, None, 5.0, ["tin"])

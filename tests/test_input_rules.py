@@ -216,7 +216,7 @@ OFFSETS = st.integers(1, 8).flatmap(lambda k: st.tuples(*[_mostly(
     st.tuples(st.just(True), st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)),
     st.tuples(st.just(False), st.lists(REAL, min_size=k, max_size=k)))
     .map(lambda x: (x[0], np.array(x[1])))] * 2))
-MODES = st.lists(MODE, min_size=1, max_size=2, unique=True)
+MODES = st.lists(MODE, max_size=2, unique=True)
 
 
 # name -> (argument strategy, call, check of the answer)
