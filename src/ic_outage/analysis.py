@@ -88,7 +88,8 @@ def _out(x):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """A point of the scheme: _check_scheme's rules, lam <= 1, an int N and a finite D."""
+    """A point of the scheme: _check_scheme's rules, lam <= 1, an int N, a
+    finite D and a decoder pair from _decoder_pair."""
 
     lam: float            # arrival rate, bits/slot
     r: float              # normalized code rate R_c / lam
@@ -105,12 +106,7 @@ class SchemeParams:
         _check_scheme(lam=self.lam, r=self.r, d_max=self.d_max, n_packets=self.n_packets)
         if not self.lam <= 1.0:
             raise AnalysisError(f"arrival rate must be at most 1, got {self.lam!r}")
-        dec = self.decoder
-        if isinstance(dec, str):
-            dec = (dec, dec)
-            object.__setattr__(self, "decoder", dec)
-        if any(m not in (TIN, DI) for m in dec):
-            raise AnalysisError(f"unknown decoder mode in {dec}")
+        object.__setattr__(self, "decoder", _decoder_pair(self.decoder))
 
     @property
     def code_rate(self) -> float:
@@ -119,6 +115,15 @@ class SchemeParams:
     @property
     def alpha(self) -> float:
         return float(alpha_of(self.lam, self.d_max))
+
+
+def _decoder_pair(mode) -> tuple[str, str]:
+    """Both users' decoders: one mode names both, otherwise a pair of TIN/DI."""
+    pair = (mode, mode) if isinstance(mode, str) else mode
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(m in (TIN, DI) for m in pair)):
+        raise AnalysisError(f"decoder must be {TIN!r}, {DI!r} or a pair of them, got {mode!r}")
+    return tuple(pair)
 
 
 class RhoValue(NamedTuple):
@@ -130,12 +135,16 @@ def _constraints(info: InfoQuantities, user: int, mode: str) -> list[tuple[str, 
     """User i's decoding constraints as (name, full, mixed): a codeword with
     interfered fraction mu decodes when R_c < (1 - mu) full + mu mixed for
     every entry.  TIN has (C*, C); DI has (C~*, C~) and (C*, C_cross).  Each
-    is named by its denominator full - mixed."""
-    c_star, c, c_cross, ct_star, ct = info.for_user(user)
+    is named by its denominator full - mixed.  Only this function reads a
+    user's share of the constants."""
+    if not (_is_int(user) and user in (1, 2)):
+        raise AnalysisError(f"user must be 1 or 2, got {user!r}")
+    j = user - 1
     if mode == TIN:
-        return [("C*-C", c_star, c)]
+        return [("C*-C", info.c_star[j], info.c[j])]
     if mode == DI:
-        return [("C~*-C~", ct_star, ct), ("C*-C_cross", c_star, c_cross)]
+        return [("C~*-C~", info.c_tilde_star[j], info.c_tilde[j]),
+                ("C*-C_cross", info.c_star[j], info.c_cross[j])]
     raise AnalysisError(f"unknown decoder mode {mode!r}")
 
 
@@ -160,17 +169,17 @@ def _ratios(info: InfoQuantities, user: int, mode: str, lam):
     return pairs, cap
 
 
-def _zero_threshold(info: InfoQuantities, modes: tuple[str, str]) -> float:
+def _zero_threshold(info: InfoQuantities, mode) -> float:
     """The arrival rate at or below which outage vanishes: the smallest
-    mixed rate over both users' constraints."""
-    return min(mixed for user, mode in zip((1, 2), modes)
-               for _, _, mixed in _constraints(info, user, mode))
+    mixed rate over both users' constraints, under _decoder_pair(mode)."""
+    return min(mixed for user, m in zip((1, 2), _decoder_pair(mode))
+               for _, _, mixed in _constraints(info, user, m))
 
 
 def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
     """(lambda_TIN, lambda_DI): the arrival rates at or below which outage
     vanishes when both users run that decoder."""
-    return _zero_threshold(info, (TIN, TIN)), _zero_threshold(info, (DI, DI))
+    return _zero_threshold(info, TIN), _zero_threshold(info, DI)
 
 
 def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
@@ -367,7 +376,7 @@ def epsilon_bound(info: InfoQuantities, lam, d_max, mode) -> EpsilonResult:
     """Outage-level bound: zero below the decoder threshold, else
     kappa * max_i beta_i(r0), with its case label.  lam and d_max broadcast."""
     _check_scheme(lam=lam, d_max=d_max)
-    modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
+    modes = _decoder_pair(mode)
     users = tuple(zip((1, 2), modes))
     lam, d_max = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(d_max, dtype=float))
     zero = lam <= _zero_threshold(info, modes)
@@ -455,7 +464,7 @@ def sweep_table(info: InfoQuantities, lam, r, n_packets, d_max, modes):
             eps = epsilon_bound(info, lam, d_max, mode)
             kind, value, label, fault = grid(eps.kind), eps.value, eps.case_label, ""
         except AnalysisError as exc:
-            zero = grid(np.asarray(lam) <= _zero_threshold(info, (mode, mode)))
+            zero = grid(np.asarray(lam) <= _zero_threshold(info, mode))
             kind, value, label = np.where(zero, "zero", ""), None, "outside-ladder"
             fault = np.where(zero, "", str(exc))
         columns["epsilon"].append(np.where(kind == "zero", 0.0, np.asarray(value, dtype=float)))

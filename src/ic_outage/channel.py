@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class DiscreteIC:
             if (kern < 0).any():
                 r = int(np.argwhere(kern < 0)[0][0])
                 raise ChannelValidationError(f"{name} row {r} has a negative entry")
-            sums = kern.sum(axis=1)
+            with np.errstate(over="ignore"):    # a sum past the float range is inf
+                sums = kern.sum(axis=1)
             bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
             if bad.any():
                 r = int(np.argmax(bad))
@@ -150,10 +151,10 @@ class InputDistribution:
             raise ChannelValidationError("input distribution has a non-finite entry")
         if (p < 0).any():
             raise ChannelValidationError("input distribution has negative mass")
-        if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ChannelValidationError(
-                f"input distribution sums to {p.sum():.15f}, expected 1"
-            )
+        with np.errstate(over="ignore"):    # a sum past the float range is inf
+            total = p.sum()
+        if abs(total - 1.0) > _ROW_SUM_TOL:
+            raise ChannelValidationError(f"input distribution sums to {total:.15f}, expected 1")
 
     @classmethod
     def bernoulli(cls, p: float) -> "InputDistribution":
@@ -167,7 +168,9 @@ class InfoQuantities:
 
     Index convention: tuples are (user 1, user 2).  ``c_cross[i]`` is the
     own-signal rate given the interferer's symbol, ``c_tilde*`` are the
-    interferer-signal rates seen at receiver i.
+    interferer-signal rates seen at receiver i.  Building one checks that
+    each field is a tuple or list of two finite numbers >= 0, raising
+    ChannelValidationError at the first that is not.
     """
 
     c_star: tuple[float, float]
@@ -176,16 +179,17 @@ class InfoQuantities:
     c_tilde_star: tuple[float, float]
     c_tilde: tuple[float, float]
 
-    def for_user(self, i: int) -> tuple[float, float, float, float, float]:
-        """(C*, C, C_cross, C~*, C~) for user i in {1, 2}."""
-        j = i - 1
-        return (
-            self.c_star[j],
-            self.c[j],
-            self.c_cross[j],
-            self.c_tilde_star[j],
-            self.c_tilde[j],
-        )
+    def __post_init__(self):
+        for f in fields(self):
+            pair = getattr(self, f.name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise ChannelValidationError(f"{f.name} must be a (user 1, user 2) pair, "
+                                             f"got {pair!r}")
+            for user, x in zip((1, 2), pair):
+                x = x.item() if isinstance(x, np.generic) else x    # numpy scalars shown plain
+                if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x < math.inf:
+                    raise ChannelValidationError(
+                        f"{f.name} of user {user} must be a finite number >= 0, got {x!r}")
 
 
 def _mutual_information(pi: np.ndarray, cond: np.ndarray) -> float:

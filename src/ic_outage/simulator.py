@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 from functools import partial, reduce
 from typing import NamedTuple
@@ -38,6 +39,11 @@ _CHUNK = 16384           # trials per chunk, at most; a fluid chunk peaks near 1
 _CHUNK_ELEMS = 2**20     # codeword starts per user per chunk, at most
 # The largest N a run takes: at about 130 bytes a packet, well within 1 GB.
 MAX_SIM_PACKETS = 4 * 10**6
+# Every time a run computes stays below this: the float range less 2**-20 of it,
+# more than the rounding of the MAX_SIM_PACKETS additions in a release recursion.
+_TIME_LIMIT = sys.float_info.max * (1.0 - 2.0**-20)
+# Arrival slots are int64 counts, so every draw is below this many slots.
+_MAX_SLOT = 2.0**63
 
 
 def _arrival_slots(lam: float, n: int, n_packets: int, rng: np.random.Generator,
@@ -263,7 +269,10 @@ class SimConfig:
 def _check_run(scheme: SchemeParams, mode: str, n=None, trials=1, seed=0, d_max=None):
     """A run's rules beyond SchemeParams', in this order, before anything is
     allocated: N; integer trials, seed and n; the mode; a codeword length
-    1/(N r lam) that is positive and, given D, fits finitely often in it; n."""
+    1/(N r lam) that is positive and, given D, fits finitely often in it; in
+    fluid mode, lattice arithmetic below _TIME_LIMIT; n; in stochastic mode,
+    release times and, given D, codeword starts below _TIME_LIMIT for every
+    draw."""
     if scheme.n_packets > MAX_SIM_PACKETS:
         raise AnalysisError(f"simulation takes at most {MAX_SIM_PACKETS} packets, "
                             f"got {scheme.n_packets!r}")
@@ -287,6 +296,11 @@ def _check_run(scheme: SchemeParams, mode: str, n=None, trials=1, seed=0, d_max=
         raise AnalysisError(f"asynchrony window D = {d_max!r} is not a finite "
                             "number of codeword lengths 1/(N r lambda)")
     if mode == "fluid":
+        # |x + m s| and |m s| in fluid_outage_flags are at most D N r lambda + s
+        lattice = d_max * rate + max(scheme.r, 1.0)
+        if not lattice <= _TIME_LIMIT:
+            raise AnalysisError(f"fluid lattice offsets D N r lambda + max(r, 1) = {lattice:.3g} "
+                                "codeword lengths pass the float range")
         return
     if n < scheme.n_packets:
         raise AnalysisError("packet size rounds to zero bits")
@@ -294,8 +308,23 @@ def _check_run(scheme: SchemeParams, mode: str, n=None, trials=1, seed=0, d_max=
     if slots > 2.0**53:
         raise AnalysisError(f"n / lambda = {slots:.3g} slots exceeds 2**53, "
                             "beyond which slot times are not exact floats")
-    if not math.isfinite(n / rate):
+    n_theta = n / rate      # codeword length in slots
+    if not math.isfinite(n_theta):
         raise AnalysisError(f"codeword length n/(N r lambda) is infinite: {n} / {rate!r}")
+    if n_theta == 0:
+        raise AnalysisError(f"codeword length n/(N r lambda) is 0: {n} / {rate!r}")
+    # A release time is at most its arrival slot plus N - 1 codeword lengths.
+    release = _MAX_SLOT + scheme.n_packets * n_theta
+    if not release <= _TIME_LIMIT:
+        raise AnalysisError(f"release times up to 2**63 + N codeword lengths n/(N r lambda) = "
+                            f"{release:.3g} slots pass the float range")
+    if d_max is None:
+        return
+    # A start d/theta + tau/(n theta) is at most D N r lambda + 2**63/(n theta) + N.
+    starts = d_max * rate + _MAX_SLOT / n_theta + scheme.n_packets
+    if not starts <= _TIME_LIMIT:
+        raise AnalysisError(f"codeword starts D N r lambda + 2**63 N r lambda/n + N = "
+                            f"{starts:.3g} codeword lengths pass the float range")
 
 
 @dataclass(frozen=True)

@@ -482,8 +482,9 @@ def fluid_outage_exact_oracle(info: InfoQuantities, user: int, lam: float, r: fl
                              -half, half))
     at_cuts = mu(cuts)
     # A codeword decodes when R_c < (1 - mu) full + mu mixed for each pair.
-    c_star, c, c_cross, ct_star, ct = info.for_user(user)
-    pairs = [(c_star, c)] if mode == TIN else [(ct_star, ct), (c_star, c_cross)]
+    j = user - 1
+    pairs = ([(info.c_star[j], info.c[j])] if mode == TIN else
+             [(info.c_tilde_star[j], info.c_tilde[j]), (info.c_star[j], info.c_cross[j])])
     crossings = []
     for full, mixed in pairs:
         g = (1.0 - at_cuts) * full + at_cuts * mixed - r_code

@@ -783,8 +783,7 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, us
     # The code rate r*lam is `load` times the user's largest single-user
     # capacity, so every regime of the user's threshold tests is reached.
     info = _random_info(np.random.default_rng(seed), gaussian)
-    c_star, _, _, ct_star, _ = info.for_user(user)
-    lam = load * max(c_star, ct_star) / r
+    lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         bound = ic.analysis.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
     except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
@@ -803,8 +802,7 @@ def test_closed_forms_below_unit_rate_equal_the_gapless_delta_cdf_form(
     # Below r = 1 the lattice step is 1, and the forms at (lam D r, rho) are
     # the gapless delta_cdf form up to rounding.
     info = _random_info(np.random.default_rng(seed), gaussian)
-    c_star, _, _, ct_star, _ = info.for_user(user)
-    lam = load * max(c_star, ct_star) / r
+    lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         bound = ic.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
     except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
@@ -902,8 +900,7 @@ def test_chi1_implies_chi2_and_beta_below_half(seed, gaussian, mode, user, r, lo
     # guarantees them: chi1 is rho < min(1, r - 1), so rho < 1 (chi2, under
     # the same DI cap) and beta = rho/r < 1/2, for r on either side of 1 and of 2.
     info = _random_info(np.random.default_rng(seed), gaussian)
-    c_star, _, _, ct_star, _ = info.for_user(user)
-    lam = load * max(c_star, ct_star) / r
+    lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         inputs = ic.user_outage_inputs(info, user, r, lam, mode)
     except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
@@ -1058,7 +1055,7 @@ def _closed_forms(info, mode):
         "user_outage_inputs": lambda lam, r, d, n: an.user_outage_inputs(info, 2, r, lam, mode),
         "kappa": lambda lam, r, d, n: an.kappa(lam * d),
         "_rate_feasibility_interval":
-            lambda lam, r, d, n: an._rate_feasibility_interval(*info.for_user(1)[:2], lam),
+            lambda lam, r, d, n: an._rate_feasibility_interval(info.c_star[0], info.c[0], lam),
         "epsilon_bound": labelled,
         "outage_ub_finite_n": finite_n,
         "outage_ub_limit": limit,

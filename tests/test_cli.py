@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -836,6 +837,9 @@ def test_sweep_evaluates_each_closed_form_once_per_level(runner, gaussian_file, 
 # ---------------------------------------------------------------------------
 
 _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
+# Finite powers and gains whose products c_i p_i' pass the float range, so C~* = C~ = inf.
+_HUGE_GAUSSIAN_CFG = {"type": "gaussian", "p1": 1e308, "p2": 1e308, "c1": 1e308, "c2": 1e308}
+_HUGE_GAUSSIAN_ERROR = "error: c_tilde_star of user 1 must be a finite number >= 0, got inf\n"
 
 
 @pytest.mark.parametrize(
@@ -918,6 +922,28 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
         (["sweep", "--channel", "GAUSSIAN", "--variable", "lambda", "--values", "1.0",
           "--steps", "8", "--d", "5", "--out", "OUT"],
          "error: give either --values or --lo/--hi/--steps"),
+        # DI read C~* - C~ = inf - inf: two numpy warnings and rho = NaN (analyze), an
+        # unrelated nan-alpha error (sweep) or warnings before an answer (simulate).
+        (["analyze", "--channel", "HUGE", "--lambda", "1", "--mode", "di", "--r", "1.5"],
+         _HUGE_GAUSSIAN_ERROR),
+        (["sweep", "--channel", "HUGE", "--variable", "lambda", "--values", "1.0",
+          "--d", "5", "--r", "1.5", "--n", "4", "--mode", "di", "--out", "OUT"],
+         _HUGE_GAUSSIAN_ERROR),
+        (["simulate", "--channel", "HUGE", "--lambda", "1", *_SIM, "--decoder", "di"],
+         _HUGE_GAUSSIAN_ERROR),
+        # Each of these overflowed the simulator's time axis with a numpy warning.
+        (["simulate", "--channel", "GAUSSIAN", "--mode", "stochastic", "--lambda", "1",
+          "--r", "1e-306", "--n-packets", "28", "--n", "188", "--d", "1", "--trials", "5"],
+         "error: release times up to 2**63 + N codeword lengths n/(N r lambda) = inf slots "
+         "pass the float range\n"),
+        (["simulate", "--channel", "GAUSSIAN", "--mode", "stochastic", "--lambda", "0.5",
+          "--r", "1e308", "--n-packets", "1", "--n", "64", "--d", "2", "--trials", "5"],
+         "error: codeword starts D N r lambda + 2**63 N r lambda/n + N = inf codeword "
+         "lengths pass the float range\n"),
+        (["simulate", "--channel", "GAUSSIAN", "--lambda", "1", "--r", "1e308",
+          "--n-packets", "1", "--d", "1.5", "--trials", "50"],
+         "error: fluid lattice offsets D N r lambda + max(r, 1) = inf codeword lengths "
+         "pass the float range\n"),
     ],
     ids=["discrete-di-check", "discrete-di-epsilon", "negative-seed", "nan-lambda", "nan-r",
          "nan-d", "inf-d",
@@ -929,12 +955,18 @@ _SIM = ["--r", "1.5", "--n-packets", "4", "--d", "1", "--trials", "100"]
          "sweep-n-beyond-2**53", "packet-grid-beyond-2**53", "simulate-n-beyond-2**53",
          "lambda-in-lambda-sweep", "d-in-alpha-sweep", "r-in-r-sweep",
          "n-in-n_packets-sweep", "n-without-r", "n_packets-grid-without-r",
-         "grid-beside-values"],
+         "grid-beside-values", "huge-gaussian-di-analyze", "huge-gaussian-di-sweep",
+         "huge-gaussian-di-simulate", "stochastic-release-times-overflow",
+         "stochastic-starts-overflow", "fluid-lattice-overflow"],
 )
 def test_error_contract(runner, gaussian_file, discrete_file, tmp_path, args, message):
-    paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file,
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_HUGE_GAUSSIAN_CFG))
+    paths = {"GAUSSIAN": gaussian_file, "DISCRETE": discrete_file, "HUGE": str(huge),
              "OUT": str(tmp_path / "x.csv")}
-    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # a numpy warning would end the command in exit 1
+        result = runner.invoke(main, [paths.get(a, a) for a in args])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert message in result.stderr

@@ -1,21 +1,31 @@
-"""The scheme's input rules: one check owns them, every public analysis and
-simulator entry answers or refuses on any input, and no command ends in a
-traceback.
+"""The scheme's input rules: one check owns them, every public channel,
+analysis and simulator entry answers or refuses on any input, and no command
+ends in a traceback.
 
-Each callable of ``analysis.__all__`` and ``simulator.__all__`` (but the plain
-record ``SimResult``) has a row in ``ENTRIES``: a strategy for its arguments,
-drawn from extremes (nan, +-inf, 0, negatives, subnormals, 1e308, non-integer,
-bool and huge counts) as well as ordinary values, and a check of its answer.
-A call either refuses with ``AnalysisError`` or answers with no nan, every
-probability in [0, 1], and no numpy warning.  A callable with no row fails, as
-tests/test_exports.py fails an unlisted name.  Simulation rows stay small: N
-<= 64, at most 200 trials and n <= 10**4 wherever a run would be made.
+Each callable of ``channel.__all__``, ``analysis.__all__`` and
+``simulator.__all__`` (but the exception classes and the plain record
+``SimResult``) has a row in ``ENTRIES``: a strategy for its arguments, drawn
+from extremes (nan, +-inf, 0, negatives, subnormals, 1e308, non-integer, bool
+and huge counts, users other than 1 and 2, decoders other than tin, di or a
+pair of them, and channel constants that are not pairs of finite numbers >= 0)
+as well as ordinary values, and a check of its answer.  A call either refuses
+with ``AnalysisError`` or ``ChannelValidationError`` or answers with no nan,
+every probability in [0, 1], and no numpy warning; a draw marked ``_Out``
+lies outside the callable's domain and must be refused.  A callable with no
+row fails, as tests/test_exports.py fails an unlisted name.  Simulation rows
+stay small: N <= 64, at most 200 trials and n <= 10**4 wherever a run would
+be made; ``lambda_bar`` rows take alphabets of at most 3.  ``load_channel``
+rows draw every key a config needs: a missing one is a ``KeyError``, which
+the CLI reports as a config error.
 """
 
 import math
 import shutil
 import warnings
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,6 +35,7 @@ from hypothesis import strategies as st
 
 import ic_outage as ic
 from ic_outage import analysis as an
+from ic_outage import channel as chan
 from ic_outage import cli
 from ic_outage import simulator as sim
 from ic_outage.cli import main
@@ -37,6 +48,33 @@ INFOS = {
                                    _UNIFORM, _UNIFORM),
 }
 
+
+class _Out(NamedTuple):
+    """A drawn argument outside the callable's domain: the call must refuse it."""
+
+    value: object
+
+
+def _resolve(x, outside: list):
+    """x with each _Out unwrapped, its value appended to ``outside``, and each
+    partial called, through tuples and lists: a partial builds an argument
+    when the call is made, so that its refusal counts as the call's."""
+    if isinstance(x, _Out):
+        outside.append(x.value)
+        x = x.value
+    if isinstance(x, partial):
+        return x()
+    if isinstance(x, (tuple, list)):
+        return type(x)(_resolve(v, outside) for v in x)
+    return x
+
+
+# An ordinary value about three draws in four, else an extreme.
+def _mostly(ordinary, extreme):
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda usual: ordinary if usual else extreme)
+
+
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310, 1e308, -1e308]
 REAL = st.one_of(st.sampled_from(EXTREMES), st.floats(0.01, 5.0), st.floats())
 # The first real argument of a broadcasting entry is sometimes an array.
@@ -44,9 +82,18 @@ REAL_OR_ARRAY = st.one_of(REAL, st.lists(REAL, min_size=1, max_size=4).map(np.ar
 PACKETS = st.one_of(
     st.sampled_from([math.nan, math.inf, 0, -3, 2.5, 4.0, 2**53, 2**53 + 1, 10**20, 10**22]),
     st.integers(1, 2**53), st.integers(-5, 64), st.floats())
-INFO = st.sampled_from(sorted(INFOS)).map(INFOS.get)
-USER = st.sampled_from([1, 2])
-MODE = st.sampled_from([an.TIN, an.DI])
+# Channel constants that InfoQuantities refuses: an entry that is not a finite
+# number >= 0, or a field that is not a pair.
+BAD_CONSTANT = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, "1", True])
+BAD_PAIR = st.one_of(st.tuples(BAD_CONSTANT, st.floats(0.0, 5.0)),
+                     st.tuples(st.floats(0.0, 5.0), BAD_CONSTANT),
+                     st.sampled_from([(1.0,), (1.0, 1.0, 1.0), "ab", 1.0, np.array([1.0, 1.0])]))
+BAD_INFO = st.tuples(st.sampled_from([f.name for f in fields(ic.InfoQuantities)]), BAD_PAIR).map(
+    lambda bad: _Out(partial(ic.InfoQuantities, **{**vars(INFOS["gaussian"]), bad[0]: bad[1]})))
+INFO = _mostly(st.sampled_from(sorted(INFOS)).map(INFOS.get), BAD_INFO)
+USER = _mostly(st.sampled_from([1, 2]), st.sampled_from([0, -1, 3, True, 1.0]).map(_Out))
+MODE = _mostly(st.sampled_from([an.TIN, an.DI]),
+               st.sampled_from([(an.TIN,), (an.TIN, an.DI, an.TIN), "x"]).map(_Out))
 BOOL = st.booleans()
 
 
@@ -126,14 +173,9 @@ def _check_decoded(ok):
     assert np.asarray(ok).dtype == bool
 
 
-# Simulation arguments: an ordinary value about three draws in four, so that
-# many runs are made, else an extreme.  Counts that pass their rules are small;
-# the huge ones are refused before anything is allocated.
-def _mostly(ordinary, extreme):
-    return st.sampled_from([True, True, True, False]).flatmap(
-        lambda usual: ordinary if usual else extreme)
-
-
+# Simulation arguments: mostly ordinary, so that many runs are made.  Counts
+# that pass their rules are small; the huge ones are refused before anything
+# is allocated.
 SIM_PACKETS = _mostly(st.integers(1, 64),
                       st.sampled_from([0, -3, 2.5, 4.0, True, 2**53, 10**22]))
 TRIALS = _mostly(st.integers(1, 200), st.sampled_from([0, -1, 2.5, math.nan, True]))
@@ -219,8 +261,121 @@ OFFSETS = st.integers(1, 8).flatmap(lambda k: st.tuples(*[_mostly(
 MODES = st.lists(MODE, max_size=2, unique=True)
 
 
+def _check_info(info):
+    for f in fields(info):
+        pair = getattr(info, f.name)
+        assert len(pair) == 2 and all(not isinstance(x, bool) and 0.0 <= x < math.inf
+                                      for x in pair), (f.name, pair)
+
+
+# channels: alphabets of at most 3, mostly with kernels of their shape whose
+# rows sum to 1
+SIZE = _mostly(st.integers(1, 3), st.sampled_from([0, -1, 2.5, True, 10**9]))
+IDLE = _mostly(st.integers(0, 2), st.sampled_from([-1, 3, 1.5, True, math.nan]))
+
+
+@st.composite
+def _discrete_args(draw):
+    """DiscreteIC's arguments; an extreme size is read as 2 for the kernel shapes."""
+    sizes = [draw(SIZE) for _ in range(4)]
+    x1, x2, y1, y2 = (v if type(v) is int and 1 <= v <= 3 else 2 for v in sizes)
+    kernels = []
+    for y in (y1, y2):
+        rows = draw(_mostly(st.just(x1 * x2), st.integers(1, 4)))
+        entries = _mostly(st.floats(0.0, 1.0), REAL)
+        w = np.array(draw(st.lists(entries, min_size=rows * y, max_size=rows * y)))
+        w = w.reshape(rows, y)
+        if draw(_mostly(st.just(True), st.just(False))):
+            with np.errstate(all="ignore"):
+                w = w / w.sum(axis=1, keepdims=True)
+        kernels.append(w)
+    return (*sizes, *kernels, draw(IDLE), draw(IDLE))
+
+
+def _check_discrete(ch):
+    for kern, y in ((ch.kernel1, ch.y1_size), (ch.kernel2, ch.y2_size)):
+        assert kern.shape == (ch.x1_size * ch.x2_size, y)
+        assert np.isfinite(kern).all() and (kern >= 0).all()
+        assert (np.abs(kern.sum(axis=1) - 1.0) <= 1e-12).all()
+    assert 0 <= ch.idle1 < ch.x1_size and 0 <= ch.idle2 < ch.x2_size
+
+
+GAUSSIAN_VALUE = _mostly(st.floats(0.01, 100.0), st.one_of(REAL, st.sampled_from([True, "1"])))
+GAUSSIAN_ARGS = st.tuples(*[GAUSSIAN_VALUE] * 4)
+
+
+def _check_gaussian(ch):
+    assert all(0.0 < p < math.inf for p in (ch.p1, ch.p2))
+    assert all(0.0 <= c < math.inf for c in (ch.c1, ch.c2))
+
+
+def _check_channel(ch):
+    (_check_discrete if isinstance(ch, ic.DiscreteIC) else _check_gaussian)(ch)
+
+
+PROBS = _mostly(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+        lambda w: (np.array(w) / sum(w)).tolist() if sum(w) > 0 else w),
+    st.one_of(st.lists(REAL, max_size=3), st.sampled_from([0.5, [[0.5, 0.5]]])))
+
+
+def _check_distribution(d):
+    assert d.probs.ndim == 1 and np.isfinite(d.probs).all() and (d.probs >= 0).all()
+    assert abs(d.probs.sum() - 1.0) <= 1e-12
+
+
+# channels built when the call is made
+BUILT_DISCRETE = _discrete_args().map(lambda a: partial(ic.DiscreteIC, *a))
+BUILT_GAUSSIAN = GAUSSIAN_ARGS.map(lambda a: partial(ic.GaussianIC, *a))
+BUILT_DISTRIBUTION = PROBS.map(lambda p: partial(ic.InputDistribution, p))
+
+
+def _check_lambda_bar(res):
+    value, dists = res
+    assert 0.0 <= value < math.inf
+    for d in dists or ():
+        _check_distribution(d)
+
+
+DBW = _mostly(st.floats(-20.0, 40.0), st.one_of(REAL, st.sampled_from([3100.0, -4000.0, "1"])))
+
+
+@st.composite
+def _channel_config(draw):
+    """A parsed config with every key its type needs: a power as watts, as dBW
+    or (refused) both or neither."""
+    kind = draw(_mostly(st.sampled_from(["gaussian", "discrete"]), st.sampled_from([None, "awgn"])))
+    if kind == "discrete":
+        x1, x2, y1, y2, k1, k2, idle1, idle2 = draw(_discrete_args())
+        kernels = draw(_mostly(st.just((k1.tolist(), k2.tolist())),
+                               st.sampled_from([([["a"]], [[1.0]]), ([[True]], [[1.0]])])))
+        return {"type": kind, "x1": x1, "x2": x2, "y1": y1, "y2": y2,
+                "kernel1": kernels[0], "kernel2": kernels[1], "idle1": idle1, "idle2": idle2}
+    cfg = {"type": kind, "c1": draw(GAUSSIAN_VALUE), "c2": draw(GAUSSIAN_VALUE)}
+    for key in ("p1", "p2"):
+        given = draw(_mostly(st.sampled_from([key, f"{key}_dbw"]),
+                             st.sampled_from([(), (key, f"{key}_dbw")])))
+        for name in (given,) if isinstance(given, str) else given:
+            cfg[name] = draw(DBW if name.endswith("_dbw") else GAUSSIAN_VALUE)
+    return cfg
+
+
 # name -> (argument strategy, call, check of the answer)
 ENTRIES = {
+    # channel
+    "DiscreteIC": (_discrete_args(), ic.DiscreteIC, _check_discrete),
+    "GaussianIC": (GAUSSIAN_ARGS, ic.GaussianIC, _check_gaussian),
+    "InputDistribution": (st.tuples(PROBS), ic.InputDistribution, _check_distribution),
+    "InfoQuantities": (st.tuples(*[_mostly(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+                                           BAD_PAIR.map(_Out))] * 5),
+                       ic.InfoQuantities, _check_info),
+    "info_quantities": (st.tuples(BUILT_DISCRETE, BUILT_DISTRIBUTION, BUILT_DISTRIBUTION),
+                        ic.info_quantities, _check_info),
+    "gaussian_info_quantities": (st.tuples(BUILT_GAUSSIAN), ic.gaussian_info_quantities,
+                                 _check_info),
+    "lambda_bar": (st.tuples(BUILT_DISCRETE | BUILT_GAUSSIAN), ic.lambda_bar, _check_lambda_bar),
+    "load_channel": (st.tuples(_channel_config()), ic.load_channel, _check_channel),
+    # analysis
     "SchemeParams": (st.tuples(REAL, REAL, PACKETS, REAL, MODE),
                      lambda *a: an.SchemeParams(*a), _check_scheme_params),
     "rho": (st.tuples(INFO, USER, REAL, REAL_OR_ARRAY, MODE), an.rho,
@@ -262,9 +417,9 @@ ENTRIES = {
 
 
 def _entries() -> list[str]:
-    return sorted(name for module in (an, sim) for name in module.__all__
-                  if callable(getattr(module, name))
-                  and getattr(module, name) not in (an.AnalysisError, sim.SimResult))
+    return sorted(name for module in (chan, an, sim) for name in module.__all__
+                  if callable(getattr(module, name)) and getattr(module, name) not in (
+                      chan.ChannelValidationError, an.AnalysisError, sim.SimResult))
 
 
 def test_every_public_entry_has_a_row():
@@ -276,13 +431,14 @@ def test_every_public_entry_has_a_row():
 @given(data=st.data())
 def test_entry_answers_or_refuses(name, data):
     strategy, call, check = ENTRIES[name]
-    args = data.draw(strategy)
+    drawn, outside = data.draw(strategy), []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            res = call(*args)
-        except ic.AnalysisError:
+            res = call(*_resolve(drawn, outside))
+        except (ic.AnalysisError, ic.ChannelValidationError):
             return
+    assert not outside, f"answered {res!r} with {outside!r} outside the domain"
     check(res)
 
 
@@ -347,6 +503,33 @@ def test_new_refusals_of_the_public_entries():
             call()
 
 
+def test_user_decoder_pair_and_constants_are_refused_by_their_owners():
+    # Before each rule had one owner, user 0 answered user 2's values and -1 or
+    # True user 1's, ("tin",) ran user 2 with no decoder, ("tin", "di", "tin")
+    # was cut to two entries, and a nan constant answered rho = nan.
+    info = INFOS["gaussian"]
+    nan_c = {**vars(info), "c": (math.nan, 0.5)}
+    calls = [
+        (lambda: an.rho(info, 0, 1.5, 1.0, an.TIN), "user must be 1 or 2, got 0"),
+        (lambda: sim.decode_success(0.5, info, True, 0.75, an.TIN),
+         "user must be 1 or 2, got True"),
+        (lambda: an.closed_form_outage(info, 1.0, 1.0, 1.5, 4, 1.0, an.TIN),
+         "user must be 1 or 2, got 1.0"),
+        (lambda: ic.SchemeParams(1.0, 1.5, 4, 5.0, (an.TIN,)),
+         "decoder must be 'tin', 'di' or a pair of them, got ('tin',)"),
+        (lambda: an.epsilon_bound(info, 1.0, 5.0, (an.TIN, an.DI, an.TIN)),
+         "decoder must be 'tin', 'di' or a pair of them, got ('tin', 'di', 'tin')"),
+        (lambda: ic.InfoQuantities(**nan_c), "c of user 1 must be a finite number >= 0, got nan"),
+        (lambda: ic.InfoQuantities(**{**vars(info), "c_cross": (1.0,)}),
+         "c_cross must be a (user 1, user 2) pair, got (1.0,)"),
+    ]
+    for call, message in calls:
+        with pytest.raises((ic.AnalysisError, ic.ChannelValidationError)) as err:
+            call()
+        assert str(err.value) == message
+    assert ic.SchemeParams(1.0, 1.5, 4, 5.0, [an.TIN, an.DI]).decoder == (an.TIN, an.DI)
+
+
 def test_epsilon_bound_keeps_unvalued_points_off_rho():
     # Points without a value read rho at a placeholder rate, so a grid that
     # mixes them with valued points answers as its scalar calls do.
@@ -404,6 +587,10 @@ def test_simulate_tau_meets_the_rules_of_sim_config():
         ((0.5, 10**400, 4, 1.5), "n / lambda = inf slots exceeds 2[*][*]53"),
         ((0.5, 100, 4, 5e-324), "codeword length 1/[(]N r lambda[)] is infinite"),
         ((0.5, 100, 4, 1e-310), "codeword length n/[(]N r lambda[)] is infinite"),
+        # answered zero-length codewords [25, 50, 75, 100]
+        ((1.0, 100, 4, 1e308), "codeword length n/[(]N r lambda[)] is 0: 100 / inf"),
+        # overflowed the release recursion with a numpy warning
+        ((1.0, 188, 28, 1.0077e-306), "release times up to 2[*][*]63 [+] N codeword lengths"),
     ]
     for args, message in calls:
         with pytest.raises(ic.AnalysisError, match=message):
@@ -440,6 +627,8 @@ def test_kernels_refuse_inputs_outside_their_domain():
          "offsets must lie in \\[0, D\\]"),
         (lambda: sim.fluid_outage_flags(np.zeros(1), np.zeros(1), ic.SchemeParams(
             lam=1.0, r=1.5, n_packets=2**53, d_max=1.0), info), "at most 4000000 packets"),
+        (lambda: sim.fluid_outage_flags(np.zeros(1), np.full(1, 1.5), ic.SchemeParams(
+            lam=1.0, r=1e308, n_packets=1, d_max=1.5), info), "fluid lattice offsets"),
     ]
     for call, message in calls:
         with pytest.raises(ic.AnalysisError, match=message):

@@ -409,9 +409,10 @@ def test_fluid_kernel_matches_general_path(config, decoder, r, n_packets, d_max,
     oks, tied = [], np.zeros(len(d1), dtype=bool)
     for user, mu in zip((1, 2), mus):
         oks.append(ic.decode_success(mu, info, user, r_code, decoder))
-        c_star, c, c_cross, ct_star, ct = info.for_user(user)
-        for full, mixed in [(c_star, c)] if decoder == ic.TIN else [(ct_star, ct),
-                                                                    (c_star, c_cross)]:
+        j = user - 1
+        for full, mixed in ([(info.c_star[j], info.c[j])] if decoder == ic.TIN else
+                            [(info.c_tilde_star[j], info.c_tilde[j]),
+                             (info.c_star[j], info.c_cross[j])]):
             margin = np.abs((1.0 - mu) * full + mu * mixed - r_code)
             tied |= (margin <= 1e-12 * max(1.0, r_code)).any(axis=1)
     keep = ~tied
