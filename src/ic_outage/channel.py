@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,6 +50,18 @@ def _finite(value, what: str):
     return value
 
 
+def _real_array(value, what: str, shape: str) -> np.ndarray:
+    """A float copy of value if it is a rectangular array of real numbers;
+    str, bool, None and ragged entries are refused."""
+    try:
+        array = np.array(value)
+    except ValueError:    # ragged
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ChannelValidationError(f"{what} must be a {shape} of numbers")
+    return array.astype(float, copy=False)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -79,7 +92,7 @@ class DiscreteIC:
 
     def __post_init__(self):
         for name in ("kernel1", "kernel2"):
-            kern = np.array(getattr(self, name), dtype=float)
+            kern = _real_array(getattr(self, name), name, "matrix")
             kern.flags.writeable = False
             object.__setattr__(self, name, kern)
         for name in ("x1_size", "x2_size", "y1_size", "y2_size"):
@@ -143,7 +156,7 @@ class InputDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _real_array(self.probs, "input distribution", "vector")
         object.__setattr__(self, "probs", p)
         if p.ndim != 1:
             raise ChannelValidationError("input distribution must be a vector")
@@ -406,51 +419,56 @@ def dbw_to_watts(dbw: float) -> float:
     return 10.0 ** (dbw / 10.0)
 
 
+# The keys a channel config of each type may hold.  A missing key reads as None
+# (an idle symbol as 0), which the channel's constructor refuses.
+_CONFIG_KEYS = {
+    "discrete": ("type", "x1", "x2", "y1", "y2", "kernel1", "kernel2", "idle1", "idle2"),
+    "gaussian": ("type", "p1", "p1_dbw", "p2", "p2_dbw", "c1", "c2"),
+}
+
+
 def load_channel(path_or_dict) -> DiscreteIC | GaussianIC:
     """Load a channel from a JSON config file path or an already-parsed dict.
 
-    Numbers must be finite, sizes and idle indices integers, and kernels
-    matrices of numbers; anything else raises ChannelValidationError, from
-    here or from the channel's constructor."""
-    if isinstance(path_or_dict, dict):
-        cfg = path_or_dict
-    else:
+    A config that is not a dict, and a key outside its type's table in
+    _CONFIG_KEYS, raise ChannelValidationError; so does every value the
+    channel's constructor refuses."""
+    if isinstance(path_or_dict, (str, bytes, os.PathLike)):
         with open(path_or_dict) as f:
             cfg = json.load(f)
+    else:
+        cfg = path_or_dict
     if not isinstance(cfg, dict):
         raise ChannelValidationError("channel config must be a JSON object")
-
-    def kernel(key):
-        k = np.asarray(cfg[key])
-        if k.dtype.kind not in "iuf":
-            raise ChannelValidationError(f"{key} must be a matrix of numbers")
-        return k.astype(float)
-
     kind = cfg.get("type")
+    if not isinstance(kind, str) or kind not in _CONFIG_KEYS:
+        raise ChannelValidationError(f"unknown channel type {kind!r}")
+    for key in cfg:
+        if key not in _CONFIG_KEYS[kind]:
+            raise ChannelValidationError(f"unknown key {key!r} in a {kind} channel config")
     if kind == "discrete":
         return DiscreteIC(
-            x1_size=cfg["x1"],
-            x2_size=cfg["x2"],
-            y1_size=cfg["y1"],
-            y2_size=cfg["y2"],
-            kernel1=kernel("kernel1"),
-            kernel2=kernel("kernel2"),
+            x1_size=cfg.get("x1"),
+            x2_size=cfg.get("x2"),
+            y1_size=cfg.get("y1"),
+            y2_size=cfg.get("y2"),
+            kernel1=cfg.get("kernel1"),
+            kernel2=cfg.get("kernel2"),
             idle1=cfg.get("idle1", 0),
             idle2=cfg.get("idle2", 0),
         )
-    if kind == "gaussian":
-        def power(key):
-            if f"{key}_dbw" in cfg and key in cfg:
-                raise ChannelValidationError(f"give {key} or {key}_dbw, not both")
-            if f"{key}_dbw" in cfg:
-                dbw = _finite(cfg[f"{key}_dbw"], f"{key}_dbw")
-                try:
-                    return dbw_to_watts(dbw)
-                except OverflowError:
-                    raise ChannelValidationError(f"{key}_dbw = {dbw!r} overflows") from None
-            if key in cfg:
-                return cfg[key]
-            raise ChannelValidationError(f"missing {key} or {key}_dbw")
 
-        return GaussianIC(p1=power("p1"), p2=power("p2"), c1=cfg["c1"], c2=cfg["c2"])
-    raise ChannelValidationError(f"unknown channel type {kind!r}")
+    def power(key):
+        if f"{key}_dbw" in cfg and key in cfg:
+            raise ChannelValidationError(f"give {key} or {key}_dbw, not both")
+        if f"{key}_dbw" in cfg:
+            dbw = _finite(cfg[f"{key}_dbw"], f"{key}_dbw")
+            try:
+                return dbw_to_watts(dbw)
+            except OverflowError:
+                raise ChannelValidationError(f"{key}_dbw = {dbw!r} overflows") from None
+        if key in cfg:
+            return cfg[key]
+        raise ChannelValidationError(f"missing {key} or {key}_dbw")
+
+    return GaussianIC(p1=power("p1"), p2=power("p2"), c1=cfg.get("c1"), c2=cfg.get("c2"))

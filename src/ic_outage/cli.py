@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -18,6 +19,8 @@ from . import simulator as sim
 EXIT_CONFIG = 2
 EXIT_CONVERSE = 3
 EXIT_CHECK = 4
+# The most rows a sweep writes: at about 0.6 kB a row, well within 1 GB.
+MAX_SWEEP_ROWS = 10**6
 
 CSV_COLUMNS = [
     "variable",
@@ -87,7 +90,7 @@ def _write_csv(path: str, header: list, rows) -> None:
 def _load(channel_path: str):
     try:
         return chan.load_channel(channel_path)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(EXIT_CONFIG, f"cannot load channel config: {exc}")
 
 
@@ -229,7 +232,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
     ch = _load(channel_path)
     info = _resolve_info(ch, pi1, pi2)
     grid = None if values is None else _parse_list(values, FINITE, "--values")
-    ns = _parse_list(n_list, int, "--n") if n_list else [None]
+    ns = [None] if n_list is None else _parse_list(n_list, int, "--n")
     # Options the sweep would not read, and a grid given twice or not at all, are refused.
     for unread, message in (
             (lam is not None and variable == "lambda", "--lambda is not read by a lambda sweep"),
@@ -243,11 +246,19 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
              "give either --values or --lo/--hi/--steps")):
         if unread:
             _fail(EXIT_CONFIG, message)
+    modes = list(modes) or [an.TIN]
+    for option, items in (("--mode", modes), ("--n", ns)):
+        repeated = [item for item, count in Counter(items).items() if count > 1]
+        if repeated:
+            _fail(EXIT_CONFIG, f"{option} repeats {repeated[0]}")
+    # Rows are counted before the grid exists, so a refused sweep allocates nothing.
+    rows = (steps if grid is None else len(grid)) * len(modes) * 2 * len(ns)
+    if rows > MAX_SWEEP_ROWS:
+        _fail(EXIT_CONFIG, f"a sweep writes at most {MAX_SWEEP_ROWS} rows, got {rows}")
     if grid is None:
         if not (lo < hi and steps >= 2):
             _fail(EXIT_CONFIG, "need lo < hi and steps >= 2")
         grid = [float(v) for v in np.linspace(lo, hi, steps)]
-    modes = list(modes) or [an.TIN]
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
         _fail(EXIT_CONFIG, "sweep needs --lambda (or a lambda grid) and --d (or an alpha grid)")
     counts = grid if variable == "n_packets" else [n for n in ns if n is not None]

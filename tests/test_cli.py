@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import ic_outage as ic
-from ic_outage.cli import CSV_COLUMNS, main
+from ic_outage.cli import CSV_COLUMNS, MAX_SWEEP_ROWS, main
 from conftest import KERNEL, normalize_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -417,13 +417,13 @@ def test_sweep_rho_past_the_float_range_gives_outage_1(runner, tmp_path):
 
 
 def test_sweep_rows_sort_by_value_n_mode_and_user(runner, gaussian_file, tmp_path):
-    # Unsorted values, repeated --n and --mode: N orders the rows beside the
-    # per-user cells that --r brings; without --r, which refuses --n, N is blank.
+    # Unsorted values, --n and --mode: N orders the rows beside the per-user
+    # cells that --r brings; without --r, which refuses --n, N is blank.
     out = tmp_path / "x.csv"
     args = ["sweep", "--channel", gaussian_file, "--variable", "lambda", "--values", "1,0.5",
-            "--d", "5", "--mode", "tin", "--mode", "di", "--mode", "tin", "--out", str(out)]
-    layout = (("1.0", "0.5"), ("4", "1", "4"), ("tin", "di", "tin"), ("1", "2"))
-    for extra, n_cells in ((["--r", "1.5", "--n", "4,1,4"], layout[1]), ([], ("",))):
+            "--d", "5", "--mode", "tin", "--mode", "di", "--out", str(out)]
+    layout = (("1.0", "0.5"), ("64", "1", "4"), ("tin", "di"), ("1", "2"))
+    for extra, n_cells in ((["--r", "1.5", "--n", "64,1,4"], layout[1]), ([], ("",))):
         assert runner.invoke(main, [*args, *extra]).exit_code == 0
         with open(out) as f:
             got = [(r["value"], r["N"], r["mode"], r["user"]) for r in csv.DictReader(f)]
@@ -440,9 +440,8 @@ _CSV_FILES = {
                   "--d", "5", "--r", "1.5", "--out"],
     "r": [*_SWEEP, "--variable", "r", "--values", "0.5,0.8,1.5,3", "--lambda", "0.9",
           "--d", "5", "--n", "2,8", "--out"],
-    "unsorted-repeated": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
-                          "--r", "1.5", "--n", "4,1,4", "--mode", "tin", "--mode", "di",
-                          "--mode", "tin", "--out"],
+    "unsorted": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
+                 "--r", "1.5", "--n", "4,1,64", "--mode", "tin", "--mode", "di", "--out"],
     "without-r": [*_SWEEP, "--variable", "lambda", "--values", "1,0.3,0.5", "--d", "5",
                   "--mode", "di", "--mode", "tin", "--out"],
     "blank": ["sweep", "--channel", str(CONFIGS / "discrete.json"), "--variable", "lambda",
@@ -581,6 +580,46 @@ def test_sweep_unparsable_packet_counts_exits_2(runner, gaussian_file, tmp_path)
          "--values", "0.5", "--d", "5", "--n", "x", "--out", str(tmp_path / "x.csv")],
     )
     _assert_config_error(result, "cannot parse --n 'x'")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--r", "1.5", "--n", "4,4"], "--n repeats 4"),
+    (["--r", "1.5", "--n", "1,4,64,4"], "--n repeats 4"),
+    (["--mode", "tin", "--mode", "di", "--mode", "tin"], "--mode repeats tin"),
+    (["--r", "1.5", "--n", ""], "cannot parse --n ''"),
+], ids=["n", "n-apart", "mode", "empty-n"])
+def test_sweep_refuses_options_that_repeat_rows(runner, gaussian_file, tmp_path, extra, message):
+    # A repeated N or mode wrote each of its rows twice, and --n "" was read as no --n.
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+                                  "--values", "0.5,1", "--d", "5", *extra, "--out", str(out)])
+    _assert_config_error(result, message)
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, rows", [
+    # numpy asked for 7.28 TiB here
+    (["--lo", "0.3", "--hi", "4.9", "--steps", "1000000000000"], 2 * 10**12),
+    (["--lo", "0.3", "--hi", "4.9", "--steps", "125001", "--r", "1.5", "--n", "4,64",
+      "--mode", "tin", "--mode", "di"], 125001 * 2 * 2 * 2),
+    (["--values", "0.5,1", "--r", "1.5", "--n", ",".join(map(str, range(1, 250002)))],
+     2 * 2 * 250001),
+], ids=["steps", "steps-modes-n", "values-n"])
+def test_sweep_refuses_rows_above_the_ceiling_before_building_the_grid(
+        runner, gaussian_file, tmp_path, monkeypatch, grid, rows):
+    # Points x modes x 2 users x N count rows, refused before any grid exists.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["sweep", "--channel", gaussian_file, "--variable", "lambda",
+                                  "--d", "5", *grid, "--out", str(out)])
+    assert rows > MAX_SWEEP_ROWS
+    _assert_config_error(result, "")
+    assert result.stderr == f"error: a sweep writes at most 1000000 rows, got {rows}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -993,9 +1032,19 @@ _DISCRETE_CFG = {"type": "discrete", "x1": 2, "x2": 2, "y1": 2, "y2": 2,
     ({**_DISCRETE_CFG, "x1": 2.5}, "x1_size must be a positive integer, got 2.5"),
     ({**_DISCRETE_CFG, "idle2": True}, "idle index out of range for user 2: True"),
     ([_GAUSSIAN_CFG], "channel config must be a JSON object"),
+    # each of these raised KeyError, numpy's ValueError or nothing
+    ({k: v for k, v in _GAUSSIAN_CFG.items() if k != "c2"}, "c2 must be a finite number, got None"),
+    ({k: v for k, v in _DISCRETE_CFG.items() if k != "kernel2"},
+     "kernel2 must be a matrix of numbers"),
+    ({**_DISCRETE_CFG, "idle_1": 1}, "unknown key 'idle_1' in a discrete channel config"),
+    ({**_GAUSSIAN_CFG, "idle1": 0}, "unknown key 'idle1' in a gaussian channel config"),
+    ({**_DISCRETE_CFG, "kernel1": [[True, False]] * 4}, "kernel1 must be a matrix of numbers"),
+    ({**_DISCRETE_CFG, "kernel2": [[0.5, 0.5]] * 3 + [[1.0]]},
+     "kernel2 must be a matrix of numbers"),
 ], ids=["nan-gain", "inf-gain", "string-gain", "null-gain", "nan-dbw", "overflowing-dbw",
         "nan-kernel-entry", "string-kernel-entry", "string-size", "fractional-size",
-        "bool-idle", "top-level-array"])
+        "bool-idle", "top-level-array", "missing-gain", "missing-kernel", "unread-key",
+        "other-type-key", "bool-kernel", "ragged-kernel"])
 def test_malformed_channel_config_exits_2(runner, tmp_path, config, message):
     # NaN compares false with every bound, so finiteness is checked on its
     # own.  Every command refuses these at load time, before any work.

@@ -15,10 +15,13 @@ lies outside the callable's domain and must be refused.  A callable with no
 row fails, as tests/test_exports.py fails an unlisted name.  Simulation rows
 stay small: N <= 64, at most 200 trials and n <= 10**4 wherever a run would
 be made; ``lambda_bar`` rows take alphabets of at most 3.  ``load_channel``
-rows draw every key a config needs: a missing one is a ``KeyError``, which
-the CLI reports as a config error.
+rows draw configs with a needed key missing or a key outside the table, and
+its, ``DiscreteIC``'s and ``InputDistribution``'s rows draw kernels and
+probabilities with str, bool, None or ragged entries: each is refused with
+``ChannelValidationError``.
 """
 
+import json
 import math
 import shutil
 import warnings
@@ -274,6 +277,13 @@ SIZE = _mostly(st.integers(1, 3), st.sampled_from([0, -1, 2.5, True, 10**9]))
 IDLE = _mostly(st.integers(0, 2), st.sampled_from([-1, 3, 1.5, True, math.nan]))
 
 
+# Kernels and probability vectors that are not rectangular arrays of real numbers.
+BAD_MATRIX = st.sampled_from([[["a"]], [[True]], [[True, False]], None, [[None]], [[0.5, "0.5"]],
+                              [[1.0], [0.5, 0.5]], [[0.5, 0.5], [1.0]], "ab"])
+BAD_VECTOR = st.sampled_from([["a", "b"], [True, False], [True], None, [None, 1.0], [0.5, "0.5"],
+                              [[1.0], [0.0, 1.0]], [0.5, [0.5]], "ab"])
+
+
 @st.composite
 def _discrete_args(draw):
     """DiscreteIC's arguments; an extreme size is read as 2 for the kernel shapes."""
@@ -290,6 +300,16 @@ def _discrete_args(draw):
                 w = w / w.sum(axis=1, keepdims=True)
         kernels.append(w)
     return (*sizes, *kernels, draw(IDLE), draw(IDLE))
+
+
+@st.composite
+def _discrete_args_or_bad_kernel(draw):
+    """DiscreteIC's arguments, with a kernel that is not a matrix of numbers
+    about one draw in four."""
+    args = list(draw(_discrete_args()))
+    if draw(_mostly(st.just(False), st.just(True))):
+        args[draw(st.sampled_from([4, 5]))] = _Out(draw(BAD_MATRIX))
+    return tuple(args)
 
 
 def _check_discrete(ch):
@@ -340,32 +360,52 @@ def _check_lambda_bar(res):
 DBW = _mostly(st.floats(-20.0, 40.0), st.one_of(REAL, st.sampled_from([3100.0, -4000.0, "1"])))
 
 
+# The keys a config of each type needs (idle symbols default to 0), and keys
+# that no table holds.
+NEEDED = {"discrete": ["type", "x1", "x2", "y1", "y2", "kernel1", "kernel2"],
+          "gaussian": ["type", "c1", "c2"]}
+UNREAD = ["idle_1", "c3", "kernel", "P1", ""]
+
+
 @st.composite
 def _channel_config(draw):
-    """A parsed config with every key its type needs: a power as watts, as dBW
-    or (refused) both or neither."""
+    """A parsed config: a power as watts, as dBW or (refused) both or neither.
+    About one in four of a known type has a kernel that is not a matrix of
+    numbers, lacks a key it needs, or holds a key outside its table, such as
+    the other type's; each of those is _Out."""
     kind = draw(_mostly(st.sampled_from(["gaussian", "discrete"]), st.sampled_from([None, "awgn"])))
     if kind == "discrete":
         x1, x2, y1, y2, k1, k2, idle1, idle2 = draw(_discrete_args())
-        kernels = draw(_mostly(st.just((k1.tolist(), k2.tolist())),
-                               st.sampled_from([([["a"]], [[1.0]]), ([[True]], [[1.0]])])))
-        return {"type": kind, "x1": x1, "x2": x2, "y1": y1, "y2": y2,
-                "kernel1": kernels[0], "kernel2": kernels[1], "idle1": idle1, "idle2": idle2}
-    cfg = {"type": kind, "c1": draw(GAUSSIAN_VALUE), "c2": draw(GAUSSIAN_VALUE)}
-    for key in ("p1", "p2"):
-        given = draw(_mostly(st.sampled_from([key, f"{key}_dbw"]),
-                             st.sampled_from([(), (key, f"{key}_dbw")])))
-        for name in (given,) if isinstance(given, str) else given:
-            cfg[name] = draw(DBW if name.endswith("_dbw") else GAUSSIAN_VALUE)
-    return cfg
+        cfg = {"type": kind, "x1": x1, "x2": x2, "y1": y1, "y2": y2,
+               "kernel1": k1.tolist(), "kernel2": k2.tolist(), "idle1": idle1, "idle2": idle2}
+    else:
+        cfg = {"type": kind, "c1": draw(GAUSSIAN_VALUE), "c2": draw(GAUSSIAN_VALUE)}
+        for key in ("p1", "p2"):
+            given = draw(_mostly(st.sampled_from([key, f"{key}_dbw"]),
+                                 st.sampled_from([(), (key, f"{key}_dbw")])))
+            for name in (given,) if isinstance(given, str) else given:
+                cfg[name] = draw(DBW if name.endswith("_dbw") else GAUSSIAN_VALUE)
+    faults = ["missing", "unread", *(["kernel"] if kind == "discrete" else [])]
+    fault = draw(_mostly(st.none(), st.sampled_from(faults)))
+    if kind not in NEEDED or fault is None:
+        return cfg
+    if fault == "kernel":
+        cfg[draw(st.sampled_from(["kernel1", "kernel2"]))] = draw(BAD_MATRIX)
+    elif fault == "missing":
+        del cfg[draw(st.sampled_from(NEEDED[kind]))]
+    else:
+        other = NEEDED["gaussian" if kind == "discrete" else "discrete"][1:]
+        cfg[draw(st.sampled_from(UNREAD + other))] = draw(st.sampled_from([1, 0.5, None]))
+    return _Out(cfg)
 
 
 # name -> (argument strategy, call, check of the answer)
 ENTRIES = {
     # channel
-    "DiscreteIC": (_discrete_args(), ic.DiscreteIC, _check_discrete),
+    "DiscreteIC": (_discrete_args_or_bad_kernel(), ic.DiscreteIC, _check_discrete),
     "GaussianIC": (GAUSSIAN_ARGS, ic.GaussianIC, _check_gaussian),
-    "InputDistribution": (st.tuples(PROBS), ic.InputDistribution, _check_distribution),
+    "InputDistribution": (st.tuples(_mostly(PROBS, BAD_VECTOR.map(_Out))), ic.InputDistribution,
+                          _check_distribution),
     "InfoQuantities": (st.tuples(*[_mostly(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
                                            BAD_PAIR.map(_Out))] * 5),
                        ic.InfoQuantities, _check_info),
@@ -528,6 +568,45 @@ def test_user_decoder_pair_and_constants_are_refused_by_their_owners():
             call()
         assert str(err.value) == message
     assert ic.SchemeParams(1.0, 1.5, 4, 5.0, [an.TIN, an.DI]).decoder == (an.TIN, an.DI)
+
+
+def test_channel_entries_and_keys_are_refused_by_their_owners():
+    # Before the constructors owned the entry rule and load_channel's table the
+    # keys, str and ragged entries raised numpy's ValueError, bool entries were
+    # taken as numbers, a missing key raised KeyError, an unread "idle_1" left
+    # idle1 at 0, and load_channel([1]) raised TypeError from open.
+    discrete = json.loads((CONFIGS / "discrete.json").read_text())
+    gaussian = json.loads((CONFIGS / "gaussian.json").read_text())
+    calls = [
+        (lambda: ic.DiscreteIC(1, 1, 1, 1, [["a"]], [[1.0]]), "kernel1 must be a matrix of numbers"),
+        (lambda: ic.DiscreteIC(1, 1, 1, 2, [[1.0]], [[True, False]]),
+         "kernel2 must be a matrix of numbers"),
+        (lambda: ic.DiscreteIC(2, 1, 1, 1, [[1.0], [0.5, 0.5]], [[1.0], [1.0]]),
+         "kernel1 must be a matrix of numbers"),
+        (lambda: ic.DiscreteIC(1, 1, 1, 1, None, [[1.0]]), "kernel1 must be a matrix of numbers"),
+        (lambda: ic.InputDistribution(["a", "b"]), "input distribution must be a vector of numbers"),
+        (lambda: ic.InputDistribution([True, False]),
+         "input distribution must be a vector of numbers"),
+        (lambda: ic.InputDistribution([[1.0], [0.0, 1.0]]),
+         "input distribution must be a vector of numbers"),
+        (lambda: ic.load_channel({**discrete, "idle_1": 1}),
+         "unknown key 'idle_1' in a discrete channel config"),
+        (lambda: ic.load_channel({k: v for k, v in gaussian.items() if k != "c2"}),
+         "c2 must be a finite number, got None"),
+        (lambda: ic.load_channel({k: v for k, v in discrete.items() if k != "x1"}),
+         "x1_size must be a positive integer, got None"),
+        (lambda: ic.load_channel([1]), "channel config must be a JSON object"),
+        (lambda: ic.load_channel({"type": ["discrete"]}), "unknown channel type ['discrete']"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ic.ChannelValidationError) as err:
+            call()
+        assert str(err.value) == message
+    # The idle symbols stay optional (0), and the key that names one is read.
+    c_star = [ic.info_quantities(ic.load_channel(cfg), _UNIFORM, _UNIFORM).c_star[1] for cfg in (
+        {k: v for k, v in discrete.items() if k not in ("idle1", "idle2")},
+        {**discrete, "idle1": 1})]
+    assert c_star == pytest.approx([0.10619, 0.17409], abs=1e-5)
 
 
 def test_epsilon_bound_keeps_unvalued_points_off_rho():
