@@ -247,7 +247,7 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         if unread:
             _fail(EXIT_CONFIG, message)
     modes = list(modes) or [an.TIN]
-    for option, items in (("--mode", modes), ("--n", ns)):
+    for option, items in (("--mode", modes), ("--n", ns), ("--values", grid or [])):
         repeated = [item for item, count in Counter(items).items() if count > 1]
         if repeated:
             _fail(EXIT_CONFIG, f"{option} repeats {repeated[0]}")

@@ -583,16 +583,19 @@ def test_sweep_unparsable_packet_counts_exits_2(runner, gaussian_file, tmp_path)
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--r", "1.5", "--n", "4,4"], "--n repeats 4"),
-    (["--r", "1.5", "--n", "1,4,64,4"], "--n repeats 4"),
-    (["--mode", "tin", "--mode", "di", "--mode", "tin"], "--mode repeats tin"),
-    (["--r", "1.5", "--n", ""], "cannot parse --n ''"),
-], ids=["n", "n-apart", "mode", "empty-n"])
+    (["--values", "0.5,1", "--r", "1.5", "--n", "4,4"], "--n repeats 4"),
+    (["--values", "0.5,1", "--r", "1.5", "--n", "1,4,64,4"], "--n repeats 4"),
+    (["--values", "0.5,1", "--mode", "tin", "--mode", "di", "--mode", "tin"],
+     "--mode repeats tin"),
+    (["--values", "0.5,1,5e-1"], "--values repeats 0.5"),
+    (["--values", "0.5,1", "--r", "1.5", "--n", ""], "cannot parse --n ''"),
+], ids=["n", "n-apart", "mode", "values", "empty-n"])
 def test_sweep_refuses_options_that_repeat_rows(runner, gaussian_file, tmp_path, extra, message):
-    # A repeated N or mode wrote each of its rows twice, and --n "" was read as no --n.
+    # A repeated value, N or mode wrote each of its rows twice, and --n "" was read
+    # as no --n.
     out = tmp_path / "x.csv"
     result = runner.invoke(main, ["sweep", "--channel", gaussian_file, "--variable", "lambda",
-                                  "--values", "0.5,1", "--d", "5", *extra, "--out", str(out)])
+                                  "--d", "5", *extra, "--out", str(out)])
     _assert_config_error(result, message)
     assert result.stderr == f"error: {message}\n"
     assert not out.exists()
