@@ -149,11 +149,11 @@ def _constraints(info: InfoQuantities, user: int, mode: str) -> list[tuple[str, 
 
 
 def _ratios(info: InfoQuantities, user: int, mode: str, lam):
-    """The constraints (name, a, b) whose ratios (lam*r - b)/(a - b) give
-    rho_i(r), and the additive DI cap: on an additive channel (C_i* ==
-    C_{i,i'}) the ratio of (C*, C_cross) degenerates and the hard cap
-    r < C_i*/lam replaces it, so C_i*/lam is returned then (inf where that
-    overflows: a vanishing lam leaves r uncapped), and None otherwise.
+    """The constraints (name, a, b) from which _failing_mu gives rho_i(r),
+    and the additive DI cap: on an additive channel (C_i* == C_{i,i'}) the
+    ratio of (C*, C_cross) degenerates and the hard cap r < C_i*/lam
+    replaces it, so C_i*/lam is returned then (inf where that overflows: a
+    vanishing lam leaves r uncapped), and None otherwise.
     A ratio whose denominator a - b is not positive has no finite value,
     so it is refused here, once for every consumer."""
     pairs = _constraints(info, user, mode)
@@ -167,6 +167,27 @@ def _ratios(info: InfoQuantities, user: int, mode: str, lam):
         if a - b <= 0:
             raise AnalysisError(f"user {user}: nonpositive denominator {name} = {a - b:.3e}")
     return pairs, cap
+
+
+def _failing_mu(pairs, r_code):
+    """The interfered fractions mu at which a codeword of rate r_code fails,
+    where r_code >= (1 - mu) full + mu mixed for some (name, full, mixed) of
+    ``pairs``, as two rays (rho, lo): mu >= 1 - rho fails, rho the largest
+    (r_code - mixed)/(full - mixed) over pairs with full > mixed, and mu <= lo
+    fails, lo the largest (r_code - full)/(mixed - full) over pairs with full
+    < mixed.  A pair with full == mixed fails every mu (rho = inf) once r_code
+    >= full, and a ray that no pair bounds is -inf.  Both broadcast with
+    r_code.  Only this function solves the decoding rule for mu."""
+    rho_v = lo = -math.inf
+    with np.errstate(over="ignore"):     # a ratio past the float range is inf
+        for _, full, mixed in pairs:
+            if full > mixed:
+                rho_v = np.maximum(rho_v, (r_code - mixed) / (full - mixed))
+            elif full < mixed:
+                lo = np.maximum(lo, (r_code - full) / (mixed - full))
+            else:
+                rho_v = np.where(r_code >= full, math.inf, rho_v)
+    return rho_v, lo
 
 
 def _zero_threshold(info: InfoQuantities, mode) -> float:
@@ -184,13 +205,13 @@ def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
 
 def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
     """Interference-exposure fraction rho_i(r), the largest of the user's
-    decoding ratios, plus the additive DI rate cap C_i*/lam (else None)."""
+    decoding ratios, plus the additive DI rate cap C_i*/lam (else None):
+    the upper ray of _failing_mu over the constraints _ratios keeps."""
     _check_scheme(lam=lam, r=r)
     pairs, cap = _ratios(info, user, mode, lam)
-    with np.errstate(over="ignore"):     # a ratio past the float range is inf
-        values = [(lam * r - b) / (a - b) for _, a, b in pairs]
-    return RhoValue(_out(functools.reduce(np.maximum, values)),
-                    None if cap is None else _out(cap))
+    with np.errstate(over="ignore"):     # a code rate past the float range is inf
+        value, _ = _failing_mu(pairs, lam * r)
+    return RhoValue(_out(value), None if cap is None else _out(cap))
 
 
 def kappa(alpha):

@@ -247,10 +247,6 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         if unread:
             _fail(EXIT_CONFIG, message)
     modes = list(modes) or [an.TIN]
-    for option, items in (("--mode", modes), ("--n", ns), ("--values", grid or [])):
-        repeated = [item for item, count in Counter(items).items() if count > 1]
-        if repeated:
-            _fail(EXIT_CONFIG, f"{option} repeats {repeated[0]}")
     # Rows are counted before the grid exists, so a refused sweep allocates nothing.
     rows = (steps if grid is None else len(grid)) * len(modes) * 2 * len(ns)
     if rows > MAX_SWEEP_ROWS:
@@ -259,6 +255,13 @@ def sweep(channel_path, variable, lo, hi, steps, values, lam, r_value, d_max,
         if not (lo < hi and steps >= 2):
             _fail(EXIT_CONFIG, "need lo < hi and steps >= 2")
         grid = [float(v) for v in np.linspace(lo, hi, steps)]
+    # A repeated point, N or mode would write each of its rows twice; np.linspace
+    # repeats points when lo and hi are a few floats apart.
+    grid_option = "--lo/--hi/--steps" if values is None else "--values"
+    for option, items in (("--mode", modes), ("--n", ns), (grid_option, grid)):
+        repeated = [item for item, count in Counter(items).items() if count > 1]
+        if repeated:
+            _fail(EXIT_CONFIG, f"{option} repeats {repeated[0]}")
     if (lam is None and variable != "lambda") or (d_max is None and variable != "alpha"):
         _fail(EXIT_CONFIG, "sweep needs --lambda (or a lambda grid) and --d (or an alpha grid)")
     counts = grid if variable == "n_packets" else [n for n in ns if n is not None]

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial, reduce
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -122,23 +121,17 @@ def _partner_overlap(a, b, k):
 
 def decode_success(mu, info: InfoQuantities, user: int, r_code: float, mode: str):
     """Threshold test for a codeword with interfered fraction ``mu``: the
-    code rate must clear (1 - mu) full + mu mixed for each (full, mixed)
+    code rate must be below (1 - mu) full + mu mixed for each (full, mixed)
     pair of the decoder in ``analysis._constraints``, so DI also needs the
-    interferer's codeword decodable over the same overlap.  Strict
-    inequalities: a rate exactly at threshold fails."""
+    interferer's codeword decodable over the same overlap.  The verdict is
+    read from ``analysis._failing_mu``'s rays (rho, lo): a codeword decodes
+    when lo < mu < 1 - rho, so mu exactly at 1 - rho_i(r) fails."""
     mu = np.asarray(mu, dtype=float)
     if not (r_code > 0 and ((mu >= 0.0) & (mu <= 2.0)).all()):
         raise AnalysisError("need a code rate above 0 and interfered fractions in [0, 2]")
-
-    def clears(full, mixed):
-        # r_code < (1 - mu) * full + mu * mixed, holding one temporary beside the sum
-        level = 1.0 - mu
-        level *= full
-        level += mu * mixed
-        return r_code < level
-
-    ok = reduce(operator.and_, [clears(full, mixed)
-                                for _, full, mixed in analysis._constraints(info, user, mode)])
+    rho, lo = analysis._failing_mu(analysis._constraints(info, user, mode), r_code)
+    ok = mu < 1.0 - rho
+    ok &= mu > lo
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -177,8 +170,9 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     is decoded once per trial, the verdict at mu = 0 once per call.  Failures
     tallied per m add up over each codeword's window of m in O(N) per call.
     Memory is linear in the trials passed in: at most two float rows, the
-    integer m and the decode temporaries are alive at once, under 48 bytes a
-    trial; ``run_trials`` passes one chunk at a time.
+    integer k, the failing trials' k and a few bool rows are alive at once,
+    under 40 bytes a trial (32 measured); ``run_trials`` passes one chunk at
+    a time.
     """
     _check_run(scheme, "fluid", d_max=scheme.d_max)
     if not all(((d >= 0) & (d <= scheme.d_max)).all() for d in (d1, d2)):
@@ -197,22 +191,23 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     k = np.clip(m, -n - 2, n + 2, out=m).astype(np.intp)
     del m
     k += n + 2
-    ms = np.arange(-n - 2, n + 3)
-    j = np.arange(1, n + 1)
     users = tuple(zip((1, 2), scheme.decoder))
     outage = np.zeros((2, len(k)), dtype=bool)
     fails = np.zeros((2, n), dtype=np.int64)
 
     def tally(mu, lo, hi):
         # Codeword j has this mu when m is in [j + lo, j + hi], so some codeword
-        # has it when m is in [1 + lo, N + hi]; a failure counts for each such j.
-        has = ((ms >= 1 + lo) & (ms <= n + hi))[k]
+        # has it when m is in [1 + lo, N + hi], k in [lo + N + 3, hi + 2N + 2];
+        # a failure counts for each such j.
+        has = (k >= lo + n + 3) & (k <= hi + 2 * n + 2)
         for i, (user, decoder) in enumerate(users):
             failed = ~decode_success(mu, info, user, r_code, decoder)
             failed &= has
             outage[i] |= failed
-            per_m = np.cumsum(np.bincount(k[failed], minlength=ms.size))
-            fails[i] += per_m[j + hi + n + 2] - per_m[j + lo + n + 1]
+            per_k = np.bincount(k[failed], minlength=2 * n + 5)
+            np.cumsum(per_k, out=per_k)
+            fails[i] += per_k[hi + n + 3:hi + 2 * n + 3]     # per_k[j + hi + N + 2], j = 1..N
+            fails[i] -= per_k[lo + n + 2:lo + 2 * n + 2]     # per_k[j + lo + N + 1]
 
     a = _unit_overlap(y.copy())    # A
     tally(a, -1, -1)
@@ -223,16 +218,18 @@ def fluid_outage_flags(d1: np.ndarray, d2: np.ndarray, scheme: SchemeParams,
     del y, b
     tally(a, -n, -2)
     # Codeword j has mu = 0 when m is outside [j-N-1, j-1], so some codeword
-    # has it when m >= 1 or m <= -2.
+    # has it when m >= 1 or m <= -2, k >= N + 3 or k <= N.
     zero_fails = [not decode_success(0.0, info, user, r_code, decoder)
                   for user, decoder in users]
     if any(zero_fails):
-        has = ((ms >= 1) | (ms <= -2))[k]
-        per_m = np.cumsum(np.bincount(k, minlength=ms.size))
-        outside = len(k) - (per_m[j + n + 1] - per_m[j])
+        has = (k >= n + 3) | (k <= n)
+        per_k = np.bincount(k, minlength=2 * n + 5)
+        np.cumsum(per_k, out=per_k)
         for i in np.flatnonzero(zero_fails):
             outage[i] |= has
-            fails[i] += outside
+            fails[i] += len(k)
+            fails[i] -= per_k[n + 2:2 * n + 2]     # per_k[j + N + 1] - per_k[j], j = 1..N
+            fails[i] += per_k[1:n + 1]
     fails[1] = fails[1, ::-1]   # user 2's codeword k has user 1's pattern at N+1-k
     return outage[0], outage[1], fails
 
@@ -371,12 +368,13 @@ def run_trials(config: SimConfig, info: InfoQuantities) -> SimResult:
         chunk = max(1, min(_CHUNK, _CHUNK_ELEMS // scheme.n_packets))
         gen = np.random.Generator(np.random.Philox(key=config.seed).jumped())
         kernel = partial(_stochastic_chunk, scheme=scheme, n=config.n, info=info, gen=gen)
-    outages, fails, rate_sum = np.zeros(2, dtype=np.int64), 0, np.zeros(2)
+    outages, rate_sum = np.zeros(2, dtype=np.int64), np.zeros(2)
+    fails = np.zeros((2, scheme.n_packets), dtype=np.int64)
     for lo in range(0, config.trials, chunk):
         d = offsets.random((min(chunk, config.trials - lo), 2)) * scheme.d_max
         out1, out2, chunk_fails, *chunk_rates = kernel(d[:, 0], d[:, 1])
         outages += out1.sum(), out2.sum()
-        fails = fails + chunk_fails
+        fails += chunk_fails
         if chunk_rates:
             # A running sum in trial order: np.sum adds pairwise, which changes the last bits.
             rate_sum = np.cumsum(np.column_stack([rate_sum, *chunk_rates]), axis=1)[:, -1]

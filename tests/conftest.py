@@ -5,7 +5,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ic_outage import DiscreteIC, GaussianIC, InfoQuantities, InputDistribution
+from ic_outage import (DiscreteIC, GaussianIC, InfoQuantities, InputDistribution,
+                       gaussian_info_quantities, info_quantities)
 from ic_outage.analysis import (
     TIN,
     AnalysisError,
@@ -140,6 +141,16 @@ def reference_point(rho1: float = 0.016, rho2: float = 0.0501) -> InfoQuantities
 def dist(rng: np.random.Generator, size: int) -> InputDistribution:
     p = rng.random(size) + 1e-3
     return InputDistribution(p / p.sum())
+
+
+def random_info(rng: np.random.Generator, gaussian: bool) -> InfoQuantities:
+    """The constants of a random Gaussian channel, or of a random binary-input
+    discrete one under random inputs."""
+    if gaussian:
+        p1, p2 = 10.0 ** rng.uniform(-1.0, 3.0, size=2)
+        c1, c2 = rng.uniform(0.05, 2.0, size=2)
+        return gaussian_info_quantities(GaussianIC(p1=p1, p2=p2, c1=c1, c2=c2))
+    return info_quantities(random_discrete(rng), dist(rng, 2), dist(rng, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +463,30 @@ def _offset_draws(seed: int, trials: int, d_max: float) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
+# oracle: the decoding rule as the rate level it states
+# ---------------------------------------------------------------------------
+
+def decoder_pairs(info: InfoQuantities, user: int, mode: str) -> list[tuple[float, float]]:
+    """User ``user``'s (full, mixed) rate pairs, read from the constants:
+    (C*, C) under TIN, (C~*, C~) and (C*, C_cross) under DI."""
+    j = user - 1
+    if mode == TIN:
+        return [(info.c_star[j], info.c[j])]
+    return [(info.c_tilde_star[j], info.c_tilde[j]), (info.c_star[j], info.c_cross[j])]
+
+
+def decode_level_oracle(mu, info: InfoQuantities, user: int, r_code: float, mode: str):
+    """(ok, margin): ``decode_success`` by the level formula, a codeword
+    decoding when r_code < (1 - mu) full + mu mixed for every pair, and the
+    smallest |level - r_code| over the pairs.  Where the margin is a few ulps
+    of the rates, rounding may decide the verdict either way."""
+    mu = np.asarray(mu, dtype=float)
+    levels = [(1.0 - mu) * full + mu * mixed for full, mixed in decoder_pairs(info, user, mode)]
+    ok = np.logical_and.reduce([r_code < level for level in levels])
+    return ok, np.min([np.abs(level - r_code) for level in levels], axis=0)
+
+
+# ---------------------------------------------------------------------------
 # oracle: the exact fluid outage, by quadrature over the offset difference
 # ---------------------------------------------------------------------------
 
@@ -482,11 +517,8 @@ def fluid_outage_exact_oracle(info: InfoQuantities, user: int, lam: float, r: fl
                              -half, half))
     at_cuts = mu(cuts)
     # A codeword decodes when R_c < (1 - mu) full + mu mixed for each pair.
-    j = user - 1
-    pairs = ([(info.c_star[j], info.c[j])] if mode == TIN else
-             [(info.c_tilde_star[j], info.c_tilde[j]), (info.c_star[j], info.c_cross[j])])
     crossings = []
-    for full, mixed in pairs:
+    for full, mixed in decoder_pairs(info, user, mode):
         g = (1.0 - at_cuts) * full + at_cuts * mixed - r_code
         flips = (g[:-1] > 0) != (g[1:] > 0)
         piece, _ = np.nonzero(flips)

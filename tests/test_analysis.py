@@ -39,6 +39,7 @@ from conftest import (
     outage_ub_two_packets,
     r0_bisection_residual,
     random_discrete,
+    random_info,
     reference_point,
 )
 
@@ -765,14 +766,6 @@ def _closed_form_regime(bound, r):
     return "chi1" if bound.inputs.chi1 else "no-chi1"
 
 
-def _random_info(rng, gaussian: bool) -> ic.InfoQuantities:
-    if gaussian:
-        p1, p2 = 10.0 ** rng.uniform(-1.0, 3.0, size=2)
-        c1, c2 = rng.uniform(0.05, 2.0, size=2)
-        return ic.gaussian_info_quantities(ic.GaussianIC(p1=p1, p2=p2, c1=c1, c2=c2))
-    return ic.info_quantities(random_discrete(rng), dist(rng, 2), dist(rng, 2))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
        st.sampled_from([1, 2]),
@@ -782,7 +775,7 @@ def test_finite_n_closed_forms_equal_exact_fluid_oracle(seed, gaussian, mode, us
                                                         load, n_packets, d_max):
     # The code rate r*lam is `load` times the user's largest single-user
     # capacity, so every regime of the user's threshold tests is reached.
-    info = _random_info(np.random.default_rng(seed), gaussian)
+    info = random_info(np.random.default_rng(seed), gaussian)
     lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         bound = ic.analysis.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
@@ -801,7 +794,7 @@ def test_closed_forms_below_unit_rate_equal_the_gapless_delta_cdf_form(
         seed, gaussian, mode, user, r, load, n_packets, d_max):
     # Below r = 1 the lattice step is 1, and the forms at (lam D r, rho) are
     # the gapless delta_cdf form up to rounding.
-    info = _random_info(np.random.default_rng(seed), gaussian)
+    info = random_info(np.random.default_rng(seed), gaussian)
     lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         bound = ic.closed_form_outage(info, user, lam, r, n_packets, d_max, mode)
@@ -899,7 +892,7 @@ def test_chi1_implies_chi2_and_beta_below_half(seed, gaussian, mode, user, r, lo
     # The closed forms take both facts as given, since user_outage_inputs
     # guarantees them: chi1 is rho < min(1, r - 1), so rho < 1 (chi2, under
     # the same DI cap) and beta = rho/r < 1/2, for r on either side of 1 and of 2.
-    info = _random_info(np.random.default_rng(seed), gaussian)
+    info = random_info(np.random.default_rng(seed), gaussian)
     lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
     try:
         inputs = ic.user_outage_inputs(info, user, r, lam, mode)

@@ -589,10 +589,13 @@ def test_sweep_unparsable_packet_counts_exits_2(runner, gaussian_file, tmp_path)
      "--mode repeats tin"),
     (["--values", "0.5,1,5e-1"], "--values repeats 0.5"),
     (["--values", "0.5,1", "--r", "1.5", "--n", ""], "cannot parse --n ''"),
-], ids=["n", "n-apart", "mode", "values", "empty-n"])
+    (["--lo", "1", "--hi", "1.0000000000000004", "--steps", "5"],
+     "--lo/--hi/--steps repeats 1.0"),
+], ids=["n", "n-apart", "mode", "values", "empty-n", "lo-hi"])
 def test_sweep_refuses_options_that_repeat_rows(runner, gaussian_file, tmp_path, extra, message):
     # A repeated value, N or mode wrote each of its rows twice, and --n "" was read
-    # as no --n.
+    # as no --n.  np.linspace repeats points of a grid a few floats wide: this one
+    # wrote 10 rows, 1.0 and 1.0000000000000004 twice each.
     out = tmp_path / "x.csv"
     result = runner.invoke(main, ["sweep", "--channel", gaussian_file, "--variable", "lambda",
                                   "--d", "5", *extra, "--out", str(out)])

@@ -4,6 +4,7 @@ The key check is that fluid-mode trial outcomes coincide, trial by trial,
 with the admissible-interval membership test from the closed-form analysis.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -26,8 +27,11 @@ from ic_outage.simulator import (
 from conftest import (
     _offset_draws,
     admissible_intervals,
+    decode_level_oracle,
+    decoder_pairs,
     delta_cdf,
     overlap_fractions_dense_oracle,
+    random_info,
     reference_point,
     tau_bar,
 )
@@ -305,6 +309,68 @@ def test_decode_success_vectorized():
     out = ic.decode_success(mu, info, 1, 0.11, ic.TIN)
     assert out.shape == (3,)
     assert out.dtype == bool
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
+       st.sampled_from([1, 2]), st.floats(0.2, 4.0), st.floats(0.05, 1.3))
+def test_decode_success_fails_at_one_minus_rho_and_decodes_just_below(seed, gaussian, mode,
+                                                                      user, r, load):
+    # mu = 1 - rho_i(r) is the tie of the decoding rule, so it fails, as a rate
+    # exactly at threshold does, and the float below it decodes: the verdict and
+    # rho are one computation.  The level formula decoded at the tie on about a
+    # fifth of TIN points.
+    info = random_info(np.random.default_rng(seed), gaussian)
+    lam = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1]) / r
+    try:
+        value, cap = ic.analysis.rho(info, user, r, lam, mode)
+    except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
+        assume(False)
+    assume(-1.0 <= value < 1.0 and (cap is None or r < cap))
+    edge = 1.0 - value
+    assert not ic.decode_success(edge, info, user, lam * r, mode)
+    assert ic.decode_success(np.nextafter(edge, 0.0), info, user, lam * r, mode)
+
+
+def _assert_decodes_as_the_level_formula(mu, info, user, r_code, mode):
+    # Off a few ulps of the tie, rounding cannot decide the verdict.
+    ok, margin = decode_level_oracle(mu, info, user, r_code, mode)
+    scale = max(r_code, *itertools.chain(*decoder_pairs(info, user, mode)))
+    clear = margin > 16 * np.spacing(scale)
+    got = ic.decode_success(mu, info, user, r_code, mode)
+    np.testing.assert_array_equal(got[clear], ok[clear])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([ic.TIN, ic.DI]),
+       st.sampled_from([1, 2]), st.floats(0.05, 1.3))
+def test_decode_success_equals_the_level_formula_off_the_tie(seed, gaussian, mode, user, load):
+    # Random channels include DI users with C* < C_cross, a lower ray of failing mu.
+    rng = np.random.default_rng(seed)
+    info = random_info(rng, gaussian)
+    r_code = load * max(info.c_star[user - 1], info.c_tilde_star[user - 1])
+    mu = np.concatenate([np.linspace(0.0, 2.0, 201), 2.0 * rng.random(200)])
+    _assert_decodes_as_the_level_formula(mu, info, user, r_code, mode)
+
+
+@pytest.mark.parametrize("config, user, r_code, decodes", [
+    # discrete DI user 2: C* = 0.106 < C_cross = 0.140, so mu <= 0.407 fails too
+    ("discrete", 2, 0.12, (0.407, 0.804)),
+    # Gaussian DI user 2: C* == C_cross = 4.98, a pair that fails every mu once
+    # R_c >= C*, where (C~*, C~) alone decodes mu < 0.063
+    ("gaussian", 2, 4.9, (0.0, 0.081)),
+    ("gaussian", 2, 4.983613129417996, None),
+])
+def test_decode_success_reads_lower_rays_and_equal_pairs(config, user, r_code, decodes):
+    info = _config_info(config)
+    mu = np.linspace(0.0, 2.0, 2001)
+    got = _assert_decodes_as_the_level_formula(mu, info, user, r_code, ic.DI)
+    if decodes is None:
+        assert r_code == info.c_star[user - 1] == info.c_cross[user - 1]
+        assert not got.any()
+    else:
+        assert (mu[got].min(), mu[got].max()) == pytest.approx(decodes, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
