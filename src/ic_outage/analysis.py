@@ -39,7 +39,7 @@ __all__ = [
 TIN = "tin"
 DI = "di"
 
-# Numerical equality threshold for the additive-channel special case C* == C_cross.
+# A DI pair with |C* - C_cross| below this is read as additive, C_cross := C*.
 _ADDITIVE_TOL = 1e-9
 
 NO_FEASIBLE_RATE = "no r > 1 satisfies both users' constraints"
@@ -128,45 +128,38 @@ def _decoder_pair(mode) -> tuple[str, str]:
 
 class RhoValue(NamedTuple):
     value: float
-    r_cap: float | None   # extra feasibility cap r < r_cap (additive DI case)
+    r_cap: float | None   # C*/lam, the cap r*lam < C* of an additive DI pair, else None
 
 
 def _constraints(info: InfoQuantities, user: int, mode: str) -> list[tuple[str, float, float]]:
     """User i's decoding constraints as (name, full, mixed): a codeword with
     interfered fraction mu decodes when R_c < (1 - mu) full + mu mixed for
     every entry.  TIN has (C*, C); DI has (C~*, C~) and (C*, C_cross).  Each
-    is named by its denominator full - mixed.  Only this function reads a
-    user's share of the constants."""
+    is named by its denominator full - mixed.  A DI pair within _ADDITIVE_TOL
+    of additive is (C*, C*), the cap R_c < C* at every mu.  Only this function
+    reads a user's share of the constants, or the tolerance."""
     if not (_is_int(user) and user in (1, 2)):
         raise AnalysisError(f"user must be 1 or 2, got {user!r}")
     j = user - 1
     if mode == TIN:
         return [("C*-C", info.c_star[j], info.c[j])]
     if mode == DI:
+        a, b = info.c_star[j], info.c_cross[j]
         return [("C~*-C~", info.c_tilde_star[j], info.c_tilde[j]),
-                ("C*-C_cross", info.c_star[j], info.c_cross[j])]
+                ("C*-C_cross", a, a if abs(a - b) < _ADDITIVE_TOL else b)]
     raise AnalysisError(f"unknown decoder mode {mode!r}")
 
 
-def _ratios(info: InfoQuantities, user: int, mode: str, lam):
-    """The constraints (name, a, b) from which _failing_mu gives rho_i(r),
-    and the additive DI cap: on an additive channel (C_i* == C_{i,i'}) the
-    ratio of (C*, C_cross) degenerates and the hard cap r < C_i*/lam
-    replaces it, so C_i*/lam is returned then (inf where that overflows: a
-    vanishing lam leaves r uncapped), and None otherwise.
+def _ratios(info: InfoQuantities, user: int, mode: str):
+    """The constraints (name, a, b) from which _failing_mu gives rho_i(r).
     A ratio whose denominator a - b is not positive has no finite value,
-    so it is refused here, once for every consumer."""
+    so it is refused here, once for every consumer; the exactly additive
+    (C*, C*) pair is the one exception, as it bounds the rate, not rho."""
     pairs = _constraints(info, user, mode)
-    cap = None
-    name, a, b = pairs[-1]
-    if name == "C*-C_cross" and abs(a - b) < _ADDITIVE_TOL:
-        pairs = pairs[:-1]
-        with np.errstate(over="ignore"):
-            cap = a / lam
     for name, a, b in pairs:
-        if a - b <= 0:
+        if a - b <= 0 and not (name == "C*-C_cross" and a == b):
             raise AnalysisError(f"user {user}: nonpositive denominator {name} = {a - b:.3e}")
-    return pairs, cap
+    return pairs
 
 
 def _failing_mu(pairs, r_code):
@@ -175,9 +168,10 @@ def _failing_mu(pairs, r_code):
     ``pairs``, as two rays (rho, lo): mu >= 1 - rho fails, rho the largest
     (r_code - mixed)/(full - mixed) over pairs with full > mixed, and mu <= lo
     fails, lo the largest (r_code - full)/(mixed - full) over pairs with full
-    < mixed.  A pair with full == mixed fails every mu (rho = inf) once r_code
-    >= full, and a ray that no pair bounds is -inf.  Both broadcast with
-    r_code.  Only this function solves the decoding rule for mu."""
+    < mixed.  A pair with full == mixed fails every mu once r_code >= full,
+    which it says through the lower ray (lo = inf), so rho stays the largest
+    ratio.  A ray that no pair bounds is -inf.  Both broadcast with r_code.
+    Only this function solves the decoding rule for mu."""
     rho_v = lo = -math.inf
     with np.errstate(over="ignore"):     # a ratio past the float range is inf
         for _, full, mixed in pairs:
@@ -186,7 +180,7 @@ def _failing_mu(pairs, r_code):
             elif full < mixed:
                 lo = np.maximum(lo, (r_code - full) / (mixed - full))
             else:
-                rho_v = np.where(r_code >= full, math.inf, rho_v)
+                lo = np.where(r_code >= full, math.inf, lo)
     return rho_v, lo
 
 
@@ -205,13 +199,15 @@ def lambda_thresholds(info: InfoQuantities) -> tuple[float, float]:
 
 def rho(info: InfoQuantities, user: int, r: float, lam: float, mode: str) -> RhoValue:
     """Interference-exposure fraction rho_i(r), the largest of the user's
-    decoding ratios, plus the additive DI rate cap C_i*/lam (else None):
-    the upper ray of _failing_mu over the constraints _ratios keeps."""
+    decoding ratios (the upper ray of _failing_mu), plus C_i*/lam where an
+    additive DI pair caps the rate at r*lam < C_i* (inf where that
+    overflows: a vanishing lam leaves r uncapped), else None."""
     _check_scheme(lam=lam, r=r)
-    pairs, cap = _ratios(info, user, mode, lam)
-    with np.errstate(over="ignore"):     # a code rate past the float range is inf
+    pairs = _ratios(info, user, mode)
+    with np.errstate(over="ignore"):     # a code rate or a cap past the float range is inf
         value, _ = _failing_mu(pairs, lam * r)
-    return RhoValue(_out(value), None if cap is None else _out(cap))
+        caps = [a / lam for _, a, b in pairs if a == b]
+    return RhoValue(_out(value), _out(caps[0]) if caps else None)
 
 
 def kappa(alpha):
@@ -231,10 +227,11 @@ def _feasibility_case(a, b, lam):
 
 def _rate_feasibility_interval(a: float, b: float, lam):
     """The open interval (lo, hi) of r > 1 that solve (lam*r - b)/(a - b) <
-    min(1, r - 1) for a > b >= 0; (0, 0) where none does.  lo and hi
+    min(1, r - 1) for a > b >= 0, or lam*r < a for a == b > 0 (an additive
+    pair: (1, a/lam) in cases 1 and 2); (0, 0) where none does.  lo and hi
     broadcast with lam."""
-    if not a > b >= 0:
-        raise AnalysisError(f"need a > b >= 0, got a={a}, b={b}")
+    if not a >= b >= 0:
+        raise AnalysisError(f"need a >= b >= 0, got a={a}, b={b}")
     lam = np.asarray(lam, dtype=float)
     case = _feasibility_case(a, b, lam)
     # ratio is read in cases 2 and 3 only; cap is inf where lam vanishes
@@ -246,16 +243,13 @@ def _rate_feasibility_interval(a: float, b: float, lam):
 
 
 def _feasible_window(info: InfoQuantities, lam, modes: tuple[str, str]):
-    """The r > 1 where rho_i(r) < min(1, r - 1) for both users and r is below
-    any additive DI cap, as (lo, hi): _rate_feasibility_interval of every
-    ratio of both users, intersected.  The window is empty where lo >= hi."""
-    windows = []
-    for user, mode in zip((1, 2), modes):
-        pairs, cap = _ratios(info, user, mode, lam)
-        windows += [_rate_feasibility_interval(a, b, lam) for _, a, b in pairs]
-        if cap is not None:
-            windows.append((1.0, cap))
-    los, his = zip(*windows)
+    """The r > 1 where rho_i(r) < min(1, r - 1) for both users and r*lam is
+    below any additive DI pair's C*, as (lo, hi): _rate_feasibility_interval
+    of every constraint of both users, intersected.  The window is empty
+    where lo >= hi."""
+    los, his = zip(*(_rate_feasibility_interval(a, b, lam)
+                     for user, mode in zip((1, 2), modes)
+                     for _, a, b in _ratios(info, user, mode)))
     return functools.reduce(np.maximum, los), functools.reduce(np.minimum, his)
 
 
@@ -344,18 +338,20 @@ class UserOutageInputs(NamedTuple):
 def user_outage_inputs(info: InfoQuantities, user: int, r, lam, mode: str) -> UserOutageInputs:
     """rho_i(r), beta_i = rho_i/r and the chi indicators of one user.
 
-    chi1 is rho_i < min(1, r - 1) and chi2 is rho_i < 1; both also need r
-    below the additive DI cap.  Unlike SchemeParams, lam is not limited to
-    (0, 1], so parameter sweeps can use it too.
+    chi1 is rho_i < min(1, r - 1) and chi2 is rho_i < 1; both also need
+    _failing_mu's lower ray below 0 (r*lam < C_i* on an additive DI pair), so
+    chi2 is decode_success at mu = 0.  Unlike SchemeParams, lam is not
+    limited to (0, 1], so parameter sweeps can use it too.
     """
-    value, cap = rho(info, user, r, lam, mode)
-    cap_ok = True if cap is None else np.asarray(r) < cap
-    with np.errstate(over="ignore"):    # as rho, a beta past the float range is inf
+    _check_scheme(lam=lam, r=r)
+    with np.errstate(over="ignore"):    # as rho, a code rate or beta past the float range is inf
+        value, lo = _failing_mu(_ratios(info, user, mode), lam * r)
+        clear = np.asarray(lo) < 0
         return UserOutageInputs(
-            rho=value,
+            rho=_out(value),
             beta=_out(value / np.asarray(r)),
-            chi1=_out((value < np.minimum(1.0, r - 1.0)) & cap_ok),
-            chi2=_out((np.asarray(value) < 1.0) & cap_ok),
+            chi1=_out((value < np.minimum(1.0, r - 1.0)) & clear),
+            chi2=_out((np.asarray(value) < 1.0) & clear),
         )
 
 
@@ -441,8 +437,8 @@ def closed_form_outage(info: InfoQuantities, user: int, lam, r, n_packets, d_max
     so every r takes outage_ub_finite_n and outage_ub_limit at alpha =
     lam*D*min(r, 1) and beta = rho_i/s, chi1 false included.  Below r = 1
     chi1 fails wherever rho_i >= 0, which leaves the gapless delta-CDF form
-    there.  rho_i < 0 gives 0, or 1 if r breaks the additive DI cap
-    r < C*/lam.  ``inputs.beta`` stays rho_i/r.
+    there.  rho_i < 0 gives 0, or 1 where chi2 fails, as when r breaks an
+    additive DI pair's cap r*lam < C*.  ``inputs.beta`` stays rho_i/r.
 
     The arguments broadcast; finite_n is None when n_packets is.
     """

@@ -190,8 +190,15 @@ def test_feasibility_interval_cases():
     lo, hi = _rate_feasibility_interval(3.0, 2.0, 1.8)
     assert lo == 1.0
     assert hi == pytest.approx((3.0 - 4.0) / (3.0 - 2.0 - 1.8))
+    # a == b, an additive DI pair: r*lam < a alone, so (1, a/lam) below lam = a
+    a = 3.7
+    for lam in (0.3, a / 2.0, 2.9):
+        assert _rate_feasibility_interval(a, a, lam) == (1.0, a / lam)
+    for lam in (a, 5.0):
+        lo, hi = _rate_feasibility_interval(a, a, lam)
+        assert lo >= hi
     for a, b in ((1.0, 2.0), (1.0, -0.1)):
-        with pytest.raises(ic.AnalysisError, match=r"need a > b >= 0"):
+        with pytest.raises(ic.AnalysisError, match=r"need a >= b >= 0"):
             _rate_feasibility_interval(a, b, 0.5)
 
 
@@ -867,6 +874,38 @@ def test_outage_inputs_regression():
     assert inputs.rho[1] == pytest.approx(0.0501, abs=1e-12)
     assert inputs.chi1 == (True, True) and inputs.chi2 == (True, True)
     assert inputs.beta[0] == pytest.approx(0.016 / 1.1, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
+def test_chi_indicators_agree_with_decode_success_at_the_additive_cap(seed, lam):
+    # Gaussian DI is additive, so mu = 0 decodes iff lam*r < C_i*.  chi2 must
+    # be that verdict at r = C_i*/lam and its float neighbours, where the
+    # quotient r < C_i*/lam and the product lam*r < C_i* can round apart.
+    info = random_info(np.random.default_rng(seed), True)
+    for user in (1, 2):
+        cap = info.c_star[user - 1] / lam
+        for r in (math.nextafter(cap, 0.0), cap, math.nextafter(cap, math.inf)):
+            try:
+                inputs = ic.user_outage_inputs(info, user, r, lam, ic.DI)
+            except ic.AnalysisError:   # rho has no finite value: a nonpositive denominator
+                continue
+            assert inputs.chi2 == ic.decode_success(0.0, info, user, lam * r, ic.DI)
+            assert inputs.chi2 or not inputs.chi1
+
+
+def test_near_additive_closed_form_matches_the_simulator():
+    # |C* - C_cross| = 5e-10 is read as additive by the closed forms and the
+    # simulator alike, so a rate R_c = 1 - 2e-10 between C_cross and C*
+    # decodes at every mu in both.
+    from ic_outage.simulator import SimConfig, run_trials
+    info = ic.InfoQuantities(c_star=(1.0, 1.0), c=(0.2, 0.2), c_cross=(1.0 - 5e-10,) * 2,
+                             c_tilde_star=(3.0, 3.0), c_tilde=(0.1, 0.1))
+    lam, r, trials = 0.5, 2.0 * (1.0 - 2e-10), 20000
+    result = run_trials(SimConfig(ic.SchemeParams(lam, r, 4, 1.0, ic.DI), trials, 0), info)
+    for user in (1, 2):
+        p = ic.closed_form_outage(info, user, lam, r, 4, 1.0, ic.DI).finite_n
+        assert abs(result.outage[user - 1] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
 def test_additive_di_cap_clears_both_chi_indicators(gaussian_channel):

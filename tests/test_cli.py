@@ -669,6 +669,20 @@ def test_simulate_check_failure_exits_4(runner, gaussian_file):
     assert "4 sigma" in result.output
 
 
+def test_simulate_check_passes_at_the_additive_cap(runner, tmp_path):
+    # r*lam rounds to just below C* here, so mu = 0 decodes, though the
+    # quotient r < C*/lam fails: the closed form must test the product too.
+    path = tmp_path / "strong.json"
+    path.write_text('{"type": "gaussian", "p1": 1000, "p2": 1000, "c1": 2, "c2": 2}')
+    result = runner.invoke(
+        main,
+        ["simulate", "--channel", str(path), "--lambda", "0.5300751879699248",
+         "--r", "9.401709875355936", "--n-packets", "4", "--d", "1", "--decoder", "di",
+         "--trials", "20000", "--seed", "0", "--check"],
+    )
+    assert (result.exit_code, result.stderr) == (0, "check passed\n")
+
+
 def test_simulate_stochastic_requires_n(runner, gaussian_file):
     result = runner.invoke(
         main,
